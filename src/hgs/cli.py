@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .grids import SpectralSet, gauss_lambda_grid, lambda_grid
 from .group import QuasiLatticeSpec
 from .sampling import (interpolation_verdict, onb_gram_check,
                        reconstruction_study)
-from .sinc import (S0_closed, S_quadrature, seeded_strip_points,
-                   sinc_compare)
+from .sinc import seeded_strip_points, sinc_compare
 from .testfields import atom_suite, two_slice_field
 
 DEFAULTS = {
@@ -42,7 +40,6 @@ DEFAULTS = {
     "bounds": "3,8,4",
     "seed": 0x5EED,
     "tol": 1e-10,
-    "threads": 0,  # 0: machine parallelism
 }
 
 
@@ -64,14 +61,16 @@ def _load_config(path):
 def _resolve(args, config):
     """Apply the precedence chain onto a plain dict."""
     merged = dict(DEFAULTS)
-    env_seed = os.environ.get("HGS_SEED")
-    if env_seed is not None:
-        merged["seed"] = int(env_seed)
-    for key, raw in config.items():
+    raw = [(f"config key {key!r}", key, val) for key, val in config.items()]
+    if "HGS_SEED" in os.environ:
+        raw.insert(0, ("HGS_SEED", "seed", os.environ["HGS_SEED"]))
+    for source, key, val in raw:
         if key not in DEFAULTS:
             raise HgsError(f"unknown config key {key!r}")
-        merged[key] = type(DEFAULTS[key])(raw) \
-            if not isinstance(DEFAULTS[key], str) else raw
+        try:
+            merged[key] = type(DEFAULTS[key])(val)
+        except ValueError:
+            raise HgsError(f"{source}: bad value {val!r}") from None
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -79,11 +78,17 @@ def _resolve(args, config):
     return merged
 
 
-def _parse_bounds(text):
+def _parse_triple(text, kind, what, extra_columns=False):
+    """Three comma-separated values of the given kind, e.g. bounds k,l,m or
+    a point x,y,z; extra_columns allows and drops further values."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise HgsError(f"bad bounds {text!r}; expected k,l,m")
-    return tuple(int(p) for p in parts)
+    try:
+        if len(parts) == 3 or (extra_columns and len(parts) > 3):
+            return tuple(kind(p) for p in parts[:3])
+    except ValueError:
+        pass
+    raise HgsError(f"bad {what} {text.strip()!r}; expected three "
+                   f"comma-separated {kind.__name__} values")
 
 
 def _emit(report, args):
@@ -187,35 +192,29 @@ def cmd_sinc(args):
     n = max(cfg["lambda_nodes"], 256)
     grid = gauss_lambda_grid(E, n, lambda_min=1e-8, order=8)
     e = canonical_field(grid)
-    points = []
-    for text in args.point or []:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise HgsError(f"bad point {text!r}; expected x,y,z")
-        points.append(tuple(float(p) for p in parts))
+    points = [_parse_triple(text, float, "point")
+              for text in args.point or []]
     if args.points_file:
         try:
             with open(args.points_file, "r", encoding="ascii") as fh:
-                for line in fh:
-                    if line.strip():
-                        points.append(tuple(float(p)
-                                            for p in line.split(",")[:3]))
+                lines = fh.readlines()
         except (OSError, ValueError) as exc:
             raise HgsError(f"unreadable points file: {exc}") from None
+        points.extend(_parse_triple(line, float, f"point on line {lineno}",
+                                    extra_columns=True)
+                      for lineno, line in enumerate(lines, start=1)
+                      if line.strip())
     if args.random:
         points.extend(seeded_strip_points(args.random, seed=cfg["seed"]))
-    threads = cfg["threads"] or (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        quads = list(pool.map(
-            lambda p: S_quadrature(p[0], p[1], p[2], grid, e), points))
     rep = sinc_compare(points, grid, e)
     rows = ["x,y,z,s_re,s_im,s0_re,s0_im,s1_re,s1_im,"
             "s0_printed_re,s0_printed_im"]
-    for (x, y, z), q in zip(points, quads):
-        closed = S0_closed(x, y, z, reading="printed")
+    for r in rep.rows:
+        s = r.s0_quad + r.s1_quad
         rows.append(",".join(f"{v:.17g}" for v in (
-            x, y, z, q.s.real, q.s.imag, q.s0.real, q.s0.imag,
-            q.s1.real, q.s1.imag, closed.real, closed.imag)))
+            *r.point, s.real, s.imag, r.s0_quad.real, r.s0_quad.imag,
+            r.s1_quad.real, r.s1_quad.imag,
+            r.s0_printed.real, r.s0_printed.imag)))
     csv_text = "\n".join(rows) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
@@ -250,7 +249,7 @@ def cmd_sample(args):
     E = SpectralSet.parse(cfg["spectrum"])
     grid = lambda_grid(E, max(cfg["lambda_nodes"], 512), 1e-3)
     e = canonical_field(grid)
-    bounds = _parse_bounds(cfg["bounds"])
+    bounds = _parse_triple(cfg["bounds"], int, "bounds")
     inner = (max(1, bounds[0] // 2), max(1, bounds[1] // 2),
              max(1, bounds[2] // 2))
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,
@@ -335,7 +334,6 @@ def _add_common(p):
     p.add_argument("--bounds", type=str, help="truncation box k,l,m")
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", type=str, help="write the JSON report here")
     p.add_argument("--no-timestamp", dest="no_timestamp",
                    action="store_true")

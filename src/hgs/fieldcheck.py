@@ -396,35 +396,11 @@ def theta(g: FieldSample, spec: QuasiLatticeSpec, k: int, lam: float,
             g(lam - l'', (t - l')/(lam - l'') - k)
             * conj(g(lam - l'', (t - l')/(lam - l'')))
 
-    evaluated by support arithmetic: only spectral shifts with lam - l''
-    inside the spectral set contribute, and the time shifts meeting the
-    compact slice support are finite.  Identically delta_k exactly when the
-    unit-density translates are orthonormal.
+    at one point; see theta_delta_report.  Identically delta_k exactly when
+    the unit-density translates are orthonormal.
     """
-    E = g.grid.spectral_set
-    bounds = E.bounds()
-    if bounds is None:
-        return 0.0 + 0.0j
-    l2_lo = int(math.floor(lam - bounds[1]))
-    l2_hi = int(math.ceil(lam - bounds[0]))
-    total = 0.0 + 0.0j
-    for l2 in range(l2_lo, l2_hi + 1):
-        mu = lam - l2
-        if mu == 0.0:
-            if E.contains(0.0):
-                raise DomainError(
-                    f"periodization hits the singular slice at lam - {l2} = 0")
-            continue
-        if not E.contains(mu):
-            continue
-        w = g.slice_at(mu)
-        if w.n_terms == 0:
-            continue
-        for n in range(-lmax, lmax + 1):
-            lp = n / spec.beta
-            s = (t - lp) / mu
-            total += w(s - k) * np.conj(w(s))
-    return complex(total)
+    rep = theta_delta_report(g, spec, ([lam], [t]), kmax=abs(k), lmax=lmax)
+    return complex(rep.values[k][0, 0])
 
 
 @dataclass(frozen=True)
@@ -459,33 +435,40 @@ def jittered_unit_grid(n: int) -> np.ndarray:
 def theta_delta_report(g: FieldSample, spec: QuasiLatticeSpec, gridpts,
                        kmax: int = 4, lmax: int = 16) -> ThetaReport:
     """Evaluate Theta_k on a (lam, t) product grid for |k| <= kmax and
-    report sup|Theta_0 - 1| and sup_{k != 0} |Theta_k|."""
+    report sup|Theta_0 - 1| and sup_{k != 0} |Theta_k|.
+
+    Support arithmetic keeps the sum finite: only spectral shifts with
+    lam - l'' inside the spectral set contribute, and l' = n / beta runs
+    over |n| <= lmax.  One window call per (lam, l'') covers every k, every
+    n and every t; an empty spectral set gives zeros.
+    """
     lams, ts = (np.asarray(gridpts[0], dtype=float),
                 np.asarray(gridpts[1], dtype=float))
-    values = {}
+    ks = np.arange(-kmax, kmax + 1)
+    acc = np.zeros((ks.size, lams.size, ts.size), dtype=complex)
     E = g.grid.spectral_set
     bounds = E.bounds()
-    for k in range(-kmax, kmax + 1):
-        acc = np.zeros((lams.size, ts.size), dtype=complex)
-        for i, lam in enumerate(lams):
-            l2_lo = int(math.floor(lam - bounds[1]))
-            l2_hi = int(math.ceil(lam - bounds[0]))
-            for l2 in range(l2_lo, l2_hi + 1):
-                mu = lam - l2
-                if mu == 0.0:
-                    if E.contains(0.0):
-                        raise DomainError(
-                            "periodization hits the singular slice at 0")
-                    continue
-                if not E.contains(mu):
-                    continue
-                w = g.slice_at(mu)
-                if w.n_terms == 0:
-                    continue
-                for n in range(-lmax, lmax + 1):
-                    s = (ts - n / spec.beta) / mu
-                    acc[i] += w(s - k) * np.conj(w(s))
-        values[k] = acc
+    # t - l' for every time shift, shape (N, T)
+    shifted = ts[None, :] - np.arange(-lmax, lmax + 1)[:, None] / spec.beta
+    for i, lam in enumerate(lams if bounds is not None else ()):
+        l2_lo = int(math.floor(lam - bounds[1]))
+        l2_hi = int(math.ceil(lam - bounds[0]))
+        for l2 in range(l2_lo, l2_hi + 1):
+            mu = lam - l2
+            if mu == 0.0:
+                if E.contains(0.0):
+                    raise DomainError(
+                        f"periodization hits the singular slice at "
+                        f"lam - {l2} = 0")
+                continue
+            if not E.contains(mu):
+                continue
+            w = g.slice_at(mu)
+            if w.n_terms == 0:
+                continue
+            vals = w(shifted / mu - ks[:, None, None])     # (K, N, T)
+            acc[:, i] += np.sum(vals * np.conj(vals[kmax]), axis=1)
+    values = {int(k): acc[j] for j, k in enumerate(ks)}
     return ThetaReport(lams=lams, ts=ts, kmax=kmax, values=values)
 
 

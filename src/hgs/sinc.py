@@ -23,7 +23,6 @@ from .errors import DomainError
 from .grids import FieldSample, LambdaGrid
 from .windows import indicator_transform
 
-_TWO_PI = 2.0 * math.pi
 _SMALL = 0.25 / math.pi  # |2 pi w| < 0.5 switches psi to its series
 
 
@@ -222,14 +221,22 @@ class SincCompareReport:
 
 def _s1_numeric(x, y, z, grid, reading):
     """Positive-side value from the spectral profile on the grid nodes;
-    independent of the window machinery."""
-    total = 0.0 + 0.0j
-    for lam, w in zip(grid.nodes, grid.weights):
-        if lam <= 0:
-            continue
-        total += (G_xy(lam, x, y, reading=reading)
-                  * np.exp(-2j * math.pi * lam * z) * w / abs(lam))
-    return total
+    independent of the window machinery.
+
+    G_xy evaluated on every node in (0, 1] at once: the overlap interval of
+    canonical.sinc_intervals becomes an array, and empty overlaps contribute
+    zero through interval_moments."""
+    if reading not in ("printed", "derived"):
+        raise DomainError(f"unknown reading {reading!r}")
+    keep = (grid.nodes > 0.0) & (grid.nodes <= 1.0)
+    lam, w = grid.nodes[keep], grid.weights[keep]
+    b1 = 1.0 / lam
+    b0 = (-b1 if reading == "printed" else b1) - 1.0
+    lo = np.maximum(b0, b0 + x)
+    hi = np.minimum(b1, b1 + x)
+    prof = lam * indicator_transform(lo, hi, lam * y)
+    return complex(np.sum(prof * np.exp(-2j * math.pi * lam * z)
+                          * w / np.abs(lam)))
 
 
 def sinc_compare(points, grid: LambdaGrid, fld: FieldSample,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -124,6 +125,24 @@ def test_sinc_bad_points_file(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_sinc_random_csv_bytes_pinned(capsys):
+    # the CSV bytes of a seeded run are part of the output contract
+    code, out, _ = run(capsys, "sinc", "--random", "12", "--seed", "7",
+                       "--lambda-nodes", "256", "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "308d00e3a32963efb94861e9e2eca9091fc4715ab617f10e11b8038d282a201c")
+
+
+@pytest.mark.parametrize("text", ["0.5,1\n", "0.5,1,1\n\n0.25\n"])
+def test_sinc_short_points_file_line(capsys, tmp_path, text):
+    bad = tmp_path / "pts.txt"
+    bad.write_text(text)
+    code, _, err = run(capsys, "sinc", "--points-file", str(bad),
+                       "--lambda-nodes", "256")
+    assert code == 2 and "error" in err and "line" in err
+
+
 def test_sample_default(capsys):
     code, out, _ = run(capsys, "sample", "--no-timestamp",
                        "--lambda-nodes", "256", "--bounds", "2,6,3")
@@ -158,3 +177,26 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
                      "--lambda-nodes", "16", "--out", str(out_path))
     assert code == 0
     assert json.loads(out_path.read_text())["config"]["seed"] == 123
+
+
+@pytest.mark.parametrize("env,config,argv", [
+    ("abc", None, ["verify-canonical", "--lambda-nodes", "16"]),
+    (None, "alpha abc\n", ["verify-canonical", "--lambda-nodes", "16"]),
+    (None, "lambda_nodes 1.5\n", ["verify-canonical"]),
+    (None, None, ["sample", "--lambda-nodes", "256", "--bounds", "1,x,1"]),
+    (None, None, ["sinc", "--point", "0.5,one,1"]),
+])
+def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
+                           argv):
+    # malformed values at the boundary are usage errors, never a traceback
+    # or a failed verification
+    if env is not None:
+        monkeypatch.setenv("HGS_SEED", env)
+    else:
+        monkeypatch.delenv("HGS_SEED", raising=False)
+    if config is not None:
+        cfg = tmp_path / "hgs.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:")

@@ -254,6 +254,51 @@ def test_theta_delta_report_canonical(coarse):
     assert rep.dev_nonzero <= 1e-10
 
 
+def _theta_literal(g, spec, k, lam, t, lmax):
+    # the double periodization term by term through scalar window values
+    total = 0j
+    for l2 in range(-3, 4):
+        mu = lam - l2
+        if not g.grid.spectral_set.contains(mu):
+            continue
+        w = g.slice_at(mu)
+        for n in range(-lmax, lmax + 1):
+            s = (t - n / spec.beta) / mu
+            total += w(s - k) * np.conj(w(s))
+    return total
+
+
+@pytest.mark.parametrize("spec", [SPEC, QuasiLatticeSpec(0.5, 0.75)])
+def test_theta_delta_report_matches_literal_sum(coarse, spec):
+    # a two-slice field with piecewise-linear slices gives values that are
+    # not 0 or 1, so a dropped or misplaced term cannot hide
+    _, e = coarse
+    lam = 0.3
+    f = two_slice_field(e, lam, seed=17)
+    ts = np.array([0.05, 0.41, 0.77])
+    rep = theta_delta_report(f, spec, ([lam], ts), kmax=2, lmax=6)
+    assert sorted(rep.values) == [-2, -1, 0, 1, 2]
+    for k in range(-2, 3):
+        for j, t in enumerate(ts):
+            want = _theta_literal(f, spec, k, lam, t, lmax=6)
+            got = rep.values[k][0, j]
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+            one = theta(f, spec, k, lam, t, lmax=6)
+            assert abs(one - want) <= 1e-12 * (1.0 + abs(want))
+    assert abs(rep.values[0]).max() > 1.0
+
+
+def test_theta_delta_report_empty_spectral_set():
+    grid = LambdaGrid(nodes=np.zeros(0), weights=np.zeros(0),
+                      lambda_min=0.05, spectral_set=SpectralSet([]))
+    z = FieldSample.zero(grid)
+    rep = theta_delta_report(z, SPEC, ([0.2, 0.5], [0.1]), kmax=1, lmax=2)
+    for k in (-1, 0, 1):
+        assert rep.values[k].shape == (2, 1)
+        assert not rep.values[k].any()
+    assert theta(z, SPEC, 1, 0.3, 0.2) == 0
+
+
 def test_theta_scaling_quadratic(coarse):
     _, e = coarse
     half = e.scaled(np.sqrt(0.5))

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from hgs.canonical import canonical_field
 from hgs.grids import SpectralSet, gauss_lambda_grid, lambda_grid
 from hgs.sinc import (F_xy, G_xy, S0_closed, S1_closed, S_quadrature,
-                      seeded_strip_points, sinc_compare)
+                      _s1_numeric, seeded_strip_points, sinc_compare)
 
 E_FULL = SpectralSet([(-1.0, 1.0)])
 
@@ -164,6 +164,21 @@ def test_sinc_compare_seeded_points(kernel_grid):
     assert rep.matching_s1_reading == "derived"
     # the printed readings are genuinely wrong, and measurably so
     assert rep.max_deviation("s0_printed") > 1e-2
+
+
+def test_s1_numeric_matches_profile_sum():
+    # the array evaluation against the scalar profile summed node by node,
+    # inside the strip and beyond it (empty overlaps on part of the grid)
+    grid = gauss_lambda_grid(E_FULL, 256, lambda_min=1e-8, order=8)
+    pts = seeded_strip_points(6, seed=11) + [(1.25, 0.3, -0.2),
+                                             (-1.0, 0.4, 0.1)]
+    for (x, y, z) in pts:
+        for reading in ("printed", "derived"):
+            ref = sum(G_xy(lam, x, y, reading=reading)
+                      * np.exp(-2j * np.pi * lam * z) * w / abs(lam)
+                      for lam, w in zip(grid.nodes, grid.weights) if lam > 0)
+            got = _s1_numeric(x, y, z, grid, reading)
+            assert abs(got - ref) <= 1e-13, (x, y, z, reading)
 
 
 def test_sinc_compare_empty():

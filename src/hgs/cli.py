@@ -250,6 +250,9 @@ def cmd_sample(args):
     grid = lambda_grid(E, max(cfg["lambda_nodes"], 512), 1e-3)
     e = canonical_field(grid)
     bounds = _parse_triple(cfg["bounds"], int, "bounds")
+    if min(bounds) < 0:
+        raise HgsError(f"bad bounds {cfg['bounds']!r}; expected three "
+                       "nonnegative int values")
     inner = (max(1, bounds[0] // 2), max(1, bounds[1] // 2),
              max(1, bounds[2] // 2))
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,

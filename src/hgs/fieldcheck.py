@@ -21,9 +21,10 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, frame_bounds_empirical,
                     norm_condition_check, painless_residual)
-from .grids import FieldSample, SpectralSet, field_inner
+from .grids import FieldSample, SpectralSet, _cross_join, field_inner
 from .group import LatticeIndex, QuasiLatticeSpec
-from .windows import paired_inner_sweep
+from .windows import (Window, affine_terms, paired_inner_sweep,
+                      product_conj_terms)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -153,7 +154,7 @@ def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
     wphase = grid.weights[:, None] * phase
     out = np.zeros((len(fields), ks.size, ls.size, ms.size), dtype=complex)
     g_mid = g.term_mid()
-    joins = [_cross_join_tables(f, g) for f in fields]
+    joins = [_cross_join(f._starts, g._starts) for f in fields]
     mids = [f.term_mid() for f in fields]
     for ki, k in enumerate(ks):
         shift = spec.alpha * float(k)
@@ -182,11 +183,6 @@ def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
                 C[uniq] += np.add.reduceat(vals, seg, axis=0)
             out[fi, ki] = C.T @ wphase
     return out
-
-
-def _cross_join_tables(f, g):
-    from .grids import _cross_join
-    return _cross_join(f._starts, g._starts)
 
 
 def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
@@ -224,58 +220,93 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
 # two-slice orthogonality condition
 
 
+def _shift_pairs(f: Window, g: Window, shifts: np.ndarray):
+    """Pair every term of f with every term of T_s g for every shift s,
+    shift-major.  Returns the shift index of each pair and the paired term
+    arrays in the argument layout of paired_inner_sweep."""
+    s, i, j = (a.ravel() for a in np.meshgrid(
+        np.arange(shifts.size), np.arange(f.n_terms), np.arange(g.n_terms),
+        indexing="ij"))
+    dt = shifts[s]
+    phase = np.exp(-1j * _TWO_PI * g.freq[j] * dt)
+    lo, hi = g.lo[j] + dt, g.hi[j] + dt
+    return s, (f.lo[i], f.hi[i], f.mid[i], f.coef[i], f.freq[i],
+               lo, hi, 0.5 * (lo + hi), g.coef[j] * phase[:, None], g.freq[j])
+
+
+def _unfolded_products(f: Window, g: Window, c: float, shifts: np.ndarray):
+    """Terms (lo, hi, coef, freq) of (f * conj(T_s g))(t / c) for every
+    shift s, ordered by s, and the segment starts of each shift."""
+    s, pairs = _shift_pairs(f, g, shifts)
+    live, *prod = product_conj_terms(*pairs)
+    starts = np.searchsorted(s[live], np.arange(shifts.size + 1))
+    return affine_terms(*prod, c), starts
+
+
+def _unfolded_sum(f1: Window, g1: Window, c1: float, f2: Window,
+                  g2: Window, c2: float, shifts) -> complex:
+    """sum_s sum_{n in Z} <(f1 conj T_s g1)(./c1), T_n (f2 conj T_s g2)(./c2)>
+    / |c1 c2|, with T_s the translation by s.
+
+    The periodization behind the two-slice orthogonality condition and the
+    coefficient cross-orthogonality: after the unfolding substitution a
+    modulation sum over the frequencies c*l, l in Z, is a sum of integer-
+    frequency Fourier coefficients, so it collapses to overlap integrals
+    over integer shifts n.  Product terms that share a shift are paired,
+    each pair is expanded over the n at which its cells can overlap, and
+    all of them are evaluated in one sweep.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    q1, starts1 = _unfolded_products(f1, g1, c1, shifts)
+    q2, starts2 = _unfolded_products(f2, g2, c2, shifts)
+    ia, ib, _ = _cross_join(starts1, starts2)
+    # every n at which [lo1, hi1) and [lo2 + n, hi2 + n) overlap, plus one
+    # n at each end whose exact-zero term guards against rounding
+    n_lo = np.floor(q1[0][ia] - q2[1][ib])
+    count = (np.ceil(q1[1][ia] - q2[0][ib]) - n_lo + 1).astype(np.int64)
+    rep = np.repeat(np.arange(ia.size), count)
+    n = n_lo[rep] + np.arange(rep.size) - (np.cumsum(count) - count)[rep]
+    lo1, hi1, coef1, freq1 = (x[ia[rep]] for x in q1)
+    lo2, hi2, coef2, freq2 = (x[ib[rep]] for x in q2)
+    lo2, hi2 = lo2 + n, hi2 + n
+    coef2 = coef2 * np.exp(-1j * _TWO_PI * freq2 * n)[:, None]
+    vals = paired_inner_sweep(lo1, hi1, 0.5 * (lo1 + hi1), coef1, freq1,
+                              lo2, hi2, 0.5 * (lo2 + hi2), coef2, freq2,
+                              np.zeros(1))
+    return complex(np.sum(vals)) / abs(c1 * c2)
+
+
 def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
                            kmax: int = 8, lmax: int = 64,
                            spec: QuasiLatticeSpec = SPEC_UNIT,
                            method: str = "exact") -> complex:
     """sum_{k,l} <f(lam-1), (T_{k,l,0} g)(lam-1)> conj(<f(lam), (T_{k,l,0} g)(lam)>).
 
-    method="exact" evaluates the modulation sum in closed form: after the
-    unfolding substitution the two coefficient sequences are integer-
-    frequency Fourier coefficients, so the l-sum over all of Z equals a
-    finite sum of overlap integrals over integer shifts.  The k-sum is
-    exactly finite once kmax covers the support spread.  method="truncated"
-    performs the literal double sum over |l| <= lmax for convergence
-    studies.
+    method="exact" evaluates the modulation sum in closed form with
+    _unfolded_sum: the l-sum over all of Z equals a finite sum of overlap
+    integrals over integer shifts.  The k-sum is exactly finite once kmax
+    covers the support spread.  method="truncated" performs the literal
+    double sum over |l| <= lmax for convergence studies.
     """
     if not 0 < lam <= 1:
         raise DomainError("lam must lie in (0, 1]")
+    if method not in ("exact", "truncated"):
+        raise DomainError(f"unknown method {method!r}")
     c1 = (lam - 1.0) * spec.beta
     c2 = lam * spec.beta
     if c1 == 0.0:
         raise DomainError("degenerate unfolding at lam = 1")
-    f_prev = f.slice_at(lam - 1.0)
-    f_cur = f.slice_at(lam)
-    g_prev = g.slice_at(lam - 1.0)
-    g_cur = g.slice_at(lam)
-    total = 0.0 + 0.0j
-    for k in range(-kmax, kmax + 1):
-        shift = spec.alpha * float(k)
-        gp = g_prev.translate(shift)
-        gc = g_cur.translate(shift)
-        if method == "truncated":
-            ls = np.arange(-lmax, lmax + 1)
-            a = f_prev.inner_freq_sweep(gp, -c1 * ls)
-            b = f_cur.inner_freq_sweep(gc, -c2 * ls)
-            total += complex(np.sum(a * np.conj(b)))
-            continue
-        if method != "exact":
-            raise DomainError(f"unknown method {method!r}")
-        p1 = f_prev.product_conj(gp)
-        p2 = f_cur.product_conj(gc)
-        if p1.n_terms == 0 or p2.n_terms == 0:
-            continue
-        # unfold: Q(s) = P(s / c) so the coefficient at frequency c*l
-        # becomes the integer-frequency coefficient Q^(l) / |c|
-        q1 = p1.affine_substitute(c1)
-        q2 = p2.affine_substitute(c2)
-        s1 = q1.support()
-        s2 = q2.support()
-        n_lo = int(math.floor(s1[0] - s2[1])) - 1
-        n_hi = int(math.ceil(s1[1] - s2[0])) + 1
-        for n in range(n_lo, n_hi + 1):
-            total += q1.inner(q2.translate(float(n))) / abs(c1 * c2)
-    return total
+    slices = [(f.slice_at(lam - 1.0), g.slice_at(lam - 1.0), c1),
+              (f.slice_at(lam), g.slice_at(lam), c2)]
+    shifts = spec.alpha * np.arange(-kmax, kmax + 1, dtype=float)
+    if method == "exact":
+        return _unfolded_sum(*slices[0], *slices[1], shifts)
+    ls = np.arange(-lmax, lmax + 1)
+    # <f, exp(-2 pi i c l t) T_s g> per (shift, l), summed over term pairs
+    a, b = (paired_inner_sweep(*_shift_pairs(fw, gw, shifts)[1], -c * ls)
+            .reshape(shifts.size, fw.n_terms * gw.n_terms, ls.size)
+            .sum(axis=1) for fw, gw, c in slices)
+    return complex(np.sum(a * np.conj(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +318,7 @@ def _fold_map(E: SpectralSet):
     its image in [0, 1) as (x_lo, x_hi, n) with lam = x + n."""
     pieces = []
     for a, b in E.intervals:
-        n0 = int(math.floor(a))
-        n1 = int(math.floor(b)) + 1
-        for n in range(n0, n1 + 1):
+        for n in range(math.floor(a), math.floor(b) + 2):
             lo, hi = max(a - n, 0.0), min(b - n, 1.0)
             if hi > lo:
                 pieces.append((lo, hi, n))
@@ -318,15 +347,12 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     trunc[0]).  Test fields must be evaluable at arbitrary spectral points
     (profile-backed or on-grid interpolable).
     """
-    if Ej2.intervals and Ej.intervals and Ej.intersect(Ej2).intervals:
+    if Ej.intersect(Ej2).intervals:
         raise DomainError("spectral pieces overlap")
     fields = list(testfns.fields()) if hasattr(testfns, "fields") \
         else list(testfns)
     if not fields:
         raise DomainError("need at least one test field")
-    if not Ej.intervals or not Ej2.intervals:
-        return 0.0
-    kmax = trunc[0]
     fold1 = _fold_map(Ej)
     fold2 = _fold_map(Ej2)
     # overlap cells of the two folded images, split at every breakpoint
@@ -339,49 +365,27 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
         n2 = next((n for lo, hi, n in fold2 if lo <= mid <= hi), None)
         if n1 is not None and n2 is not None and b > a:
             cells.append((a, b, n1, n2))
-    if not cells:
-        return 0.0
     xg, wg = np.polynomial.legendre.leggauss(quad_order)
-    ws, lam1s, lam2s = [], [], []
+    points = []
     for a, b, n1, n2 in cells:
         edges = np.linspace(a, b, max(1, quad_cells) + 1)
         for ca, cb in zip(edges[:-1], edges[1:]):
             x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
-            ws.append(0.5 * (cb - ca) * wg)
-            lam1s.append(x + n1)
-            lam2s.append(x + n2)
-    ws = np.concatenate(ws)
-    lam1s = np.concatenate(lam1s)
-    lam2s = np.concatenate(lam2s)
-    worst = 0.0
-    for f in fields:
-        for f2 in fields:
-            total = 0.0 + 0.0j
-            for wq, lam1, lam2 in zip(ws, lam1s, lam2s):
-                c1 = -spec.beta * lam1
-                c2 = -spec.beta * lam2
-                fw1 = f.slice_at(lam1)
-                fw2 = f2.slice_at(lam2)
-                gw1 = g.slice_at(lam1)
-                gw2 = g.slice_at(lam2)
-                acc = 0.0 + 0.0j
-                for k in range(-kmax, kmax + 1):
-                    shift = spec.alpha * float(k)
-                    r1 = gw1.translate(shift).product_conj(fw1)
-                    r2 = gw2.translate(shift).product_conj(fw2)
-                    if r1.n_terms == 0 or r2.n_terms == 0:
-                        continue
-                    q1 = r1.affine_substitute(c1)
-                    q2 = r2.affine_substitute(c2)
-                    s1 = q1.support()
-                    s2 = q2.support()
-                    n_lo = int(math.floor(s1[0] - s2[1])) - 1
-                    n_hi = int(math.ceil(s1[1] - s2[0])) + 1
-                    for n in range(n_lo, n_hi + 1):
-                        acc += q1.inner(q2.translate(float(n)))
-                total += wq * acc * abs(lam1 * lam2) / abs(c1 * c2)
-            worst = max(worst, abs(total))
-    return worst
+            points.extend(zip(0.5 * (cb - ca) * wg, x + n1, x + n2))
+    shifts = spec.alpha * np.arange(-trunc[0], trunc[0] + 1, dtype=float)
+    totals = np.zeros((len(fields), len(fields)), dtype=complex)
+    for wq, lam1, lam2 in points:
+        gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
+        fw1 = [f.slice_at(lam1) for f in fields]
+        fw2 = [f.slice_at(lam2) for f in fields]
+        # the coefficients pair T g with f, so the products are the
+        # conjugates of the kernel's f * conj(T g); |lam1 lam2| is the
+        # spectral weight of the two folded slices
+        for i, j in np.ndindex(totals.shape):
+            totals[i, j] += wq * abs(lam1 * lam2) * np.conj(_unfolded_sum(
+                fw1[i], gw1, -spec.beta * lam1, fw2[j], gw2,
+                -spec.beta * lam2, shifts))
+    return float(np.max(np.abs(totals)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NotApplicableError, WindowStructureError
 from .group import QuasiLatticeSpec
-from .windows import Window
+from .windows import Window, _recenter
 
 DEFAULT_SEED = 0x5EED
 _SUPPORT_SLACK = 1e-9
@@ -57,10 +57,8 @@ def _fold_quadratics(breaks, quad, alpha):
         acc = np.zeros(3)
         for lo, hi, mid, q in folded:
             if lo <= a and hi >= b:
-                s = m - mid  # recenter the quadratic at the cell midpoint
-                acc[0] += q[0] + q[1] * s + q[2] * s * s
-                acc[1] += q[1] + 2 * q[2] * s
-                acc[2] += q[2]
+                # recenter the quadratic at the cell midpoint
+                acc += _recenter(q, m - mid)
         cells.append((a, b, acc))
     return cells
 

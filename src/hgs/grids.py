@@ -154,6 +154,25 @@ def _allocate(pieces, n_per_interval):
     return alloc
 
 
+def _layout(E: SpectralSet, n_per_interval: int, lambda_min: float,
+            rule: str, piece_rule) -> LambdaGrid:
+    """Cut the band (-lambda_min, lambda_min) out of E, split each
+    interval's node budget over its surviving pieces, place nodes and
+    weights on every piece with piece_rule(lo, hi, count), and sort."""
+    if not lambda_min > 0:
+        raise DomainError("lambda_min must be positive")
+    pieces = E.cut(lambda_min)
+    if not pieces:
+        raise EmptyGridError(
+            f"spectral set lies inside the excluded band (+-{lambda_min})")
+    nodes, weights = zip(*(piece_rule(lo, hi, count) for lo, hi, count
+                           in _allocate(pieces, n_per_interval)))
+    nodes = np.concatenate(nodes)
+    order = np.argsort(nodes)
+    return LambdaGrid(nodes[order], np.concatenate(weights)[order],
+                      lambda_min, E, rule)
+
+
 def lambda_grid(E: SpectralSet, n_per_interval: int,
                 lambda_min: float = 0.05) -> LambdaGrid:
     """Composite midpoint rule on E with the band around 0 excluded.
@@ -163,22 +182,13 @@ def lambda_grid(E: SpectralSet, n_per_interval: int,
     """
     if n_per_interval < 1:
         raise DomainError("need at least one node per interval")
-    if not lambda_min > 0:
-        raise DomainError("lambda_min must be positive")
-    pieces = E.cut(lambda_min)
-    if not pieces:
-        raise EmptyGridError(
-            f"spectral set lies inside the excluded band (+-{lambda_min})")
-    nodes, weights = [], []
-    for lo, hi, count in _allocate(pieces, n_per_interval):
+
+    def midpoint(lo, hi, count):
         h = (hi - lo) / count
         x = lo + h * (np.arange(count) + 0.5)
-        nodes.append(x)
-        weights.append(np.abs(x) * h)
-    nodes = np.concatenate(nodes)
-    order = np.argsort(nodes)
-    return LambdaGrid(nodes[order], np.concatenate(weights)[order],
-                      lambda_min, E, "midpoint")
+        return x, np.abs(x) * h
+
+    return _layout(E, n_per_interval, lambda_min, "midpoint", midpoint)
 
 
 def gauss_lambda_grid(E: SpectralSet, n_per_interval: int,
@@ -190,23 +200,15 @@ def gauss_lambda_grid(E: SpectralSet, n_per_interval: int,
     """
     if n_per_interval < order:
         raise DomainError("need at least `order` nodes per interval")
-    pieces = E.cut(lambda_min)
-    if not pieces:
-        raise EmptyGridError(
-            f"spectral set lies inside the excluded band (+-{lambda_min})")
     xg, wg = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for lo, hi, count in _allocate(pieces, n_per_interval):
-        cells = max(1, count // order)
-        edges = np.linspace(lo, hi, cells + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            nodes.append(x)
-            weights.append(np.abs(x) * 0.5 * (b - a) * wg)
-    nodes = np.concatenate(nodes)
-    order_ix = np.argsort(nodes)
-    return LambdaGrid(nodes[order_ix], np.concatenate(weights)[order_ix],
-                      lambda_min, E, f"gauss{order}")
+
+    def gauss(lo, hi, count):
+        edges = np.linspace(lo, hi, max(1, count // order) + 1)
+        a, b = edges[:-1, None], edges[1:, None]
+        x = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        return x.ravel(), (np.abs(x) * 0.5 * (b - a) * wg).ravel()
+
+    return _layout(E, n_per_interval, lambda_min, f"gauss{order}", gauss)
 
 
 @dataclass(frozen=True)
@@ -381,17 +383,7 @@ class FieldSample:
 
     def slice_norm2(self):
         """Exact per-node squared norms as an array."""
-        ia, ib, node = _cross_join(self._starts, self._starts)
-        if ia.size == 0:
-            return np.zeros(self.grid.n)
-        mid = self.term_mid()
-        vals = paired_inner_sweep(
-            self.term_lo[ia], self.term_hi[ia], mid[ia], self.term_coef[ia],
-            self.term_freq[ia],
-            self.term_lo[ib], self.term_hi[ib], mid[ib], self.term_coef[ib],
-            self.term_freq[ib], np.zeros(1))[:, 0]
-        return np.maximum(
-            np.bincount(node, weights=vals.real, minlength=self.grid.n), 0.0)
+        return np.maximum(field_inner_per_node(self, self).real, 0.0)
 
     def norm2(self):
         return max(field_inner(self, self).real, 0.0)
@@ -596,7 +588,10 @@ def field_load(path) -> FieldSample:
         elif key == "lambda_min":
             (lambda_min,) = _parse_floats(ln.split()[1:], 1, lineno)
         elif key == "rule":
-            rule = ln.split()[1]
+            parts = ln.split()
+            if len(parts) != 2:
+                raise FieldFormatError("bad rule record", lineno)
+            rule = parts[1]
         elif key == "nodes":
             try:
                 n_nodes = int(ln.split()[1])
@@ -611,9 +606,6 @@ def field_load(path) -> FieldSample:
         raise FieldFormatError("incomplete header", lines[-1][0])
     nodes, weights, windows, kinds = [], [], [], []
     for _ in range(n_nodes):
-        if pos + 1 >= len(lines) + 1:
-            raise FieldFormatError("truncated file: missing node record",
-                                   lines[-1][0])
         if pos >= len(lines):
             raise FieldFormatError("truncated file: missing node record",
                                    lines[-1][0])
@@ -622,6 +614,14 @@ def field_load(path) -> FieldSample:
         if parts[0] != "node":
             raise FieldFormatError("expected node record", lineno)
         lam, w = _parse_floats(parts[1:], 2, lineno)
+        if not (math.isfinite(lam) and lam != 0.0
+                and (not nodes or lam > nodes[-1])):
+            raise FieldFormatError(
+                "node must be finite, nonzero and above the previous node",
+                lineno)
+        if not (math.isfinite(w) and w > 0.0):
+            raise FieldFormatError("node weight must be positive and finite",
+                                   lineno)
         pos += 1
         if pos >= len(lines):
             raise FieldFormatError("truncated file: missing slice record",
@@ -642,10 +642,15 @@ def field_load(path) -> FieldSample:
                 count = int(parts[4])
             except (IndexError, ValueError):
                 raise FieldFormatError("bad sample count", lineno) from None
+            if count < 2:
+                raise FieldFormatError("need at least two samples", lineno)
             vals = _parse_floats(parts[5:], 2 * count, lineno)
             data = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-            tg = TimeGrid(off, step, count)
-            windows.append(Window.from_samples(off, step, data))
+            try:
+                tg = TimeGrid(off, step, count)
+                windows.append(Window.from_samples(off, step, data))
+            except (DomainError, WindowStructureError) as exc:
+                raise FieldFormatError(str(exc), lineno) from None
             kinds.append(("samples", tg, data))
         else:
             raise FieldFormatError(f"unknown slice kind {parts[1]!r}", lineno)

@@ -19,6 +19,7 @@ from .errors import DomainError, FieldFormatError
 from .fieldcheck import lattice_coefficients
 from .grids import FieldSample, SpectralSet, field_inner, plancherel_measure
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec
+from .windows import interval_moments
 
 _TWO_PI = 2.0 * math.pi
 
@@ -108,13 +109,10 @@ def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
     return samples.energy() / norm_sq
 
 
-def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
-    """(1/c) sum_gamma phi(gamma) T_gamma e, with the phase sum collapsed
-    per (node, translation, modulation) so the result stays an exact
-    window field of moderate size."""
-    if not c > 0:
-        raise DomainError("need c > 0")
-    spec = samples.spec
+def _sample_array(samples: SampleSet, grid):
+    """The samples as a dense (K, L, M) array over their lattice box, and
+    its phase sum over the central index at every grid node, (K, L, N).
+    Returns (ks, ls, arr, stilde)."""
     kmax, lmax, mmax = samples.bounds()
     ks = np.arange(-kmax, kmax + 1)
     ls = np.arange(-lmax, lmax + 1)
@@ -122,10 +120,19 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
     arr = np.zeros((ks.size, ls.size, ms.size), dtype=complex)
     for g, v in samples.entries.items():
         arr[g.k + kmax, g.l + lmax, g.m + mmax] = v
-    grid = e.grid
-    # phase sum over the central index: (K, L, N)
     phases = np.exp(1j * _TWO_PI * np.outer(grid.nodes, ms))
-    stilde = np.tensordot(arr, phases, axes=([2], [1]))  # (K, L, N)
+    return ks, ls, arr, np.tensordot(arr, phases, axes=([2], [1]))
+
+
+def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
+    """(1/c) sum_gamma phi(gamma) T_gamma e, with the phase sum collapsed
+    per (node, translation, modulation) so the result stays an exact
+    window field of moderate size."""
+    if not c > 0:
+        raise DomainError("need c > 0")
+    spec = samples.spec
+    grid = e.grid
+    ks, ls, arr, stilde = _sample_array(samples, grid)
     if not np.any(arr):
         return FieldSample.zero(grid)
     T = e.n_terms
@@ -167,15 +174,7 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     widths = e.term_hi - e.term_lo
     if np.any(widths > spec.alpha * (1.0 + 1e-9)):
         return None
-    kmax, lmax, mmax = samples.bounds()
-    ks = np.arange(-kmax, kmax + 1)
-    ls = np.arange(-lmax, lmax + 1)
-    ms = np.arange(-mmax, mmax + 1)
-    arr = np.zeros((ks.size, ls.size, ms.size), dtype=complex)
-    for g, v in samples.entries.items():
-        arr[g.k + kmax, g.l + lmax, g.m + mmax] = v
-    phases = np.exp(1j * _TWO_PI * np.outer(grid.nodes, ms))
-    stilde = np.tensordot(arr, phases, axes=([2], [1]))  # (K, L, N)
+    ks, ls, _, stilde = _sample_array(samples, grid)
     L = ls.size
     M = 1
     while M < 2 * L:
@@ -186,7 +185,6 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     corr = corr[:, ds, :]                        # (K, D, N), wrapped lags
     # overlap moment per lag on the unshifted interval, then the shift
     # phase sums the translations
-    from .windows import interval_moments
     lam = grid.nodes
     dfreq = -spec.beta * lam[None, :] * ds[:, None]          # (D, N)
     T0 = interval_moments(e.term_lo[None, :], e.term_hi[None, :],

@@ -26,43 +26,21 @@ from .windows import indicator_transform
 _SMALL = 0.25 / math.pi  # |2 pi w| < 0.5 switches psi to its series
 
 
-def _psi(w):
-    """psi(w) = (e^{2 pi i w} - 1)/(2 pi i w) = int_0^1 e^{2 pi i w t} dt."""
+def _psi(w, p=0):
+    """p-th derivative of psi(w) = (e^{2 pi i w} - 1)/(2 pi i w), p <= 2;
+    (1/(2 pi i))^p psi^(p)(w) = int_0^1 t^p e^{2 pi i w t} dt."""
     u = 2j * math.pi * w
     if abs(w) < _SMALL:
-        acc, term = 1.0 + 0.0j, 1.0 + 0.0j
+        # sum_j u^j / (j! (j + p + 1))
+        acc, term = 1.0 / (p + 1) + 0.0j, 1.0 + 0.0j
         for n in range(1, 16):
             term *= u / n
-            acc += term / (n + 1)
-        return acc
-    return (np.exp(u) - 1.0) / u
-
-
-def _psi1(w):
-    """First derivative of psi; (1/(2 pi i)) psi'(z) = int_0^1 t e^{2 pi i z t} dt."""
-    u = 2j * math.pi * w
-    if abs(w) < _SMALL:
-        # sum_j u^j / (j! (j+2))
-        acc, term = 0.5 + 0.0j, 1.0 + 0.0j
-        for n in range(1, 16):
-            term *= u / n
-            acc += term / (n + 2)
-        return 2j * math.pi * acc
-    return 2j * math.pi * (np.exp(u) * (u - 1.0) + 1.0) / u ** 2
-
-
-def _psi2(w):
-    """Second derivative of psi."""
-    u = 2j * math.pi * w
-    if abs(w) < _SMALL:
-        # sum_j u^j / (j! (j+3))
-        acc, term = 1.0 / 3.0 + 0.0j, 1.0 + 0.0j
-        for n in range(1, 16):
-            term *= u / n
-            acc += term / (n + 3)
-        return (2j * math.pi) ** 2 * acc
-    return (2j * math.pi) ** 2 * \
-        (np.exp(u) * (u * u - 2.0 * u + 2.0) - 2.0) / u ** 3
+            acc += term / (n + p + 1)
+        return (2j * math.pi) ** p * acc
+    e = np.exp(u)
+    num = (e - 1.0 if p == 0 else e * (u - 1.0) + 1.0 if p == 1
+           else e * (u * u - 2.0 * u + 2.0) - 2.0)
+    return (2j * math.pi) ** p * num / u ** (p + 1)
 
 
 def F_xy(lam: float, x: float, y: float) -> complex:
@@ -104,7 +82,7 @@ def _s0_bracket(x, y, z, sign):
     d = c * y  # w1 = w2 - d
     if abs(d) < 1e-6:
         # difference quotient via derivatives at w2
-        val = (c / (2j * math.pi)) * (_psi1(w2) - 0.5 * d * _psi2(w2))
+        val = (c / (2j * math.pi)) * (_psi(w2, 1) - 0.5 * d * _psi(w2, 2))
         return sign * val
     w1 = w2 - d
     return sign * (-(1.0 / (2j * math.pi * y))) * (_psi(w1) - _psi(w2))
@@ -146,7 +124,7 @@ def S1_closed(x: float, y: float, z: float) -> complex:
     d = y * c  # the other argument is w2 + d
     phase = np.exp(2j * math.pi * y)
     if abs(d) < 1e-6:
-        val = (c / (2j * math.pi)) * (_psi1(w2) + 0.5 * d * _psi2(w2))
+        val = (c / (2j * math.pi)) * (_psi(w2, 1) + 0.5 * d * _psi(w2, 2))
         return complex(phase * val)
     val = (1.0 / (2j * math.pi * y)) * (_psi(w2 + d) - _psi(w2))
     return complex(phase * val)
@@ -202,21 +180,20 @@ class SincCompareReport:
         return max((r.deviation(which, self.eps) for r in self.rows),
                    default=0.0)
 
-    @property
-    def matching_s0_reading(self):
+    def _matching(self, part):
         if not self.rows:
             return None
-        printed = self.max_deviation("s0_printed")
-        derived = self.max_deviation("s0_derived")
+        printed = self.max_deviation(f"{part}_printed")
+        derived = self.max_deviation(f"{part}_derived")
         return "derived" if derived <= printed else "printed"
 
     @property
+    def matching_s0_reading(self):
+        return self._matching("s0")
+
+    @property
     def matching_s1_reading(self):
-        if not self.rows:
-            return None
-        printed = self.max_deviation("s1_printed")
-        derived = self.max_deviation("s1_derived")
-        return "derived" if derived <= printed else "printed"
+        return self._matching("s1")
 
 
 def _s1_numeric(x, y, z, grid, reading):

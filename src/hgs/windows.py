@@ -166,6 +166,40 @@ def _recenter(coef, shift):
     return out
 
 
+def product_conj_terms(loa, hia, mida, coefa, freqa,
+                       lob, hib, midb, coefb, freqb):
+    """Terms of a_r(t) * conj(b_r(t)) for paired term arrays, laid out as
+    for paired_inner_sweep.  Returns (live, lo, hi, coef, freq) with live
+    the indices of the pairs whose cells overlap, one product term each.
+    Requires deg(a) + deg(b) <= MAX_DEGREE.
+    """
+    if _live_degree(coefa) + _live_degree(coefb) > MAX_DEGREE:
+        raise WindowStructureError("product would exceed max degree")
+    lo = np.maximum(loa, lob)
+    hi = np.minimum(hia, hib)
+    live = np.nonzero(hi > lo)[0]
+    lo, hi = lo[live], hi[live]
+    mid = 0.5 * (lo + hi)
+    a = _recenter(coefa[live], mid - mida[live])
+    b = np.conj(_recenter(coefb[live], mid - midb[live]))
+    coef = np.zeros((lo.size, MAX_DEGREE + 1), dtype=complex)
+    coef[:, 0] = a[:, 0] * b[:, 0]
+    coef[:, 1] = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
+    coef[:, 2] = a[:, 0] * b[:, 2] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 0]
+    return live, lo, hi, coef, freqa[live] - freqb[live]
+
+
+def affine_terms(lo, hi, coef, freq, c):
+    """Terms of w(t / c) for real c != 0; returns (lo, hi, coef, freq)."""
+    if c == 0:
+        raise WindowStructureError("affine substitution needs c != 0")
+    lo, hi = lo * c, hi * c
+    if c < 0:
+        lo, hi = hi, lo
+    coef = coef / (float(c) ** np.arange(MAX_DEGREE + 1))[None, :]
+    return lo, hi, coef, freq / c
+
+
 class Window:
     """Immutable modulated piecewise-polynomial function of one variable."""
 
@@ -236,10 +270,7 @@ class Window:
         return 0.5 * (self.lo + self.hi)
 
     def degree(self):
-        if self.n_terms == 0:
-            return 0
-        live = np.abs(self.coef) > 0.0
-        return int(max(np.nonzero(live.any(axis=0))[0], default=0))
+        return _live_degree(self.coef)
 
     def support(self):
         """Smallest closed interval containing all terms, or None if empty."""
@@ -286,40 +317,21 @@ class Window:
 
     def affine_substitute(self, c):
         """w(t / c) for real c != 0.  Stays in the family."""
-        if c == 0:
-            raise WindowStructureError("affine substitution needs c != 0")
-        lo, hi = self.lo * c, self.hi * c
-        if c < 0:
-            lo, hi = hi, lo
-        coef = self.coef / (float(c) ** np.arange(MAX_DEGREE + 1))[None, :]
-        return Window(lo, hi, coef, self.freq / c)
+        return Window(*affine_terms(self.lo, self.hi, self.coef, self.freq,
+                                    c))
 
     def product_conj(self, other):
         """Pointwise product w1(t) * conj(w2(t)) as a window.
 
         Requires deg(w1) + deg(w2) <= MAX_DEGREE.
         """
-        if self.degree() + other.degree() > MAX_DEGREE:
-            raise WindowStructureError("product would exceed max degree")
-        if self.n_terms == 0 or other.n_terms == 0:
-            return Window.zero()
         i, j = np.meshgrid(np.arange(self.n_terms), np.arange(other.n_terms),
                            indexing="ij")
         i, j = i.ravel(), j.ravel()
-        lo = np.maximum(self.lo[i], other.lo[j])
-        hi = np.minimum(self.hi[i], other.hi[j])
-        live = hi > lo
-        if not live.any():
-            return Window.zero()
-        i, j, lo, hi = i[live], j[live], lo[live], hi[live]
-        mid = 0.5 * (lo + hi)
-        a = _recenter(self.coef[i], mid - self.mid[i])
-        b = np.conj(_recenter(other.coef[j], mid - other.mid[j]))
-        coef = np.zeros((lo.size, MAX_DEGREE + 1), dtype=complex)
-        coef[:, 0] = a[:, 0] * b[:, 0]
-        coef[:, 1] = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
-        coef[:, 2] = a[:, 0] * b[:, 2] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 0]
-        return Window(lo, hi, coef, self.freq[i] - other.freq[j])
+        return Window(*product_conj_terms(
+            self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
+            other.lo[j], other.hi[j], other.mid[j], other.coef[j],
+            other.freq[j])[1:])
 
     # -- analysis ----------------------------------------------------------
 

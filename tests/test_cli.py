@@ -185,6 +185,7 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, "lambda_nodes 1.5\n", ["verify-canonical"]),
     (None, None, ["sample", "--lambda-nodes", "256", "--bounds", "1,x,1"]),
     (None, None, ["sinc", "--point", "0.5,one,1"]),
+    (None, None, ["sample", "--lambda-nodes", "256", "--bounds", "-1,2,2"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):

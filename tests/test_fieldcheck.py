@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError
-from hgs.fieldcheck import (coefficient_cross_orthogonality,
+from hgs.fieldcheck import (_unfolded_sum, coefficient_cross_orthogonality,
                             gabor_field_verdict, gram_entry,
                             jittered_unit_grid, lattice_coefficients,
                             orthogonality_residual, parseval_residual,
@@ -221,6 +225,122 @@ def test_cross_orthogonality_overlap_error(fine):
     with pytest.raises(DomainError):
         coefficient_cross_orthogonality(
             e, SpectralSet([(-1.0, 0.0)]), SpectralSet([(-0.5, 0.5)]), suite)
+
+
+# -- the unfolding kernel against the per-shift, per-n loop ------------------
+
+def _periodized_reference(products, c1, c2):
+    """sum over (p1, p2) in products and n in Z of <p1(./c1), T_n p2(./c2)>,
+    one shift and one n at a time through Window methods.  Returns the sum
+    and the sum of the moduli of its terms."""
+    total, scale = 0j, 0.0
+    for p1, p2 in products:
+        if p1.n_terms == 0 or p2.n_terms == 0:
+            continue
+        q1 = p1.affine_substitute(c1)
+        q2 = p2.affine_substitute(c2)
+        s1, s2 = q1.support(), q2.support()
+        for n in range(math.floor(s1[0] - s2[1]) - 1,
+                       math.ceil(s1[1] - s2[0]) + 2):
+            term = q1.inner(q2.translate(float(n)))
+            total += term
+            scale += abs(term)
+    return total, scale
+
+
+def _unfolded_reference(f1, g1, c1, f2, g2, c2, shifts):
+    products = [(f1.product_conj(g1.translate(s)),
+                 f2.product_conj(g2.translate(s))) for s in shifts]
+    total, scale = _periodized_reference(products, c1, c2)
+    return total / abs(c1 * c2), scale / abs(c1 * c2)
+
+
+SPEC_075 = QuasiLatticeSpec(0.75, 1.0)
+
+
+def test_orthogonality_matches_reference_loop(coarse):
+    # two generic two-slice fields on a non-integer lattice: the residual is
+    # far from zero, so every term counts
+    _, e = coarse
+    spec = SPEC_075
+    shifts = spec.alpha * np.arange(-4, 5)
+    for i, lam in enumerate((0.3, 0.55, 0.8)):
+        f = two_slice_field(e, lam, seed=60 + i)
+        g = two_slice_field(e, lam, seed=70 + i)
+        got = orthogonality_residual(g, f, lam, kmax=4, spec=spec)
+        want, _ = _unfolded_reference(
+            f.slice_at(lam - 1), g.slice_at(lam - 1), (lam - 1) * spec.beta,
+            f.slice_at(lam), g.slice_at(lam), lam * spec.beta, shifts)
+        assert abs(want) > 1e-2
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _pl_profile(lam):
+    return Window.piecewise_linear([-0.3, 0.1 * abs(lam), 0.5 + 0.2 * lam,
+                                    1.5], [0, 1 + 0.5j * lam, 0.7, 0])
+
+
+def _pl_profile2(lam):
+    return Window.piecewise_linear([-1.0, 0.2, 0.9], [0, 1.0 - lam, 0])
+
+
+def test_cross_orthogonality_matches_reference_loop():
+    # profile-backed piecewise-linear fields whose coefficient operators
+    # are not orthogonal, with the fold [-1, 0] -> [0, 1] written out
+    spec = SPEC_075
+    grid = lambda_grid(E_FULL, 16, 0.05)
+    g = FieldSample.from_profile(grid, _pl_profile)
+    fields = [FieldSample.from_profile(grid, _pl_profile2), g]
+    got = coefficient_cross_orthogonality(
+        g, SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]), fields,
+        trunc=(3, 0, 0), spec=spec, quad_cells=2, quad_order=4)
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    shifts = spec.alpha * np.arange(-3, 4)
+    worst = 0.0
+    for f in fields:
+        for f2 in fields:
+            total = 0j
+            for ca, cb in ((0.0, 0.5), (0.5, 1.0)):
+                for x, wq in zip(0.5 * (cb - ca) * xg + 0.5 * (ca + cb),
+                                 0.5 * (cb - ca) * wg):
+                    lam1, lam2 = x - 1.0, x
+                    c1, c2 = -spec.beta * lam1, -spec.beta * lam2
+                    gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
+                    fw1, fw2 = f.slice_at(lam1), f2.slice_at(lam2)
+                    acc, _ = _periodized_reference(
+                        [(gw1.translate(s).product_conj(fw1),
+                          gw2.translate(s).product_conj(fw2))
+                         for s in shifts], c1, c2)
+                    total += wq * acc * abs(lam1 * lam2) / abs(c1 * c2)
+            worst = max(worst, abs(total))
+    assert worst > 1e-2
+    assert abs(got - worst) <= 1e-13 * worst
+
+
+@st.composite
+def _pl_windows(draw):
+    breaks = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                  max_size=5, unique=True)))
+    if min(np.diff(breaks)) < 1e-3:
+        breaks = list(np.linspace(breaks[0], breaks[0] + 1.0, len(breaks)))
+    parts = st.floats(-2.0, 2.0)
+    values = [complex(draw(parts), draw(parts)) for _ in breaks]
+    return Window.piecewise_linear(breaks, values)
+
+
+_scales = st.floats(0.2, 2.0).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f1=_pl_windows(), g1=_pl_windows(), f2=_pl_windows(),
+       g2=_pl_windows(), c1=_scales, c2=_scales,
+       shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_unfolded_sum_matches_reference_property(f1, g1, f2, g2, c1, c2,
+                                                 shifts):
+    got = _unfolded_sum(f1, g1, c1, f2, g2, c2, shifts)
+    want, scale = _unfolded_reference(f1, g1, c1, f2, g2, c2, shifts)
+    assert abs(got - want) <= 1e-12 * scale + 1e-300
 
 
 # -- double periodization ----------------------------------------------------

@@ -218,3 +218,70 @@ def test_field_save_rejects_exotic_slice(tmp_path):
     f = FieldSample.from_windows(grid, [w, w])
     with pytest.raises(WindowStructureError):
         field_save(f, tmp_path / "bad.hgs")
+
+
+def test_gauss_grid_rejects_nonpositive_lambda_min():
+    # a negative cut would leave overlapping pieces with too much mass
+    with pytest.raises(DomainError):
+        gauss_lambda_grid(SpectralSet([(-1, 1)]), 64, lambda_min=-0.1)
+    with pytest.raises(DomainError):
+        gauss_lambda_grid(SpectralSet([(-1, 1)]), 64, lambda_min=0.0)
+
+
+def test_grid_layouts_pinned():
+    # nodes and weights of both rules, stored from the per-rule layout code
+    # that the shared layout replaced; equality is bit for bit
+    E = SpectralSet([(-1.0, 0.5), (0.75, 1.25)])
+    mid = lambda_grid(E, 3, 0.1)
+    assert np.array_equal(mid.nodes, [
+        -0.775, -0.32499999999999996, 0.30000000000000004,
+        0.8333333333333334, 1.0, 1.1666666666666665])
+    assert np.array_equal(mid.weights, [
+        0.34875, 0.14625, 0.12000000000000002, 0.1388888888888889,
+        0.16666666666666666, 0.19444444444444442])
+    gauss = gauss_lambda_grid(E, 4, 0.1, order=2)
+    assert gauss.rule == "gauss2"
+    assert np.array_equal(gauss.nodes, [
+        -0.8098076211353316, -0.2901923788646685, 0.18452994616207485,
+        0.4154700538379251, 0.8028312163512967, 0.9471687836487033,
+        1.0528312163512967, 1.1971687836487033])
+    assert np.array_equal(gauss.weights, [
+        0.3644134295108992, 0.13058657048910083, 0.03690598923241497,
+        0.08309401076758503, 0.10035390204391209, 0.11839609795608791,
+        0.1316039020439121, 0.1496460979560879])
+
+
+def _samples_file(tmp_path):
+    grid = lambda_grid(SpectralSet([(0.5, 1)]), 2, 0.05)
+    tg = TimeGrid(-1.0, 0.5, 3)
+    data = np.array([0.0, 1.0 + 0.5j, 0.0])
+    w = Window.from_samples(tg.offset, tg.step, data)
+    f = FieldSample.from_windows(grid, [w, w],
+                                 kinds=[("samples", tg, data)] * 2)
+    path = tmp_path / "field.hgs"
+    field_save(f, path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("prefix,replacement", [
+    ("rule", "rule"),                                # record with no value
+    ("slice samples", "slice samples 0 0.5 -2 1 0"),  # negative count
+    ("slice samples", "slice samples 0 0 3 0 0 1 0 0 0"),  # zero step
+    ("node", "node 0.75 nan"),                       # NaN weight
+    ("node", "node 0.75 -1"),                        # negative weight
+    ("node", "node inf 1"),                          # non-finite node
+    ("node", "node 0.1 1"),                          # below a previous node
+])
+def test_field_load_rejects_bad_records(tmp_path, prefix, replacement):
+    # every bad record is a FieldFormatError naming its line, never an
+    # IndexError, a DomainError or a field that fails later
+    lines = _samples_file(tmp_path)
+    # the last matching record, so a node record has a predecessor
+    idx = max(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[idx] = replacement
+    path = tmp_path / "bad.hgs"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError) as err:
+        field_load(path)
+    assert err.value.line == idx + 1
+    assert f"line {idx + 1}:" in str(err.value)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,16 @@ DEFAULTS = {
     "bounds": "3,8,4",
     "seed": 0x5EED,
     "tol": 1e-10,
+}
+
+# accepted range of each numeric setting, checked whatever its source
+_RANGES = {
+    "alpha": (lambda v: 0 < v < math.inf, "a positive finite number"),
+    "beta": (lambda v: 0 < v < math.inf, "a positive finite number"),
+    "lambda_nodes": (lambda v: v >= 1, "a positive integer"),
+    "lambda_min": (lambda v: 0 < v < math.inf, "a positive finite number"),
+    "seed": (lambda v: v >= 0, "a nonnegative integer"),
+    "tol": (lambda v: 0 <= v < math.inf, "a nonnegative finite number"),
 }
 
 
@@ -75,6 +86,9 @@ def _resolve(args, config):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    for key, (ok, want) in _RANGES.items():
+        if not ok(merged[key]):
+            raise HgsError(f"bad {key} {merged[key]!r}; expected {want}")
     return merged
 
 
@@ -188,6 +202,12 @@ def cmd_verify_canonical(args):
 
 def cmd_sinc(args):
     cfg = _resolve(args, _load_config(args.config) if args.config else {})
+    if args.lambda_min is not None:
+        raise HgsError("--lambda-min does not apply to sinc: the kernel "
+                       "oracle excludes only (-1e-8, 1e-8)")
+    if args.random is not None and args.random < 0:
+        raise HgsError(f"bad --random {args.random}; expected a "
+                       "nonnegative point count")
     E = SpectralSet.parse(cfg["spectrum"])
     n = max(cfg["lambda_nodes"], 256)
     grid = gauss_lambda_grid(E, n, lambda_min=1e-8, order=8)

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, frame_bounds_empirical,
                     norm_condition_check, painless_residual)
-from .grids import FieldSample, SpectralSet, _cross_join, field_inner
+from .grids import (FieldSample, SpectralSet, _blocks, _cross_join,
+                    field_inner)
 from .group import LatticeIndex, QuasiLatticeSpec
 from .windows import (Window, affine_terms, paired_inner_sweep,
                       product_conj_terms)
@@ -133,14 +134,16 @@ def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
 
 
 def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
-                         kmax: int, lmax: int, mmax: int,
-                         max_block: int = 2_000_000) -> np.ndarray:
+                         kmax: int, lmax: int, mmax: int) -> np.ndarray:
     """Coefficients <f, T_{k,l,m} g> for every field f and every index in
     the truncation box, as an array of shape (n_fields, K, L, M).
 
-    The modulation sweep shares the overlap geometry across all l, and the
-    phase sum over m is a dense matrix product, so the cost is dominated by
-    one closed-form moment evaluation per (pair, l).
+    Every same-node pair of an f term and a g term is expanded over only
+    the translations k at which their cells can overlap (_overlap_shifts),
+    and the overlapping (pair, k) rows are evaluated in blocks.  The
+    modulation sweep shares the overlap geometry across all l, and the
+    phase sum over m is a dense matrix product per k, so the cost is
+    dominated by one closed-form moment evaluation per live (pair, k, l).
     """
     grid = g.grid
     for f in fields:
@@ -148,40 +151,53 @@ def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
             raise DomainError("test field lives on a different grid")
     ls = np.arange(-lmax, lmax + 1)
     ms = np.arange(-mmax, mmax + 1)
-    ks = np.arange(-kmax, kmax + 1)
     # <f, T g> = sum_i w_i e^{-2 pi i lam_i m} <f_i, (mod shift g)_i>
     phase = np.exp(-1j * _TWO_PI * np.outer(grid.nodes, ms))  # (N, M)
     wphase = grid.weights[:, None] * phase
-    out = np.zeros((len(fields), ks.size, ls.size, ms.size), dtype=complex)
-    g_mid = g.term_mid()
-    joins = [_cross_join(f._starts, g._starts) for f in fields]
-    mids = [f.term_mid() for f in fields]
-    for ki, k in enumerate(ks):
-        shift = spec.alpha * float(k)
-        g_lo = g.term_lo + shift
-        g_hi = g.term_hi + shift
-        g_coef = g.term_coef * np.exp(
-            -1j * _TWO_PI * g.term_freq * shift)[:, None]
-        for fi, f in enumerate(fields):
-            ia, ib, node = joins[fi]
-            if ia.size == 0:
-                continue
-            C = np.zeros((grid.n, ls.size), dtype=complex)
-            step = max(1, max_block // ls.size)
-            f_mid = mids[fi]
-            for s in range(0, ia.size, step):
-                sl = slice(s, s + step)
-                iaa, ibb, nd = ia[sl], ib[sl], node[sl]
-                df = (-spec.beta * grid.nodes[nd])[:, None] * ls[None, :]
-                vals = paired_inner_sweep(
-                    f.term_lo[iaa], f.term_hi[iaa], f_mid[iaa],
-                    f.term_coef[iaa], f.term_freq[iaa],
-                    g_lo[ibb], g_hi[ibb], g_mid[ibb], g_coef[ibb],
-                    g.term_freq[ibb], df)
-                # pair order is node-major, so segments are contiguous
-                uniq, seg = np.unique(nd, return_index=True)
-                C[uniq] += np.add.reduceat(vals, seg, axis=0)
-            out[fi, ki] = C.T @ wphase
+    out = np.zeros((len(fields), 2 * kmax + 1, ls.size, ms.size),
+                   dtype=complex)
+    for fi, f in enumerate(fields):
+        ia, ib, node = _cross_join(f._starts, g._starts)
+        rep, k = _overlap_shifts(f.term_lo[ia], f.term_hi[ia],
+                                 g.term_lo[ib], g.term_hi[ib],
+                                 spec.alpha, kmax)
+        # k-major rows, pairs in node-major order within each k
+        perm = np.argsort(k, kind="stable")
+        rep, k = rep[perm], k[perm]
+        ia, ib, node = ia[rep], ib[rep], node[rep]
+        shift = spec.alpha * k
+        g_lo = g.term_lo[ib] + shift
+        g_hi = g.term_hi[ib] + shift
+        live = (np.minimum(f.term_hi[ia], g_hi)
+                > np.maximum(f.term_lo[ia], g_lo))
+        ia, ib, node, shift, g_lo, g_hi = (
+            x[live] for x in (ia, ib, node, shift, g_lo, g_hi))
+        kidx = k[live].astype(np.int64) + kmax
+        live_k = np.unique(kidx)
+        # accumulator row of every (k, node) with a live pair
+        slot = np.searchsorted(live_k, kidx) * grid.n + node
+        C = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
+        # blocks end at slot boundaries, so each slot sums in one segment
+        per_slot = np.bincount(slot, minlength=C.shape[0])
+        bounds = np.concatenate([[0], np.cumsum(per_slot)])
+        f_mid = f.term_mid()
+        for j0, j1 in _blocks(per_slot * ls.size):
+            s, e = bounds[j0], bounds[j1]
+            a, b = ia[s:e], ib[s:e]
+            lo, hi = g_lo[s:e], g_hi[s:e]
+            coef = g.term_coef[b] * np.exp(
+                -1j * _TWO_PI * g.term_freq[b] * shift[s:e])[:, None]
+            df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
+            vals = paired_inner_sweep(
+                f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],
+                f.term_freq[a], lo, hi, 0.5 * (lo + hi), coef,
+                g.term_freq[b], df)
+            sl = slot[s:e]
+            seg = np.flatnonzero(np.diff(sl, prepend=-1))
+            C[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
+        C = C.reshape(live_k.size, grid.n, ls.size)
+        for j, ki in enumerate(live_k):
+            out[fi, ki] = C[j].T @ wphase
     return out
 
 
@@ -243,6 +259,19 @@ def _unfolded_products(f: Window, g: Window, c: float, shifts: np.ndarray):
     return affine_terms(*prod, c), starts
 
 
+def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
+    """Expand paired cells over the integers n, |n| <= nmax, at which
+    [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
+    each end whose exact-zero term guards against rounding.  Returns the
+    pair index and the n of every row: pairs in order, n ascending."""
+    n_lo = np.maximum(np.floor((lo1 - hi2) / step), -nmax)
+    n_hi = np.minimum(np.ceil((hi1 - lo2) / step), nmax)
+    count = np.maximum(n_hi - n_lo + 1, 0).astype(np.int64)
+    rep = np.repeat(np.arange(count.size), count)
+    n = n_lo[rep] + np.arange(rep.size) - (np.cumsum(count) - count)[rep]
+    return rep, n
+
+
 def _unfolded_sum(f1: Window, g1: Window, c1: float, f2: Window,
                   g2: Window, c2: float, shifts) -> complex:
     """sum_s sum_{n in Z} <(f1 conj T_s g1)(./c1), T_n (f2 conj T_s g2)(./c2)>
@@ -260,12 +289,7 @@ def _unfolded_sum(f1: Window, g1: Window, c1: float, f2: Window,
     q1, starts1 = _unfolded_products(f1, g1, c1, shifts)
     q2, starts2 = _unfolded_products(f2, g2, c2, shifts)
     ia, ib, _ = _cross_join(starts1, starts2)
-    # every n at which [lo1, hi1) and [lo2 + n, hi2 + n) overlap, plus one
-    # n at each end whose exact-zero term guards against rounding
-    n_lo = np.floor(q1[0][ia] - q2[1][ib])
-    count = (np.ceil(q1[1][ia] - q2[0][ib]) - n_lo + 1).astype(np.int64)
-    rep = np.repeat(np.arange(ia.size), count)
-    n = n_lo[rep] + np.arange(rep.size) - (np.cumsum(count) - count)[rep]
+    rep, n = _overlap_shifts(q1[0][ia], q1[1][ia], q2[0][ib], q2[1][ib])
     lo1, hi1, coef1, freq1 = (x[ia[rep]] for x in q1)
     lo2, hi2, coef2, freq2 = (x[ib[rep]] for x in q2)
     lo2, hi2 = lo2 + n, hi2 + n

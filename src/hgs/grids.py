@@ -20,6 +20,10 @@ from .errors import (DomainError, EmptyGridError, FieldFormatError,
 from .windows import MAX_DEGREE, Window, paired_inner_sweep
 
 _TWO_PI = 2.0 * math.pi
+# Term pairs per paired_inner_sweep call in field inner products and lattice
+# sweeps (a lattice row over L modulations counts as L pairs); bounds their
+# scratch memory.
+_PAIR_BLOCK = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -448,41 +452,80 @@ def _cross_join(starts_a, starts_b):
     return ia, ib, node
 
 
-def field_inner_per_node(f: FieldSample, g: FieldSample,
-                         max_pairs: int = 4_000_000) -> np.ndarray:
+def _blocks(weights):
+    """Split range(len(weights)) into consecutive runs [start, stop) whose
+    weights sum to at most _PAIR_BLOCK; a single heavier item is a run of
+    its own."""
+    cum = np.cumsum(weights)
+    start = 0
+    while start < cum.size:
+        base = cum[start - 1] if start else 0
+        stop = int(np.searchsorted(cum, base + _PAIR_BLOCK, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _overlap_join(f: FieldSample, g: FieldSample):
+    """Same-node term pairs of f and g whose cells overlap, in the
+    (node, ia, ib) order of _cross_join, one block of nodes at a time.
+
+    Yields (start, stop, ia, ib, node) with node relative to start.  Each
+    term of f takes as candidates the g terms of its node with lo in
+    (lo_f - w, hi_f), w the widest g cell, found by binary search in g's
+    terms sorted by (node, lo); the same exact test as the full cross join
+    then keeps the overlapping ones.  Blocks hold at most _PAIR_BLOCK
+    candidates unless one node alone has more.
+    """
+    n = f.grid.n
+    if f.n_terms == 0 or g.n_terms == 0:
+        return
+    order = np.lexsort((g.term_lo, g.term_node))
+    # complex numbers compare lexicographically, so node + i lo sorts and
+    # searches as the pair (node, lo)
+    key = g.term_node[order] + 1j * g.term_lo[order]
+    # widen the reach by a few ulps of the largest endpoint so rounding in
+    # the widths cannot drop a pair
+    scale = max(np.abs(f.term_lo).max(), np.abs(f.term_hi).max(),
+                np.abs(g.term_lo).max(), np.abs(g.term_hi).max())
+    reach = (max(float(np.max(g.term_hi - g.term_lo)), 0.0)
+             + 8.0 * np.finfo(float).eps * scale)
+    first = np.searchsorted(key, f.term_node + 1j * (f.term_lo - reach),
+                            side="right")
+    count = np.maximum(
+        np.searchsorted(key, f.term_node + 1j * f.term_hi, side="left")
+        - first, 0)
+    per_node = np.bincount(f.term_node, weights=count, minlength=n)
+    for start, stop in _blocks(per_node):
+        a0, a1 = f._starts[start], f._starts[stop]
+        c = count[a0:a1]
+        ia = np.repeat(np.arange(a0, a1), c)
+        offset = (np.cumsum(c) - c)[ia - a0]
+        ib = order[first[ia] + np.arange(ia.size) - offset]
+        live = (np.minimum(f.term_hi[ia], g.term_hi[ib])
+                > np.maximum(f.term_lo[ia], g.term_lo[ib]))
+        ia, ib = ia[live], ib[live]
+        # candidates come in lo order; restore ib order within each f term
+        if np.any((np.diff(ia) == 0) & (np.diff(ib) < 0)):
+            perm = np.argsort(ia * g.n_terms + ib, kind="stable")
+            ia, ib = ia[perm], ib[perm]
+        yield start, stop, ia, ib, f.term_node[ia] - start
+
+
+def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
     """Unweighted slice inner products <f(lam_i, .), g(lam_i, .)> as an
     array over nodes; exact, deterministic accumulation order.
 
-    Node blocks are sized so at most max_pairs term pairs are materialized
-    at once, which keeps dense reconstructions tractable."""
+    Only term pairs whose cells overlap are evaluated (_overlap_join), in
+    node blocks of bounded size, which keeps dense reconstructions
+    tractable."""
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("fields live on different grids")
     out = np.zeros(f.grid.n, dtype=complex)
-    counts = (np.diff(f._starts) * np.diff(g._starts)).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return out
     f_mid = f.term_mid()
     g_mid = g.term_mid()
     zero = np.zeros(1)
-    start = 0
-    while start < f.grid.n:
-        stop = start
-        block = 0
-        while stop < f.grid.n and (block == 0
-                                   or block + counts[stop] <= max_pairs):
-            block += counts[stop]
-            stop += 1
-        # _cross_join on the offset slice yields absolute term indices and
-        # block-local node ids
-        ia, ib, node = _cross_join(f._starts[start:stop + 1],
-                                   g._starts[start:stop + 1])
-        if ia.size:
-            # drop non-overlapping pairs before gathering full term data;
-            # dense reconstructions are dominated by dead pairs
-            live = (np.minimum(f.term_hi[ia], g.term_hi[ib])
-                    > np.maximum(f.term_lo[ia], g.term_lo[ib]))
-            ia, ib, node = ia[live], ib[live], node[live]
+    for start, stop, ia, ib, node in _overlap_join(f, g):
         if ia.size:
             vals = paired_inner_sweep(
                 f.term_lo[ia], f.term_hi[ia], f_mid[ia], f.term_coef[ia],
@@ -493,7 +536,6 @@ def field_inner_per_node(f: FieldSample, g: FieldSample,
                 np.bincount(node, weights=vals.real, minlength=stop - start)
                 + 1j * np.bincount(node, weights=vals.imag,
                                    minlength=stop - start))
-        start = stop
     return out
 
 

@@ -179,21 +179,21 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     M = 1
     while M < 2 * L:
         M *= 2
-    F = np.fft.fft(stilde, n=M, axis=1)
-    corr = np.fft.ifft(F * np.conj(F), axis=1)  # (K, M, N), lag d at [d]
     ds = np.arange(-(L - 1), L)
-    corr = corr[:, ds, :]                        # (K, D, N), wrapped lags
     # overlap moment per lag on the unshifted interval, then the shift
     # phase sums the translations
     lam = grid.nodes
     dfreq = -spec.beta * lam[None, :] * ds[:, None]          # (D, N)
     T0 = interval_moments(e.term_lo[None, :], e.term_hi[None, :],
                           dfreq, 0)[0]                       # (D, N)
-    # shifting the interval by alpha*k multiplies the moment at frequency
-    # dfreq by exp(2 pi i dfreq alpha k)
-    shift_phase = np.exp(1j * _TWO_PI
-                         * np.einsum("k,dn->kdn", spec.alpha * ks, dfreq))
-    Z = np.einsum("kdn,kdn->dn", shift_phase, corr)
+    # one translation at a time keeps the scratch at O(M N)
+    Z = np.zeros(dfreq.shape, dtype=complex)
+    for k, st in zip(ks, stilde):
+        F = np.fft.fft(st, n=M, axis=0)
+        corr = np.fft.ifft(F * np.conj(F), axis=0)  # (M, N), lag d at [d]
+        # shifting the interval by alpha*k multiplies the moment at
+        # frequency dfreq by exp(2 pi i dfreq alpha k)
+        Z += np.exp(1j * _TWO_PI * (spec.alpha * k * dfreq)) * corr[ds]
     dens = np.abs(e.term_coef[:, 0]) ** 2  # one term per node, node order
     total = np.einsum("n,dn,dn->", grid.weights * dens, T0, Z)
     return float(total.real) / (c * c)

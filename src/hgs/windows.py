@@ -126,10 +126,13 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
     idx = np.nonzero(live)[0]
     lo, hi = lo[idx], hi[idx]
     mid = 0.5 * (lo + hi)
-    a = _recenter(coefa[idx], mid - mida[idx])
-    b = np.conj(_recenter(coefb[idx], mid - midb[idx]))
+    # recentering preserves the degree and leaves constants unchanged
+    a, b = coefa[idx], coefb[idx]
     dega = _live_degree(a)
     degb = _live_degree(b)
+    if dega:
+        a = _recenter(a, mid - mida[idx])
+    b = np.conj(_recenter(b, mid - midb[idx]) if degb else b)
     pmax = dega + degb
     poly = np.zeros((lo.size, pmax + 1), dtype=complex)
     for p in range(dega + 1):

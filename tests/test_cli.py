@@ -186,6 +186,12 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, None, ["sample", "--lambda-nodes", "256", "--bounds", "1,x,1"]),
     (None, None, ["sinc", "--point", "0.5,one,1"]),
     (None, None, ["sample", "--lambda-nodes", "256", "--bounds", "-1,2,2"]),
+    (None, None, ["verify-canonical", "--lambda-nodes", "16", "--tol", "-1"]),
+    (None, "tol -1e-3\n", ["verify-canonical", "--lambda-nodes", "16"]),
+    (None, None, ["sinc", "--random", "-3"]),
+    (None, None, ["sinc", "--random", "1", "--lambda-min", "0.5"]),
+    (None, None, ["verify-canonical", "--lambda-nodes", "16", "--seed",
+                  "-1"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):

@@ -102,6 +102,22 @@ def test_lattice_coefficients_match_direct_inner(coarse):
                 assert coeffs[0, ki, li, mi] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [SPEC, QuasiLatticeSpec(0.75, 1.25)])
+def test_lattice_coefficients_piecewise_linear_g(coarse, spec):
+    # g's slices are not constant, so every k != 0 coefficient depends on
+    # the midpoints of the shifted cells
+    grid, _ = coarse
+    f = random_pl_field(grid, seed=12)
+    g = random_pl_field(grid, seed=13, interval=(-1.0, 1.5))
+    coeffs = lattice_coefficients([f], g, spec, 2, 2, 1)
+    for ki, k in enumerate(range(-2, 3)):
+        for li, l in enumerate(range(-2, 3)):
+            for mi, m in enumerate(range(-1, 2)):
+                want = field_inner(f, translate_field(g, k, l, m, spec))
+                assert coeffs[0, ki, li, mi] == pytest.approx(want,
+                                                              abs=1e-12)
+
+
 def test_parseval_residual_canonical(fine):
     _, e = fine
     suite = atom_suite(e, SPEC, n_functions=3, n_atoms=12,

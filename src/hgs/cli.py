@@ -202,9 +202,12 @@ def cmd_verify_canonical(args):
 
 def cmd_sinc(args):
     cfg = _resolve(args, _load_config(args.config) if args.config else {})
-    if args.lambda_min is not None:
-        raise HgsError("--lambda-min does not apply to sinc: the kernel "
-                       "oracle excludes only (-1e-8, 1e-8)")
+    for key in ("alpha", "beta", "bounds", "tol", "lambda_min"):
+        if getattr(args, key) is not None:
+            raise HgsError(f"--{key.replace('_', '-')} does not apply to "
+                           "sinc: it tabulates the unit-lattice kernel with "
+                           "the spectral cut-off 1e-8 and checks no "
+                           "tolerance")
     if args.random is not None and args.random < 0:
         raise HgsError(f"bad --random {args.random}; expected a "
                        "nonnegative point count")

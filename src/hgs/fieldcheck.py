@@ -24,6 +24,7 @@ from .gabor import (NormConditionReport, frame_bounds_empirical,
 from .grids import (FieldSample, SpectralSet, _blocks, _cross_join,
                     field_inner)
 from .group import LatticeIndex, QuasiLatticeSpec
+from .testfields import AtomSuite
 from .windows import (Window, affine_terms, paired_inner_sweep,
                       product_conj_terms)
 
@@ -133,98 +134,188 @@ def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
 # lattice coefficient sweeps (shared by Parseval residual and sampling)
 
 
+def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
+                kmax: int, lmax: int):
+    """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
+    beta l t} g_n(t - alpha k)> for |l| <= lmax and the translations
+    |k| <= kmax at which some pair of cells overlaps.  Returns (live_k, H)
+    with live_k the ascending k + kmax of those translations.
+
+    Every same-node pair of an f term and a g term is expanded over only
+    the translations k at which their cells can overlap (_overlap_shifts),
+    and the overlapping (pair, k) rows are evaluated in blocks.  The
+    modulation sweep shares the overlap geometry across all l, so the cost
+    is one closed-form moment evaluation per live (pair, k, l).
+    """
+    grid = g.grid
+    if not grid.same_as(f.grid):
+        raise DomainError("test field lives on a different grid")
+    ls = np.arange(-lmax, lmax + 1)
+    ia, ib, node = _cross_join(f._starts, g._starts)
+    rep, k = _overlap_shifts(f.term_lo[ia], f.term_hi[ia],
+                             g.term_lo[ib], g.term_hi[ib], spec.alpha, kmax)
+    # k-major rows, pairs in node-major order within each k
+    perm = np.argsort(k, kind="stable")
+    rep, k = rep[perm], k[perm]
+    ia, ib, node = ia[rep], ib[rep], node[rep]
+    shift = spec.alpha * k
+    g_lo = g.term_lo[ib] + shift
+    g_hi = g.term_hi[ib] + shift
+    live = (np.minimum(f.term_hi[ia], g_hi)
+            > np.maximum(f.term_lo[ia], g_lo))
+    ia, ib, node, shift, g_lo, g_hi = (
+        x[live] for x in (ia, ib, node, shift, g_lo, g_hi))
+    kidx = k[live].astype(np.int64) + kmax
+    live_k = np.unique(kidx)
+    # accumulator row of every (k, node) with a live pair
+    slot = np.searchsorted(live_k, kidx) * grid.n + node
+    H = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
+    # blocks end at slot boundaries, so each slot sums in one segment
+    per_slot = np.bincount(slot, minlength=H.shape[0])
+    bounds = np.concatenate([[0], np.cumsum(per_slot)])
+    f_mid = f.term_mid()
+    for j0, j1 in _blocks(per_slot * ls.size):
+        s, e = bounds[j0], bounds[j1]
+        a, b = ia[s:e], ib[s:e]
+        lo, hi = g_lo[s:e], g_hi[s:e]
+        coef = g.term_coef[b] * np.exp(
+            -1j * _TWO_PI * g.term_freq[b] * shift[s:e])[:, None]
+        df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
+        vals = paired_inner_sweep(
+            f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],
+            f.term_freq[a], lo, hi, 0.5 * (lo + hi), coef,
+            g.term_freq[b], df)
+        sl = slot[s:e]
+        seg = np.flatnonzero(np.diff(sl, prepend=-1))
+        H[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
+    return live_k, H.reshape(live_k.size, grid.n, ls.size)
+
+
+def _m_phase(grid, mmax: int) -> np.ndarray:
+    """w_n e^{-2 pi i lam_n m} for |m| <= mmax, shape (N, M): the central
+    phase sum that turns a per-node table into lattice coefficients."""
+    ms = np.arange(-mmax, mmax + 1)
+    return grid.weights[:, None] * np.exp(
+        -1j * _TWO_PI * np.outer(grid.nodes, ms))
+
+
 def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
                          kmax: int, lmax: int, mmax: int) -> np.ndarray:
     """Coefficients <f, T_{k,l,m} g> for every field f and every index in
     the truncation box, as an array of shape (n_fields, K, L, M).
 
-    Every same-node pair of an f term and a g term is expanded over only
-    the translations k at which their cells can overlap (_overlap_shifts),
-    and the overlapping (pair, k) rows are evaluated in blocks.  The
-    modulation sweep shares the overlap geometry across all l, and the
-    phase sum over m is a dense matrix product per k, so the cost is
-    dominated by one closed-form moment evaluation per live (pair, k, l).
+    Each field's per-node table (_node_table) holds the translation and
+    modulation sweep; the phase sum over m is a dense matrix product per
+    translation with a live pair.
     """
-    grid = g.grid
-    for f in fields:
-        if not grid.same_as(f.grid):
-            raise DomainError("test field lives on a different grid")
-    ls = np.arange(-lmax, lmax + 1)
-    ms = np.arange(-mmax, mmax + 1)
-    # <f, T g> = sum_i w_i e^{-2 pi i lam_i m} <f_i, (mod shift g)_i>
-    phase = np.exp(-1j * _TWO_PI * np.outer(grid.nodes, ms))  # (N, M)
-    wphase = grid.weights[:, None] * phase
-    out = np.zeros((len(fields), 2 * kmax + 1, ls.size, ms.size),
+    wphase = _m_phase(g.grid, mmax)
+    out = np.zeros((len(fields), 2 * kmax + 1, 2 * lmax + 1, 2 * mmax + 1),
                    dtype=complex)
     for fi, f in enumerate(fields):
-        ia, ib, node = _cross_join(f._starts, g._starts)
-        rep, k = _overlap_shifts(f.term_lo[ia], f.term_hi[ia],
-                                 g.term_lo[ib], g.term_hi[ib],
-                                 spec.alpha, kmax)
-        # k-major rows, pairs in node-major order within each k
-        perm = np.argsort(k, kind="stable")
-        rep, k = rep[perm], k[perm]
-        ia, ib, node = ia[rep], ib[rep], node[rep]
-        shift = spec.alpha * k
-        g_lo = g.term_lo[ib] + shift
-        g_hi = g.term_hi[ib] + shift
-        live = (np.minimum(f.term_hi[ia], g_hi)
-                > np.maximum(f.term_lo[ia], g_lo))
-        ia, ib, node, shift, g_lo, g_hi = (
-            x[live] for x in (ia, ib, node, shift, g_lo, g_hi))
-        kidx = k[live].astype(np.int64) + kmax
-        live_k = np.unique(kidx)
-        # accumulator row of every (k, node) with a live pair
-        slot = np.searchsorted(live_k, kidx) * grid.n + node
-        C = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
-        # blocks end at slot boundaries, so each slot sums in one segment
-        per_slot = np.bincount(slot, minlength=C.shape[0])
-        bounds = np.concatenate([[0], np.cumsum(per_slot)])
-        f_mid = f.term_mid()
-        for j0, j1 in _blocks(per_slot * ls.size):
-            s, e = bounds[j0], bounds[j1]
-            a, b = ia[s:e], ib[s:e]
-            lo, hi = g_lo[s:e], g_hi[s:e]
-            coef = g.term_coef[b] * np.exp(
-                -1j * _TWO_PI * g.term_freq[b] * shift[s:e])[:, None]
-            df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
-            vals = paired_inner_sweep(
-                f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],
-                f.term_freq[a], lo, hi, 0.5 * (lo + hi), coef,
-                g.term_freq[b], df)
-            sl = slot[s:e]
-            seg = np.flatnonzero(np.diff(sl, prepend=-1))
-            C[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
-        C = C.reshape(live_k.size, grid.n, ls.size)
+        live_k, H = _node_table(f, g, spec, kmax, lmax)
         for j, ki in enumerate(live_k):
-            out[fi, ki] = C[j].T @ wphase
+            out[fi, ki] = H[j].T @ wphase
     return out
+
+
+def _table_rows(table, kmax: int, lmax: int, k, l) -> np.ndarray:
+    """Rows H_n(k, l) of a _node_table(..., kmax, lmax) result for index
+    arrays k, l of shape (P,), as a (P, N) array; translations without a
+    live pair give zero rows."""
+    live_k, H = table
+    out = np.zeros((k.size, H.shape[1]), dtype=complex)
+    pos = np.searchsorted(live_k, k + kmax)
+    hit = pos < live_k.size
+    hit[hit] = live_k[pos[hit]] == k[hit] + kmax
+    out[hit] = H[pos[hit], :, l[hit] + lmax]
+    return out
+
+
+def _suite_coefficients(suite: AtomSuite, g: FieldSample,
+                        spec: QuasiLatticeSpec, kmax: int, lmax: int,
+                        mmax: int):
+    """Lattice coefficients (n_functions, K, L, M) and squared norms of the
+    test fields of an AtomSuite whose atoms T_{gamma_j} b are translates
+    under spec, without building the fields.
+
+    The group law reduces every pairing to one relative-offset table of the
+    base b: with H = _node_table(b, g) over the box widened by the atoms'
+    largest |k| and |l|,
+
+        <T_{k_j,l_j,m_j} b, T_{k,l,m} g> = Y_{k_j}(k - k_j, l - l_j, m - m_j),
+        Y_kappa(k, l, m) = sum_n w_n e^{-2 pi i lam_n (m - alpha beta kappa l)}
+                           H_n(k, l),
+
+    where the alpha beta kappa l part is the central cocycle phase.  So all
+    atoms with the same k_j share one (l, m) table per translation.  The
+    Gram matrix G_ij = <T_{gamma_i} b, T_{gamma_j} b> comes the same way
+    from a b-vs-b table (the first one when b is g and it covers the
+    offsets), and ||f_s||^2 = c_s^T G conj(c_s).
+    """
+    b, c = suite.base, suite.coeffs
+    if not suite.indices or not c.shape[0]:
+        raise DomainError("need at least one test field")
+    kj, lj, mj = np.array([gam.astuple() for gam in suite.indices]).T
+    dk, dl, dm = (int(np.abs(x).max()) for x in (kj, lj, mj))
+    lam = g.grid.nodes
+    ab = spec.alpha * spec.beta
+    L, M = 2 * lmax + 1, 2 * mmax + 1
+    table = _node_table(b, g, spec, kmax + dk, lmax + dl)
+    live_k, H = table
+    wphase = _m_phase(g.grid, mmax + dm)
+    out = np.zeros((c.shape[0], 2 * kmax + 1, L, M), dtype=complex)
+    for kappa in np.unique(kj):
+        cocycle = np.exp(1j * _TWO_PI * ab * kappa * np.outer(
+            lam, np.arange(-(lmax + dl), lmax + dl + 1)))
+        atoms = np.flatnonzero(kj == kappa)
+        for Hk, k in zip(H, live_k - (kmax + dk) + kappa):
+            if abs(k) > kmax:
+                continue
+            Y = (Hk * cocycle).T @ wphase
+            for a in atoms:
+                l0, m0 = dl - lj[a], dm - mj[a]
+                out[:, k + kmax] += (c[:, a, None, None]
+                                     * Y[None, l0:l0 + L, m0:m0 + M])
+    # G_ij from the offsets k_j - k_i, l_j - l_i, m_j - m_i, with the
+    # cocycle of gamma_i
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(kj.size),
+                                            np.arange(kj.size),
+                                            indexing="ij"))
+    if b is g and kmax >= dk and lmax >= dl:
+        bb, reach = table, (kmax + dk, lmax + dl)
+    else:
+        bb, reach = _node_table(b, b, spec, 2 * dk, 2 * dl), (2 * dk, 2 * dl)
+    rows = _table_rows(bb, *reach, kj[j] - kj[i], lj[j] - lj[i])
+    phase = np.exp(-1j * _TWO_PI * np.outer(
+        mj[j] - mj[i] - ab * kj[i] * (lj[j] - lj[i]), lam))
+    gram = ((rows * phase) @ g.grid.weights).reshape(kj.size, kj.size)
+    norms = np.einsum("si,ij,sj->s", c, gram, np.conj(c)).real
+    return out, np.maximum(norms, 0.0).tolist()
 
 
 def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
                       kmax: int = 4, lmax: int = 32, mmax: int = 16) -> float:
     """max over test fields f of |sum_box |<f, T_gamma g>|^2 - ||f||^2| / ||f||^2.
 
-    testfns is a nonempty list of fields on g's grid, or an AtomSuite whose
-    shared atom set lets all functions reuse one coefficient sweep.  For a
-    Parseval system and test fields concentrated in the box the residual is
-    bounded by quadrature noise plus the energy the box misses.
+    testfns is a nonempty list of fields on g's grid, or an AtomSuite.  A
+    suite whose atoms are translates under spec is evaluated from one
+    relative-offset table of its base against g (_suite_coefficients),
+    without building its fields.  For a Parseval system and test fields
+    concentrated in the box the residual is bounded by quadrature noise
+    plus the energy the box misses.
     """
-    if hasattr(testfns, "atoms") and hasattr(testfns, "coeffs"):
-        atom_coeffs = lattice_coefficients(testfns.atoms(), g, spec,
-                                           kmax, lmax, mmax)
-        coeffs = np.einsum("sj,jklm->sklm", testfns.coeffs, atom_coeffs)
-        fields = testfns.fields()
+    if isinstance(testfns, AtomSuite) and testfns.spec == spec:
+        coeffs, norms = _suite_coefficients(testfns, g, spec,
+                                            kmax, lmax, mmax)
     else:
-        fields = list(testfns)
+        fields = (testfns.fields() if isinstance(testfns, AtomSuite)
+                  else list(testfns))
         if not fields:
             raise DomainError("need at least one test field")
         coeffs = lattice_coefficients(fields, g, spec, kmax, lmax, mmax)
-    if not fields:
-        raise DomainError("need at least one test field")
+        norms = [f.norm2() for f in fields]
     worst = 0.0
-    for fi, f in enumerate(fields):
-        n2 = f.norm2()
+    for fi, n2 in enumerate(norms):
         if n2 == 0.0:
             raise DomainError("test field has zero norm")
         total = float(np.sum(np.abs(coeffs[fi]) ** 2))

@@ -10,6 +10,7 @@ reports the closed-form target separately.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec
 from .windows import interval_moments
 
 _TWO_PI = 2.0 * math.pi
+# largest lattice box SampleSet.load_csv allocates, in samples (512 MB)
+_MAX_BOX_SAMPLES = 1 << 25
 
 
 def evaluate_phi(f: FieldSample, e: FieldSample, x: GroupPoint) -> complex:
@@ -35,70 +38,109 @@ def evaluate_phi(f: FieldSample, e: FieldSample, x: GroupPoint) -> complex:
 
 @dataclass
 class SampleSet:
-    """Samples phi(gamma) over a lattice box in deterministic
-    (lexicographic) order."""
+    """Samples phi(gamma) over the lattice box |k| <= K, |l| <= L,
+    |m| <= M, held as a (2K+1, 2L+1, 2M+1) complex array indexed by
+    (k + K, l + L, m + M).  Iteration runs over the box in lexicographic
+    order; an empty set has shape (0, 0, 0)."""
 
     spec: QuasiLatticeSpec
-    entries: dict
+    array: np.ndarray
+
+    def __post_init__(self):
+        self.array = np.asarray(self.array, dtype=complex)
+        shape = self.array.shape
+        if not (len(shape) == 3 and (all(n % 2 for n in shape)
+                                     or not any(shape))):
+            raise DomainError(f"sample array needs three odd sizes, "
+                              f"got shape {shape}")
 
     def __iter__(self):
-        return iter(self.entries.items())
+        K, L, M = (n // 2 for n in self.array.shape)
+        for (k, l, m), v in np.ndenumerate(self.array):
+            yield LatticeIndex(k - K, l - L, m - M), complex(v)
 
     def __len__(self):
-        return len(self.entries)
+        return self.array.size
+
+    def __getitem__(self, idx: LatticeIndex) -> complex:
+        shape = self.array.shape
+        pos = tuple(i + n // 2 for i, n in zip(idx.astuple(), shape))
+        if not all(0 <= p < n for p, n in zip(pos, shape)):
+            raise KeyError(idx)
+        return complex(self.array[pos])
 
     def values(self):
-        return np.array(list(self.entries.values()), dtype=complex)
+        return self.array.flatten()
 
     def energy(self):
-        return float(np.sum(np.abs(self.values()) ** 2))
+        return float(np.sum(np.abs(self.array.ravel()) ** 2))
 
     def bounds(self):
-        ks = [g.k for g in self.entries]
-        ls = [g.l for g in self.entries]
-        ms = [g.m for g in self.entries]
-        return max(map(abs, ks)), max(map(abs, ls)), max(map(abs, ms))
+        if not len(self):
+            raise DomainError("empty sample set has no lattice box")
+        return tuple(n // 2 for n in self.array.shape)
 
     def save_csv(self, path):
         with open(path, "w", encoding="ascii") as fh:
             fh.write("k,l,m,re,im\n")
-            for g, v in self.entries.items():
+            for g, v in self:
                 fh.write(f"{g.k},{g.l},{g.m},{v.real:.17g},{v.imag:.17g}\n")
 
     @classmethod
     def load_csv(cls, path, spec: QuasiLatticeSpec):
-        entries = {}
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != "k,l,m,re,im":
-                raise FieldFormatError("bad sample CSV header", 1)
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise FieldFormatError("bad sample row", lineno)
-                try:
-                    k, l, m = int(parts[0]), int(parts[1]), int(parts[2])
-                    v = complex(float(parts[3]), float(parts[4]))
-                except ValueError as exc:
-                    raise FieldFormatError(str(exc), lineno) from None
-                entries[LatticeIndex(k, l, m)] = v
-        return cls(spec=spec, entries=entries)
+        """Read a k,l,m,re,im CSV.  Indices missing from the smallest box
+        that holds every row read as zero; a repeated index, a value that
+        is not finite and a box of more than _MAX_BOX_SAMPLES samples are
+        errors.  A header with no rows gives an empty set."""
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+
+        def text(lineno):
+            try:
+                return lines[lineno - 1].decode("ascii")
+            except UnicodeDecodeError:
+                raise FieldFormatError("not ASCII text", lineno) from None
+
+        if not lines or text(1).strip() != "k,l,m,re,im":
+            raise FieldFormatError("bad sample CSV header", 1)
+        rows = {}
+        box = (0, 0, 0)
+        for lineno in range(2, len(lines) + 1):
+            line = text(lineno)
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 5:
+                raise FieldFormatError("bad sample row", lineno)
+            try:
+                idx = (int(parts[0]), int(parts[1]), int(parts[2]))
+                v = complex(float(parts[3]), float(parts[4]))
+            except ValueError as exc:
+                raise FieldFormatError(str(exc), lineno) from None
+            if not cmath.isfinite(v):
+                raise FieldFormatError("sample value must be finite", lineno)
+            if idx in rows:
+                raise FieldFormatError(f"repeated index {idx}, first on "
+                                       f"line {rows[idx][0]}", lineno)
+            box = tuple(max(b, abs(i)) for b, i in zip(box, idx))
+            if math.prod(2 * b + 1 for b in box) > _MAX_BOX_SAMPLES:
+                raise FieldFormatError(
+                    f"index {idx} widens the lattice box beyond "
+                    f"{_MAX_BOX_SAMPLES} samples", lineno)
+            rows[idx] = (lineno, v)
+        if not rows:
+            return cls(spec, np.zeros((0, 0, 0), dtype=complex))
+        arr = np.zeros(tuple(2 * b + 1 for b in box), dtype=complex)
+        arr[tuple((np.array(list(rows)) + box).T)] = [
+            v for _, v in rows.values()]
+        return cls(spec, arr)
 
 
 def sample_on_lattice(f: FieldSample, e: FieldSample,
                       spec: QuasiLatticeSpec, bounds) -> SampleSet:
     """Evaluate phi at every lattice point of the box, sharing one
     modulation sweep across the whole box."""
-    kmax, lmax, mmax = bounds
-    coeffs = lattice_coefficients([f], e, spec, kmax, lmax, mmax)[0]
-    entries = {}
-    for ki, k in enumerate(range(-kmax, kmax + 1)):
-        for li, l in enumerate(range(-lmax, lmax + 1)):
-            for mi, m in enumerate(range(-mmax, mmax + 1)):
-                entries[LatticeIndex(k, l, m)] = complex(coeffs[ki, li, mi])
-    return SampleSet(spec=spec, entries=entries)
+    return SampleSet(spec, lattice_coefficients([f], e, spec, *bounds)[0])
 
 
 def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
@@ -110,18 +152,15 @@ def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
 
 
 def _sample_array(samples: SampleSet, grid):
-    """The samples as a dense (K, L, M) array over their lattice box, and
-    its phase sum over the central index at every grid node, (K, L, N).
-    Returns (ks, ls, arr, stilde)."""
+    """The samples' translation and modulation indices and their phase sum
+    over the central index at every grid node, (K, L, N).  Returns
+    (ks, ls, stilde)."""
     kmax, lmax, mmax = samples.bounds()
     ks = np.arange(-kmax, kmax + 1)
     ls = np.arange(-lmax, lmax + 1)
     ms = np.arange(-mmax, mmax + 1)
-    arr = np.zeros((ks.size, ls.size, ms.size), dtype=complex)
-    for g, v in samples.entries.items():
-        arr[g.k + kmax, g.l + lmax, g.m + mmax] = v
     phases = np.exp(1j * _TWO_PI * np.outer(grid.nodes, ms))
-    return ks, ls, arr, np.tensordot(arr, phases, axes=([2], [1]))
+    return ks, ls, np.tensordot(samples.array, phases, axes=([2], [1]))
 
 
 def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
@@ -132,9 +171,9 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
         raise DomainError("need c > 0")
     spec = samples.spec
     grid = e.grid
-    ks, ls, arr, stilde = _sample_array(samples, grid)
-    if not np.any(arr):
+    if not np.any(samples.array):
         return FieldSample.zero(grid)
+    ks, ls, stilde = _sample_array(samples, grid)
     T = e.n_terms
     K, L = ks.size, ls.size
     # term index layout: (e-term, k, l) blocks per source term
@@ -174,7 +213,7 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     widths = e.term_hi - e.term_lo
     if np.any(widths > spec.alpha * (1.0 + 1e-9)):
         return None
-    ks, ls, _, stilde = _sample_array(samples, grid)
+    ks, ls, stilde = _sample_array(samples, grid)
     L = ls.size
     M = 1
     while M < 2 * L:

@@ -192,6 +192,10 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, None, ["sinc", "--random", "1", "--lambda-min", "0.5"]),
     (None, None, ["verify-canonical", "--lambda-nodes", "16", "--seed",
                   "-1"]),
+    (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--alpha", "2"]),
+    (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--beta", "3"]),
+    (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--bounds", "1,1,1"]),
+    (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--tol", "5"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError
-from hgs.fieldcheck import (_unfolded_sum, coefficient_cross_orthogonality,
+from hgs.fieldcheck import (_suite_coefficients, _unfolded_sum,
+                            coefficient_cross_orthogonality,
                             gabor_field_verdict, gram_entry,
                             jittered_unit_grid, lattice_coefficients,
                             orthogonality_residual, parseval_residual,
@@ -16,7 +17,8 @@ from hgs.fieldcheck import (_unfolded_sum, coefficient_cross_orthogonality,
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, field_inner,
                        lambda_grid)
 from hgs.group import LatticeIndex, QuasiLatticeSpec
-from hgs.testfields import atom_suite, random_pl_field, two_slice_field
+from hgs.testfields import (AtomSuite, atom_suite, random_pl_field,
+                            two_slice_field)
 from hgs.windows import Window
 
 SPEC = QuasiLatticeSpec(1, 1)
@@ -151,6 +153,58 @@ def test_parseval_residual_empty_testset(fine):
     _, e = fine
     with pytest.raises(DomainError):
         parseval_residual(e, SPEC, [], kmax=1, lmax=2, mmax=2)
+
+
+# -- the group-law (AtomSuite) path against the field-by-field path ---------
+
+@pytest.mark.parametrize("spec", [SPEC, QuasiLatticeSpec(0.75, 1.25)])
+@pytest.mark.parametrize("pair", ["canonical", "pl_base", "pl_both"])
+@pytest.mark.parametrize("trunc", [(3, 8, 4), (1, 2, 2)])
+def test_parseval_suite_matches_field_path(coarse, spec, pair, trunc):
+    # at (0.75, 1.25) alpha beta is not an integer, so the cocycle phase of
+    # every atom with k != 0 is not trivial; piecewise-linear fields have
+    # degree-1 terms, so recentering matters, and unlike the canonical
+    # field their modulations are not orthogonal per node; the (1, 2, 2)
+    # box is smaller than the atoms' offsets, so the norms need their own
+    # b-vs-b table even when the base is g
+    grid, e = coarse
+    pl = random_pl_field(grid, seed=21, interval=(-1.0, 1.5))
+    g, base = {"canonical": (e, e), "pl_base": (e, pl),
+               "pl_both": (pl, pl)}[pair]
+    suite = atom_suite(base, spec, n_functions=3, n_atoms=9, box=(2, 4, 2),
+                       seed=17, extra_indices=[(0, 6, -3)])
+    assert any(gam.k != 0 for gam in suite.indices)
+    coeffs, norms = _suite_coefficients(suite, g, spec, *trunc)
+    atoms = lattice_coefficients(suite.atoms(), g, spec, *trunc)
+    want = np.einsum("sj,jklm->sklm", suite.coeffs, atoms)
+    assert np.max(np.abs(want)) > 1e-2
+    assert np.max(np.abs(coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+    fields = suite.fields()
+    want_norms = np.array([f.norm2() for f in fields])
+    assert np.all(np.abs(np.array(norms) - want_norms)
+                  <= 1e-13 * want_norms)
+    # residuals are already relative to ||f||^2
+    assert parseval_residual(g, spec, suite, *trunc) == pytest.approx(
+        parseval_residual(g, spec, fields, *trunc), rel=0, abs=1e-13)
+
+
+def test_parseval_suite_other_grid_rejected(coarse):
+    _, e = coarse
+    other = canonical_field(lambda_grid(E_FULL, 32, 0.05))
+    suite = atom_suite(other, SPEC, n_functions=1, n_atoms=3,
+                       box=(1, 2, 1), seed=4)
+    with pytest.raises(DomainError, match="different grid"):
+        parseval_residual(e, SPEC, suite, kmax=1, lmax=2, mmax=2)
+
+
+def test_parseval_suite_zero_row_rejected(coarse):
+    _, e = coarse
+    suite = atom_suite(e, SPEC, n_functions=2, n_atoms=3, box=(1, 2, 1),
+                       seed=4)
+    zero_row = AtomSuite(base=e, spec=SPEC, indices=suite.indices,
+                         coeffs=suite.coeffs * np.array([[1.0], [0.0]]))
+    with pytest.raises(DomainError, match="zero norm"):
+        parseval_residual(e, SPEC, zero_row, kmax=1, lmax=2, mmax=2)
 
 
 # -- orthogonality condition -------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, FieldFormatError
@@ -51,10 +53,10 @@ def test_evaluate_phi_linear(setup):
 def test_sample_on_lattice_gram_row(setup):
     grid, e, _ = setup
     s = sample_on_lattice(e, e, SPEC, (2, 2, 2))
-    assert s.entries[LatticeIndex(0, 0, 0)] == \
+    assert s[LatticeIndex(0, 0, 0)] == \
         pytest.approx(grid.mass(), abs=1e-12)
-    assert s.entries[LatticeIndex(1, 0, 0)] == 0
-    assert abs(s.entries[LatticeIndex(0, 1, 0)]) <= 1e-3
+    assert s[LatticeIndex(1, 0, 0)] == 0
+    assert abs(s[LatticeIndex(0, 1, 0)]) <= 1e-3
 
 
 def test_sample_on_lattice_matches_evaluate(setup):
@@ -64,7 +66,7 @@ def test_sample_on_lattice_matches_evaluate(setup):
     for idx in [LatticeIndex(0, 0, 0), LatticeIndex(1, -2, 0),
                 LatticeIndex(-1, 1, 1)]:
         want = evaluate_phi(f, e, idx.realize(SPEC))
-        assert s.entries[idx] == pytest.approx(want, abs=1e-12)
+        assert s[idx] == pytest.approx(want, abs=1e-12)
 
 
 def test_samples_zero_field(setup):
@@ -88,8 +90,8 @@ def test_left_invariance_of_samples(setup):
         inv = (-g0.k, -g0.l, -g0.m + g0.k * g0.l)
         comp = LatticeIndex(inv[0] + idx.k, inv[1] + idx.l,
                             inv[2] + idx.m + inv[0] * idx.l)
-        assert s_shift.entries[idx] == \
-            pytest.approx(s_f.entries[comp], abs=1e-10)
+        assert s_shift[idx] == \
+            pytest.approx(s_f[comp], abs=1e-10)
 
 
 def test_isometry_ratio_canonical(setup):
@@ -117,8 +119,7 @@ def test_isometry_ratio_rejects_zero_norm(setup):
 
 def test_reconstruct_zero_samples(setup):
     grid, e, _ = setup
-    s = SampleSet(spec=SPEC, entries={LatticeIndex(0, 0, 0): 0.0 + 0.0j,
-                                      LatticeIndex(1, 0, 0): 0.0 + 0.0j})
+    s = SampleSet(spec=SPEC, array=np.zeros((3, 1, 1), dtype=complex))
     r = reconstruct(s, e, 1.0)
     assert r.norm2() == 0
 
@@ -148,7 +149,7 @@ def test_resampling_consistency(setup):
     r = reconstruct(s, e, 1.0)
     s2 = sample_on_lattice(r, e, SPEC, (1, 3, 1))
     for idx, v in s2:
-        assert v == pytest.approx(s.entries[idx], abs=2e-2)
+        assert v == pytest.approx(s[idx], abs=2e-2)
 
 
 def test_sampleset_csv_roundtrip(tmp_path, setup):
@@ -157,11 +158,70 @@ def test_sampleset_csv_roundtrip(tmp_path, setup):
     path = tmp_path / "samples.csv"
     s.save_csv(path)
     s2 = SampleSet.load_csv(path, SPEC)
-    assert list(s2.entries) == list(s.entries)
+    assert [i for i, _ in s2] == [i for i, _ in s]
     assert np.allclose(s2.values(), s.values(), atol=0)
     (tmp_path / "bad.csv").write_text("k,l,m\n")
     with pytest.raises(FieldFormatError):
         SampleSet.load_csv(tmp_path / "bad.csv", SPEC)
+
+
+def test_sampleset_csv_empty_and_sparse(tmp_path, setup):
+    grid, e, _ = setup
+    path = tmp_path / "samples.csv"
+    path.write_text("k,l,m,re,im\n\n")
+    s = SampleSet.load_csv(path, SPEC)
+    assert len(s) == 0 and list(s) == [] and s.energy() == 0
+    assert reconstruct(s, e, 1.0).norm2() == 0
+    # missing indices of the box read as zero, in lexicographic order
+    path.write_text("k,l,m,re,im\n1,0,0,2,0.5\n0,0,-1,-1,0\n")
+    s = SampleSet.load_csv(path, SPEC)
+    assert s.bounds() == (1, 0, 1) and len(s) == 9
+    assert s[LatticeIndex(1, 0, 0)] == 2 + 0.5j
+    assert s[LatticeIndex(0, 0, -1)] == -1
+    assert s[LatticeIndex(-1, 0, 1)] == 0
+    assert [i.astuple() for i, _ in s][:2] == [(-1, 0, -1), (-1, 0, 0)]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("k,l,m,re,im\n0,0,0,1,0\n1,0,0,1,0\n0,0,0,2,0\n", 4),
+    ("k,l,m,re,im\n0,0,0,nan,0\n", 2),
+    ("k,l,m,re,im\n0,0,0,1,0\n0,0,1,1,inf\n", 3),
+    ("k,l,m,re,im\n100000,100000,0,1,0\n", 2),
+    ("k,l,m,re,im\n0,0,0,1,0\n0,1,\xe9,1,0\n", 3),
+    ("k,l,m,re,im\n0,0\n", 2),
+    ("", 1),
+])
+def test_sampleset_csv_bad_rows(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(FieldFormatError) as err:
+        SampleSet.load_csv(path, SPEC)
+    assert err.value.line == line
+
+
+_cells = st.one_of(st.integers(-30, 30).map(str),
+                   st.sampled_from(["", " ", "x", "1e3", "nan", "-inf",
+                                    "0.5", "-0", "1_0", "10" * 12, "\xe9"]),
+                   st.text(max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(_cells, min_size=0, max_size=6), max_size=8),
+       header=st.sampled_from(["k,l,m,re,im", "k,l,m,re,im ", "k,l,m",
+                               ""]),
+       tail=st.binary(max_size=6))
+def test_sampleset_csv_fuzz_raises_only_format_errors(tmp_path_factory,
+                                                      rows, header, tail):
+    text = "\n".join([header] + [",".join(r) for r in rows])
+    path = tmp_path_factory.mktemp("fuzz") / "samples.csv"
+    path.write_bytes(text.encode("utf-8") + tail)
+    try:
+        s = SampleSet.load_csv(path, SPEC)
+    except FieldFormatError as exc:
+        assert exc.line is not None
+        return
+    assert np.all(np.isfinite(s.values()))
+    assert len(s) == 0 or all(n % 2 for n in s.array.shape)
 
 
 def test_interpolation_verdict_cases():

@@ -1,8 +1,15 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hgs.errors import WindowStructureError
+from hgs.group import GroupPoint, group_mul, schrodinger_apply
 from hgs.windows import Window, indicator_transform, interval_moments
 
 
@@ -192,3 +199,77 @@ def test_squared_modulus_pieces():
         assert val == pytest.approx(abs(u(float(t))) ** 2, abs=1e-13)
     with pytest.raises(WindowStructureError):
         u.modulate(1.0).squared_modulus_pieces()
+
+
+# -- algebraic invariants on generated windows -------------------------------
+
+_reals = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _windows(draw):
+    """Sums of up to three modulated piecewise-linear windows: degree-1
+    terms, overlapping cells with different frequencies, and the empty
+    window."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(2, 5))
+        widths = draw(st.lists(st.floats(0.05, 1.5), min_size=n - 1,
+                               max_size=n - 1))
+        breaks = draw(st.floats(-3.0, 3.0)) + np.concatenate(
+            [[0.0], np.cumsum(widths)])
+        values = [complex(draw(_reals), draw(_reals)) for _ in range(n)]
+        freq = draw(st.sampled_from([0.0, 0.75, -2.5]) | st.floats(-3, 3))
+        parts.append(Window.piecewise_linear(breaks, values).modulate(freq))
+    return functools.reduce(operator.add, parts, Window.zero())
+
+
+def _term_scale(w):
+    """Sum of the norms of w's terms, so |<w, v>| <= _term_scale(w) *
+    _term_scale(v) however much the terms cancel; rounding is relative to
+    it."""
+    return sum(math.sqrt(Window(w.lo[j], w.hi[j], w.coef[j:j + 1],
+                                w.freq[j]).norm2())
+               for j in range(w.n_terms))
+
+
+_TOL = 1e-12
+_points = st.builds(GroupPoint, _reals, _reals, _reals)
+_lams = st.floats(0.2, 2.0).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=_windows(), v=_windows())
+def test_inner_conjugate_symmetric_and_positive_property(u, v):
+    su, sv = _term_scale(u), _term_scale(v)
+    assert abs(u.inner(v) - np.conj(v.inner(u))) <= _TOL * su * sv
+    uu = u.inner(u)
+    assert uu.real >= -_TOL * su * su
+    assert abs(uu.imag) <= _TOL * su * su
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=_windows(), v=_windows(), dt=st.floats(-3.0, 3.0),
+       df=st.floats(-3.0, 3.0))
+def test_translate_and_modulate_unitary_property(u, v, dt, df):
+    tol = _TOL * _term_scale(u) * _term_scale(v)
+    want = u.inner(v)
+    assert abs(u.translate(dt).inner(v.translate(dt)) - want) <= tol
+    assert abs(u.modulate(df).inner(v.modulate(df)) - want) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_windows(), lam=_lams, a=_points, b=_points)
+def test_schrodinger_representation_property_generated(f, lam, a, b):
+    lhs = schrodinger_apply(lam, group_mul(a, b), f)
+    rhs = schrodinger_apply(lam, a, schrodinger_apply(lam, b, f))
+    sf2 = _term_scale(f) ** 2
+    assert (lhs - rhs).norm2() <= _TOL * sf2
+    assert abs(lhs.norm2() - f.norm2()) <= _TOL * sf2
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=_windows(), v=_windows())
+def test_product_conj_integral_is_inner_property(u, v):
+    got = u.product_conj(v).integral()
+    assert abs(got - u.inner(v)) <= _TOL * _term_scale(u) * _term_scale(v)

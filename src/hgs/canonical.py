@@ -13,35 +13,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError
-from .grids import FieldSample, LambdaGrid
-from .windows import Window
+from .grids import FieldSample, LambdaGrid, SpectralSet, point_grid
+from .windows import MAX_DEGREE, Window
+
+_UNIT_BAND = SpectralSet([(-1.0, 1.0)])
+
+
+def canonical_profile(lams) -> FieldSample:
+    """Unit-norm indicator slices at an array of spectral values in
+    [-1, 1] \\ {0}, as a term table on point_grid(lams): the array profile
+    of the canonical field."""
+    lams = np.asarray(lams, dtype=float)
+    bad = (lams == 0) | ~(np.abs(lams) <= 1)
+    if bad.any():
+        raise DomainError(f"lam={lams[bad][0]} outside [-1, 1] minus 0")
+    pos = lams > 0
+    inv = 1.0 / np.where(pos, lams, 1.0)
+    lo = np.where(pos, inv - 1.0, -1.0)
+    hi = np.where(pos, inv, 0.0)
+    live = np.flatnonzero(hi > lo)
+    coef = np.zeros((live.size, MAX_DEGREE + 1), dtype=complex)
+    coef[:, 0] = 1.0
+    return FieldSample(point_grid(lams, _UNIT_BAND), live,
+                       lo[live], hi[live], coef, np.zeros(live.size))
 
 
 def canonical_window(lam) -> Window:
     """Unit-norm indicator slice at spectral value lam in [-1, 1] \\ {0}."""
-    if lam == 0 or not (-1 <= lam <= 1):
-        raise DomainError(f"lam={lam} outside [-1, 1] minus 0")
-    if lam > 0:
-        return Window.indicator(1.0 / lam - 1.0, 1.0 / lam, 1.0)
-    return Window.indicator(-1.0, 0.0, 1.0)
+    return canonical_profile([lam]).slice(0)
 
 
 def canonical_field(grid: LambdaGrid) -> FieldSample:
     """Indicator field sampled on the grid, with the analytic profile kept
     attached so off-grid slices evaluate exactly."""
-    for lam in grid.nodes:
-        if lam == 0 or not (-1 <= lam <= 1):
-            raise DomainError(f"grid node {lam} outside [-1, 1] minus 0")
-    kinds = []
-    for lam in grid.nodes:
-        if lam > 0:
-            kinds.append(("indicator", 1.0 / lam - 1.0, 1.0 / lam, 1 + 0j))
-        else:
-            kinds.append(("indicator", -1.0, 0.0, 1 + 0j))
-    f = FieldSample.from_windows(grid, [canonical_window(lam)
-                                        for lam in grid.nodes],
-                                 profile=canonical_window, kinds=kinds)
+    f = FieldSample.from_array_profile(grid, canonical_profile)
+    if f.n_terms == grid.n:     # one live cell per node
+        f.kinds = [("indicator", a, b, 1 + 0j) for a, b
+                   in zip(f.term_lo.tolist(), f.term_hi.tolist())]
     return f
 
 

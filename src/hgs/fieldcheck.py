@@ -21,12 +21,11 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, frame_bounds_empirical,
                     norm_condition_check, painless_residual)
-from .grids import (FieldSample, SpectralSet, _blocks, _cross_join,
-                    field_inner)
+from .grids import (FieldSample, SpectralSet, _blocks, _concat,
+                    _cross_join, _ranges, field_inner, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec
 from .testfields import AtomSuite
-from .windows import (Window, affine_terms, paired_inner_sweep,
-                      product_conj_terms)
+from .windows import affine_terms, paired_inner_sweep, product_conj_terms
 
 _TWO_PI = 2.0 * math.pi
 
@@ -327,27 +326,36 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
 # two-slice orthogonality condition
 
 
-def _shift_pairs(f: Window, g: Window, shifts: np.ndarray):
-    """Pair every term of f with every term of T_s g for every shift s,
-    shift-major.  Returns the shift index of each pair and the paired term
-    arrays in the argument layout of paired_inner_sweep."""
-    s, i, j = (a.ravel() for a in np.meshgrid(
-        np.arange(shifts.size), np.arange(f.n_terms), np.arange(g.n_terms),
-        indexing="ij"))
-    dt = shifts[s]
-    phase = np.exp(-1j * _TWO_PI * g.freq[j] * dt)
-    lo, hi = g.lo[j] + dt, g.hi[j] + dt
-    return s, (f.lo[i], f.hi[i], f.mid[i], f.coef[i], f.freq[i],
-               lo, hi, 0.5 * (lo + hi), g.coef[j] * phase[:, None], g.freq[j])
+def _shift_pairs(f: FieldSample, g: FieldSample, shifts: np.ndarray):
+    """Pair every term of f with every term of T_s g at the same point, for
+    every shift s; f and g hold one slice per point of a common point grid.
+    Returns the segment p * S + s of every pair (S shifts), pairs ordered
+    by segment, then by f term and g term, and the paired term arrays in
+    the argument layout of paired_inner_sweep."""
+    ia, ib, node = _cross_join(f._starts, g._starts)
+    per_point = np.bincount(node, minlength=f.grid.n)
+    first = np.cumsum(per_point) - per_point
+    seg, pair = _ranges(np.repeat(first, shifts.size),
+                        np.repeat(per_point, shifts.size))
+    ia, ib = ia[pair], ib[pair]
+    dt = shifts[seg % shifts.size]
+    phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * dt)
+    lo, hi = g.term_lo[ib] + dt, g.term_hi[ib] + dt
+    return seg, (f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia],
+                 f.term_coef[ia], f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
+                 g.term_coef[ib] * phase[:, None], g.term_freq[ib])
 
 
-def _unfolded_products(f: Window, g: Window, c: float, shifts: np.ndarray):
-    """Terms (lo, hi, coef, freq) of (f * conj(T_s g))(t / c) for every
-    shift s, ordered by s, and the segment starts of each shift."""
-    s, pairs = _shift_pairs(f, g, shifts)
+def _unfolded_products(f: FieldSample, g: FieldSample, c: np.ndarray,
+                       shifts: np.ndarray):
+    """Terms (lo, hi, coef, freq) of (f_p * conj(T_s g_p))(t / c_p) for
+    every point p and shift s, ordered by (p, s), and the starts of those
+    segments."""
+    seg, pairs = _shift_pairs(f, g, shifts)
     live, *prod = product_conj_terms(*pairs)
-    starts = np.searchsorted(s[live], np.arange(shifts.size + 1))
-    return affine_terms(*prod, c), starts
+    seg = seg[live]
+    starts = np.searchsorted(seg, np.arange(c.size * shifts.size + 1))
+    return affine_terms(*prod, c[seg // shifts.size]), starts
 
 
 def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
@@ -357,29 +365,31 @@ def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
     pair index and the n of every row: pairs in order, n ascending."""
     n_lo = np.maximum(np.floor((lo1 - hi2) / step), -nmax)
     n_hi = np.minimum(np.ceil((hi1 - lo2) / step), nmax)
-    count = np.maximum(n_hi - n_lo + 1, 0).astype(np.int64)
-    rep = np.repeat(np.arange(count.size), count)
-    n = n_lo[rep] + np.arange(rep.size) - (np.cumsum(count) - count)[rep]
-    return rep, n
+    return _ranges(n_lo, np.maximum(n_hi - n_lo + 1, 0))
 
 
-def _unfolded_sum(f1: Window, g1: Window, c1: float, f2: Window,
-                  g2: Window, c2: float, shifts) -> complex:
-    """sum_s sum_{n in Z} <(f1 conj T_s g1)(./c1), T_n (f2 conj T_s g2)(./c2)>
-    / |c1 c2|, with T_s the translation by s.
+def _unfolded_sum(f1: FieldSample, g1: FieldSample, c1, f2: FieldSample,
+                  g2: FieldSample, c2, shifts) -> np.ndarray:
+    """Per point p of the common point grid of f1, g1, f2 and g2:
+
+        sum_s sum_{n in Z} <(f1_p conj T_s g1_p)(./c1_p),
+                            T_n (f2_p conj T_s g2_p)(./c2_p)> / |c1_p c2_p|,
+
+    with T_s the translation by s; an array over the points.
 
     The periodization behind the two-slice orthogonality condition and the
     coefficient cross-orthogonality: after the unfolding substitution a
     modulation sum over the frequencies c*l, l in Z, is a sum of integer-
     frequency Fourier coefficients, so it collapses to overlap integrals
-    over integer shifts n.  Product terms that share a shift are paired,
-    each pair is expanded over the n at which its cells can overlap, and
-    all of them are evaluated in one sweep.
+    over integer shifts n.  Product terms that share a point and a shift
+    are paired, each pair is expanded over the n at which its cells can
+    overlap, and all of them are evaluated in one sweep.
     """
     shifts = np.asarray(shifts, dtype=float)
+    c1, c2 = np.atleast_1d(c1).astype(float), np.atleast_1d(c2).astype(float)
     q1, starts1 = _unfolded_products(f1, g1, c1, shifts)
     q2, starts2 = _unfolded_products(f2, g2, c2, shifts)
-    ia, ib, _ = _cross_join(starts1, starts2)
+    ia, ib, seg = _cross_join(starts1, starts2)
     rep, n = _overlap_shifts(q1[0][ia], q1[1][ia], q2[0][ib], q2[1][ib])
     lo1, hi1, coef1, freq1 = (x[ia[rep]] for x in q1)
     lo2, hi2, coef2, freq2 = (x[ib[rep]] for x in q2)
@@ -388,7 +398,16 @@ def _unfolded_sum(f1: Window, g1: Window, c1: float, f2: Window,
     vals = paired_inner_sweep(lo1, hi1, 0.5 * (lo1 + hi1), coef1, freq1,
                               lo2, hi2, 0.5 * (lo2 + hi2), coef2, freq2,
                               np.zeros(1))
-    return complex(np.sum(vals)) / abs(c1 * c2)
+    # rows come point by point; one np.sum per point keeps numpy's pairwise
+    # order, so every value equals that of a one-point call bit for bit
+    bounds = np.searchsorted(seg[rep] // shifts.size,
+                             np.arange(c1.size + 1))
+    sums = np.array([np.sum(vals[a:b]) for a, b
+                     in zip(bounds[:-1], bounds[1:])], dtype=complex)
+    scale = np.abs(c1 * c2)
+    out = np.empty(c1.size, dtype=complex)
+    out.real, out.imag = sums.real / scale, sums.imag / scale
+    return out
 
 
 def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
@@ -398,10 +417,10 @@ def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
     """sum_{k,l} <f(lam-1), (T_{k,l,0} g)(lam-1)> conj(<f(lam), (T_{k,l,0} g)(lam)>).
 
     method="exact" evaluates the modulation sum in closed form with
-    _unfolded_sum: the l-sum over all of Z equals a finite sum of overlap
-    integrals over integer shifts.  The k-sum is exactly finite once kmax
-    covers the support spread.  method="truncated" performs the literal
-    double sum over |l| <= lmax for convergence studies.
+    _unfolded_sum at one point: the l-sum over all of Z equals a finite sum
+    of overlap integrals over integer shifts.  The k-sum is exactly finite
+    once kmax covers the support spread.  method="truncated" performs the
+    literal double sum over |l| <= lmax for convergence studies.
     """
     if not 0 < lam <= 1:
         raise DomainError("lam must lie in (0, 1]")
@@ -411,16 +430,16 @@ def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
     c2 = lam * spec.beta
     if c1 == 0.0:
         raise DomainError("degenerate unfolding at lam = 1")
-    slices = [(f.slice_at(lam - 1.0), g.slice_at(lam - 1.0), c1),
-              (f.slice_at(lam), g.slice_at(lam), c2)]
+    slices = [(f.slices_at([mu]), g.slices_at([mu]), c)
+              for mu, c in ((lam - 1.0, c1), (lam, c2))]
     shifts = spec.alpha * np.arange(-kmax, kmax + 1, dtype=float)
     if method == "exact":
-        return _unfolded_sum(*slices[0], *slices[1], shifts)
+        return complex(_unfolded_sum(*slices[0], *slices[1], shifts)[0])
     ls = np.arange(-lmax, lmax + 1)
     # <f, exp(-2 pi i c l t) T_s g> per (shift, l), summed over term pairs
-    a, b = (paired_inner_sweep(*_shift_pairs(fw, gw, shifts)[1], -c * ls)
-            .reshape(shifts.size, fw.n_terms * gw.n_terms, ls.size)
-            .sum(axis=1) for fw, gw, c in slices)
+    a, b = (paired_inner_sweep(*_shift_pairs(fp, gp, shifts)[1], -c * ls)
+            .reshape(shifts.size, fp.n_terms * gp.n_terms, ls.size)
+            .sum(axis=1) for fp, gp, c in slices)
     return complex(np.sum(a * np.conj(b)))
 
 
@@ -487,19 +506,30 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
         for ca, cb in zip(edges[:-1], edges[1:]):
             x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
             points.extend(zip(0.5 * (cb - ca) * wg, x + n1, x + n2))
+    wq, lam1, lam2 = np.array(points, dtype=float).reshape(-1, 3).T
     shifts = spec.alpha * np.arange(-trunc[0], trunc[0] + 1, dtype=float)
-    totals = np.zeros((len(fields), len(fields)), dtype=complex)
-    for wq, lam1, lam2 in points:
-        gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
-        fw1 = [f.slice_at(lam1) for f in fields]
-        fw2 = [f.slice_at(lam2) for f in fields]
-        # the coefficients pair T g with f, so the products are the
-        # conjugates of the kernel's f * conj(T g); |lam1 lam2| is the
-        # spectral weight of the two folded slices
-        for i, j in np.ndindex(totals.shape):
-            totals[i, j] += wq * abs(lam1 * lam2) * np.conj(_unfolded_sum(
-                fw1[i], gw1, -spec.beta * lam1, fw2[j], gw2,
-                -spec.beta * lam2, shifts))
+    # one kernel point per (quadrature point p, field i, field j): the
+    # slices at lam1 and at lam2 sit at point p and point P + p of one table
+    P, F = lam1.size, len(fields)
+    p, i, j = (x.ravel() for x in np.meshgrid(
+        np.arange(P), np.arange(F), np.arange(F), indexing="ij"))
+    both = np.concatenate([lam1, lam2])
+    gs = g.slices_at(both)
+    fs = [f.slices_at(both) for f in fields]
+    sides = []
+    for lam, row, field_of in ((lam1, p, i), (lam2, P + p, j)):
+        grid = point_grid(lam[p], g.grid.spectral_set)
+        picks = [np.flatnonzero(field_of == k) for k in range(F)]
+        f_side = _concat(grid, [fk.take(row[pk]) for fk, pk in zip(fs, picks)],
+                         picks)
+        sides.append((f_side, gs.take(row), -spec.beta * lam[p]))
+    vals = _unfolded_sum(*sides[0], *sides[1], shifts).reshape(P, F, F)
+    # the coefficients pair T g with f, so the products are the conjugates
+    # of the kernel's f * conj(T g); |lam1 lam2| is the spectral weight of
+    # the two folded slices; cumsum adds the points strictly in order, so
+    # the totals do not depend on numpy's pairwise summation
+    terms = (wq * np.abs(lam1 * lam2))[:, None, None] * np.conj(vals)
+    totals = np.cumsum(terms, axis=0)[-1] if P else terms.sum(axis=0)
     return float(np.max(np.abs(totals)))
 
 
@@ -567,26 +597,29 @@ def theta_delta_report(g: FieldSample, spec: QuasiLatticeSpec, gridpts,
     acc = np.zeros((ks.size, lams.size, ts.size), dtype=complex)
     E = g.grid.spectral_set
     bounds = E.bounds()
-    # t - l' for every time shift, shape (N, T)
-    shifted = ts[None, :] - np.arange(-lmax, lmax + 1)[:, None] / spec.beta
-    for i, lam in enumerate(lams if bounds is not None else ()):
-        l2_lo = int(math.floor(lam - bounds[1]))
-        l2_hi = int(math.ceil(lam - bounds[0]))
-        for l2 in range(l2_lo, l2_hi + 1):
-            mu = lam - l2
-            if mu == 0.0:
-                if E.contains(0.0):
-                    raise DomainError(
-                        f"periodization hits the singular slice at "
-                        f"lam - {l2} = 0")
-                continue
-            if not E.contains(mu):
-                continue
-            w = g.slice_at(mu)
+    if bounds is not None and lams.size:
+        # every spectral shift l'' with lam - l'' in E, lam by lam
+        l2_lo = np.floor(lams - bounds[1]).astype(np.int64)
+        l2_hi = np.ceil(lams - bounds[0]).astype(np.int64)
+        i, l2 = _ranges(l2_lo, l2_hi - l2_lo + 1)
+        mu = lams[i] - l2
+        if E.contains(0.0) and np.any(mu == 0.0):
+            raise DomainError(
+                f"periodization hits the singular slice at "
+                f"lam - {l2[mu == 0.0][0]} = 0")
+        keep = (mu != 0.0) & E.contains(mu)
+        i, mu = i[keep], mu[keep]
+        slices = g.slices_at(mu)
+        # t - l' for every time shift, shape (N, T)
+        shifted = (ts[None, :]
+                   - np.arange(-lmax, lmax + 1)[:, None] / spec.beta)
+        # one window call per point bounds the scratch at (K, N, T)
+        for q in range(mu.size):
+            w = slices.slice(q)
             if w.n_terms == 0:
                 continue
-            vals = w(shifted / mu - ks[:, None, None])     # (K, N, T)
-            acc[:, i] += np.sum(vals * np.conj(vals[kmax]), axis=1)
+            vals = w(shifted / mu[q] - ks[:, None, None])     # (K, N, T)
+            acc[:, i[q]] += np.sum(vals * np.conj(vals[kmax]), axis=1)
     values = {int(k): acc[j] for j, k in enumerate(ks)}
     return ThetaReport(lams=lams, ts=ts, kmax=kmax, values=values)
 

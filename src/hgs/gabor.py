@@ -36,7 +36,12 @@ def gabor_atom(u: Window, lam: float, k: int, l: int,
 
 def _fold_quadratics(breaks, quad, alpha):
     """Fold the pieces of |u|^2 into one period [0, alpha) and return the
-    breakpoint partition with accumulated quadratic coefficients."""
+    breakpoint partition with accumulated quadratic coefficients.
+
+    A piece end shifted by n alpha carries the rounding of n alpha, so two
+    ends that meet exactly can fold to points a few ulps apart; the sliver
+    cell between them is dropped rather than read as a gap or a double
+    cover."""
     folded = []
     for c in range(breaks.size - 1):
         lo, hi = breaks[c], breaks[c + 1]
@@ -51,8 +56,11 @@ def _fold_quadratics(breaks, quad, alpha):
     pts = sorted({0.0, alpha}
                  | {p for lo, hi, _, _ in folded for p in (lo, hi)})
     pts = np.array(pts)
+    sliver = 8.0 * np.finfo(float).eps * max(alpha, np.abs(breaks).max())
     cells = []
     for a, b in zip(pts[:-1], pts[1:]):
+        if b - a <= sliver:
+            continue
         m = 0.5 * (a + b)
         acc = np.zeros(3)
         for lo, hi, mid, q in folded:

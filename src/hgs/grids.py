@@ -4,6 +4,8 @@ inner products, and field serialization.
 The measure on the spectral axis is |lambda| d(lambda).  A field sample
 holds one window per quadrature node, stored in a flat term table so that
 inner products and Heisenberg translates run vectorized across nodes.
+Slices at arbitrary spectral points come as the same kind of table on an
+ad-hoc point grid, so off-grid evaluation is vectorized across points.
 Node membership of spectral endpoints follows half-open cells; the sets
 are only ever used up to measure zero.
 """
@@ -73,7 +75,12 @@ class SpectralSet:
         return self.intervals[0][0], self.intervals[-1][1]
 
     def contains(self, x):
-        return any(a <= x <= b for a, b in self.intervals)
+        """Membership of x in the closed intervals; elementwise for arrays."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=bool)
+        for a, b in self.intervals:
+            out |= (a <= x) & (x <= b)
+        return out if out.ndim else bool(out)
 
     def cut(self, lambda_min):
         """Pieces of each interval with the band (-lambda_min, lambda_min)
@@ -231,17 +238,55 @@ class TimeGrid:
         return self.offset + self.step * np.arange(self.count)
 
 
+def point_grid(lams, spectral_set: SpectralSet) -> LambdaGrid:
+    """Ad-hoc grid with one node per spectral point and unit weights: the
+    grid of a term table that holds slices at arbitrary points, which may
+    repeat and need not be sorted."""
+    lams = np.asarray(lams, dtype=float)
+    return LambdaGrid(lams, np.ones(lams.size), 0.0, spectral_set, "points")
+
+
 # ---------------------------------------------------------------------------
 # field samples
+
+
+def _ranges(first, count):
+    """Concatenated integer ranges [first_r, first_r + count_r).  Returns
+    the range index r of every element and its value, ranges in order."""
+    count = np.asarray(count, dtype=np.int64)
+    rep = np.repeat(np.arange(count.size), count)
+    rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
+    return rep, first[rep] + rank
+
+
+def _node_hits(nodes, lams, tol):
+    """Index of the first node within tol of each lam, or -1."""
+    out = np.full(lams.size, -1, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // max(nodes.size, 1))
+    for s in range(0, lams.size, rows):
+        near = np.abs(nodes[None, :] - lams[s:s + rows, None]) <= tol
+        out[s:s + rows] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+    return out
+
+
+def _then(profile, transform, *args):
+    """The array profile whose tables are profile's rewritten by
+    transform(table, *args), or None without a profile."""
+    if profile is None:
+        return None
+    return lambda lams: transform(profile(lams), *args)
 
 
 class FieldSample:
     """Discretized element of the weighted L2 space over E x R.
 
-    One window per spectral node, kept in a flat term table.  Instances are
-    immutable; transforms return new objects.  An optional analytic profile
-    (a callable lam -> Window) lets verification code evaluate slices off
-    the grid exactly.
+    One window per spectral node, kept in a flat term table segmented by
+    node.  Instances are immutable; transforms return new objects.  An
+    optional analytic profile lets verification code evaluate slices off
+    the grid exactly: it maps an array of spectral points to their slices
+    as one term table, a FieldSample on point_grid(points) whose node k is
+    the slice at points[k].  The transforms rewrite that table with the
+    same code as the on-grid terms.
     """
 
     def __init__(self, grid: LambdaGrid, term_node, term_lo, term_hi,
@@ -253,7 +298,7 @@ class FieldSample:
         self.term_coef = np.asarray(term_coef, dtype=complex).reshape(
             -1, MAX_DEGREE + 1)
         self.term_freq = np.asarray(term_freq, dtype=float)
-        if not np.all(np.diff(self.term_node) >= 0):
+        if np.any(self.term_node[1:] < self.term_node[:-1]):
             order = np.argsort(self.term_node, kind="stable")
             self.term_node = self.term_node[order]
             self.term_lo = self.term_lo[order]
@@ -268,7 +313,7 @@ class FieldSample:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_windows(cls, grid, windows, profile=None, kinds=None):
+    def from_windows(cls, grid, windows, kinds=None):
         if len(windows) != grid.n:
             raise GridMismatchError("need one window per node")
         node = np.concatenate([np.full(w.n_terms, i, dtype=np.int64)
@@ -280,14 +325,25 @@ class FieldSample:
         coef = (np.concatenate([w.coef for w in windows])
                 if windows else np.empty((0, MAX_DEGREE + 1), dtype=complex))
         freq = cat([w.freq for w in windows], np.empty(0))
-        return cls(grid, node, lo, hi, coef, freq, profile, kinds)
+        return cls(grid, node, lo, hi, coef, freq, kinds=kinds)
 
     @classmethod
-    def from_profile(cls, grid, profile):
-        """Sample an analytic profile at the grid nodes, keeping the profile
-        attached for off-grid evaluation."""
-        return cls.from_windows(grid, [profile(lam) for lam in grid.nodes],
-                                profile=profile)
+    def from_array_profile(cls, grid, profile):
+        """Sample an array profile (points -> FieldSample on
+        point_grid(points)) at the grid nodes, keeping it attached for
+        off-grid evaluation."""
+        s = profile(grid.nodes)
+        return cls(grid, s.term_node, s.term_lo, s.term_hi, s.term_coef,
+                   s.term_freq, profile=profile)
+
+    @classmethod
+    def from_profile(cls, grid, window_at):
+        """Sample a per-point profile lam -> Window at the grid nodes.  It
+        is kept as the array profile that calls window_at once per point."""
+        def profile(lams):
+            return cls.from_windows(point_grid(lams, grid.spectral_set),
+                                    [window_at(lam) for lam in lams])
+        return cls.from_array_profile(grid, profile)
 
     @classmethod
     def zero(cls, grid):
@@ -307,20 +363,50 @@ class FieldSample:
         return Window(self.term_lo[a:b], self.term_hi[a:b],
                       self.term_coef[a:b], self.term_freq[a:b])
 
+    def take(self, idx, scale=None, at=None) -> FieldSample:
+        """The slices at nodes idx (repeats allowed) as a table on
+        point_grid(at), by default at those nodes; slice k is multiplied
+        by scale[k] if given."""
+        idx = np.asarray(idx, dtype=np.int64)
+        pos, term = _ranges(self._starts[idx], np.diff(self._starts)[idx])
+        coef = self.term_coef[term]
+        if scale is not None:
+            coef = coef * scale[pos][:, None]
+        at = self.grid.nodes[idx] if at is None else at
+        return FieldSample(point_grid(at, self.grid.spectral_set), pos,
+                           self.term_lo[term], self.term_hi[term], coef,
+                           self.term_freq[term])
+
     def slice_at(self, lam, tol=1e-12) -> Window:
         """Window at spectral value lam: exact node match, else the profile,
         else linear interpolation between bracketing node slices."""
-        hits = np.nonzero(np.abs(self.grid.nodes - lam) <= tol)[0]
-        if hits.size:
-            return self.slice(int(hits[0]))
-        if self.profile is not None:
-            return self.profile(lam)
+        return self.slices_at([lam], tol).slice(0)
+
+    def slices_at(self, lams, tol=1e-12) -> FieldSample:
+        """The windows at an array of spectral values, as slice_at finds
+        each one, in one term table on point_grid(lams)."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         nodes = self.grid.nodes
-        j = int(np.searchsorted(nodes, lam))
-        if j == 0 or j == nodes.size:
-            raise DomainError(f"no slice data at lambda={lam}")
-        t = (lam - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
-        return self.slice(j - 1).scaled(1 - t) + self.slice(j).scaled(t)
+        hit = _node_hits(nodes, lams, tol)
+        on, off = np.flatnonzero(hit >= 0), np.flatnonzero(hit < 0)
+        if not off.size:
+            return self.take(hit, at=lams)
+        if not on.size and self.profile is not None:
+            return self.profile(lams)
+        pieces = [(on, self.take(hit[on]))]
+        if self.profile is not None:
+            pieces.append((off, self.profile(lams[off])))
+        else:
+            j = np.searchsorted(nodes, lams[off])
+            outside = (j == 0) | (j == nodes.size)
+            if outside.any():
+                raise DomainError(
+                    f"no slice data at lambda={float(lams[off][outside][0])}")
+            t = (lams[off] - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
+            pieces += [(off, self.take(j - 1, 1 - t)),
+                       (off, self.take(j, t))]
+        return _concat(point_grid(lams, self.grid.spectral_set),
+                       [s for _, s in pieces], [p for p, _ in pieces])
 
     def windows(self):
         return [self.slice(i) for i in range(self.grid.n)]
@@ -328,22 +414,14 @@ class FieldSample:
     # -- algebra -----------------------------------------------------------
 
     def scaled(self, c):
-        prof = self.profile
-        new_prof = (lambda lam, p=prof: p(lam).scaled(c)) if prof else None
         return FieldSample(self.grid, self.term_node, self.term_lo,
                            self.term_hi, self.term_coef * c, self.term_freq,
-                           profile=new_prof)
+                           profile=_then(self.profile, FieldSample.scaled, c))
 
     def __add__(self, other):
         if not self.grid.same_as(other.grid):
             raise GridMismatchError("fields live on different grids")
-        return FieldSample(
-            self.grid,
-            np.concatenate([self.term_node, other.term_node]),
-            np.concatenate([self.term_lo, other.term_lo]),
-            np.concatenate([self.term_hi, other.term_hi]),
-            np.concatenate([self.term_coef, other.term_coef]),
-            np.concatenate([self.term_freq, other.term_freq]))
+        return _concat(self.grid, [self, other])
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -359,29 +437,20 @@ class FieldSample:
         coef = self.term_coef * np.exp(
             1j * _TWO_PI * (lam * x3 - self.term_freq * x1))[:, None]
         freq = self.term_freq - lam * x2
-        prof = self.profile
-        new_prof = None
-        if prof is not None:
-            def new_prof(lam, p=prof, x1=x1, x2=x2, x3=x3):
-                phase = complex(math.cos(_TWO_PI * lam * x3),
-                                math.sin(_TWO_PI * lam * x3))
-                return p(lam).translate(x1).modulate(-lam * x2).scaled(phase)
-        return FieldSample(self.grid, self.term_node, self.term_lo + x1,
-                           self.term_hi + x1, coef, freq, profile=new_prof)
+        return FieldSample(
+            self.grid, self.term_node, self.term_lo + x1, self.term_hi + x1,
+            coef, freq, profile=_then(self.profile,
+                                      FieldSample.heisenberg_translate,
+                                      x1, x2, x3))
 
     def restrict(self, subset: SpectralSet):
         """Zero out slices whose node lies outside the given spectral set."""
-        keep = np.array([subset.contains(x)
-                         for x in self.grid.nodes[self.term_node]])
-        prof = self.profile
-        new_prof = None
-        if prof is not None:
-            def new_prof(lam, p=prof, s=subset):
-                return p(lam) if s.contains(lam) else Window.zero()
+        keep = subset.contains(self.grid.nodes[self.term_node])
         return FieldSample(self.grid, self.term_node[keep],
                            self.term_lo[keep], self.term_hi[keep],
                            self.term_coef[keep], self.term_freq[keep],
-                           profile=new_prof)
+                           profile=_then(self.profile, FieldSample.restrict,
+                                         subset))
 
     # -- analysis ----------------------------------------------------------
 
@@ -392,16 +461,27 @@ class FieldSample:
     def norm2(self):
         return max(field_inner(self, self).real, 0.0)
 
-    def eval_point(self, lam, t):
-        """Pointwise value g(lam, t); exact for profile-backed fields."""
-        return self.slice_at(lam)(t)
+
+def _concat(grid, fields, nodes=None):
+    """One table on grid holding the terms of every field in order; node k
+    of fields[i] becomes node nodes[i][k] of grid (k itself without
+    nodes).  Terms keep their order within each node."""
+    node = [f.term_node if nodes is None else nodes[i][f.term_node]
+            for i, f in enumerate(fields)]
+    return FieldSample(
+        grid, np.concatenate(node),
+        np.concatenate([f.term_lo for f in fields]),
+        np.concatenate([f.term_hi for f in fields]),
+        np.concatenate([f.term_coef for f in fields]),
+        np.concatenate([f.term_freq for f in fields]))
 
 
 def field_sum(fields, coeffs):
     """Linear combination sum_j coeffs[j] * fields[j] on a common grid.
 
     Unlike repeated addition this keeps an analytic profile when every
-    summand carries one, so synthesized test fields stay evaluable off-grid.
+    summand carries one (the summands' tables, concatenated), so
+    synthesized test fields stay evaluable off-grid.
     """
     if len(fields) != len(coeffs) or not fields:
         raise DomainError("need matching nonempty fields and coefficients")
@@ -410,23 +490,11 @@ def field_sum(fields, coeffs):
         if not grid.same_as(f.grid):
             raise GridMismatchError("fields live on different grids")
     scaled = [f.scaled(c) for f, c in zip(fields, coeffs)]
-    out = FieldSample(
-        grid,
-        np.concatenate([f.term_node for f in scaled]),
-        np.concatenate([f.term_lo for f in scaled]),
-        np.concatenate([f.term_hi for f in scaled]),
-        np.concatenate([f.term_coef for f in scaled]),
-        np.concatenate([f.term_freq for f in scaled]))
+    out = _concat(grid, scaled)
     if all(f.profile is not None for f in scaled):
         profs = [f.profile for f in scaled]
-
-        def combined(lam, profs=profs):
-            acc = profs[0](lam)
-            for p in profs[1:]:
-                acc = acc + p(lam)
-            return acc
-
-        out.profile = combined
+        out.profile = lambda lams: _concat(
+            point_grid(lams, grid.spectral_set), [p(lams) for p in profs])
     return out
 
 
@@ -438,18 +506,10 @@ def _cross_join(starts_a, starts_b):
     """
     counts_a = np.diff(starts_a)
     counts_b = np.diff(starts_b)
-    pc = counts_a * counts_b
-    total = int(pc.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    node = np.repeat(np.arange(counts_a.size), pc)
-    first = np.concatenate([[0], np.cumsum(pc)[:-1]])
-    rank = np.arange(total, dtype=np.int64) - np.repeat(first, pc)
-    cb = np.repeat(counts_b, pc)
-    ia = np.repeat(starts_a[:-1], pc) + rank // np.maximum(cb, 1)
-    ib = np.repeat(starts_b[:-1], pc) + rank % np.maximum(cb, 1)
-    return ia, ib, node
+    node, rank = _ranges(np.zeros(counts_a.size, dtype=np.int64),
+                         counts_a * counts_b)
+    cb = counts_b[node]
+    return starts_a[node] + rank // cb, starts_b[node] + rank % cb, node
 
 
 def _blocks(weights):
@@ -498,10 +558,8 @@ def _overlap_join(f: FieldSample, g: FieldSample):
     per_node = np.bincount(f.term_node, weights=count, minlength=n)
     for start, stop in _blocks(per_node):
         a0, a1 = f._starts[start], f._starts[stop]
-        c = count[a0:a1]
-        ia = np.repeat(np.arange(a0, a1), c)
-        offset = (np.cumsum(c) - c)[ia - a0]
-        ib = order[first[ia] + np.arange(ia.size) - offset]
+        rep, pos = _ranges(first[a0:a1], count[a0:a1])
+        ia, ib = a0 + rep, order[pos]
         live = (np.minimum(f.term_hi[ia], g.term_hi[ib])
                 > np.maximum(f.term_lo[ia], g.term_lo[ib]))
         ia, ib = ia[live], ib[live]
@@ -600,19 +658,31 @@ def field_save(f: FieldSample, path):
 
 
 def _parse_floats(parts, n, lineno):
+    """The first n of parts as finite floats."""
     if len(parts) < n:
         raise FieldFormatError("truncated record", lineno)
     try:
-        return [float(p) for p in parts[:n]]
+        vals = [float(p) for p in parts[:n]]
     except ValueError as exc:
         raise FieldFormatError(str(exc), lineno) from None
+    if not all(math.isfinite(v) for v in vals):
+        raise FieldFormatError("value is not finite", lineno)
+    return vals
 
 
 def field_load(path) -> FieldSample:
-    """Read a field written by field_save; inverse up to bit-exact floats."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a field written by field_save; inverse up to bit-exact floats.
+    Every bad record raises FieldFormatError with its line number."""
+    with open(path, "rb") as fh:
         raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    lines = []
+    for i, ln in enumerate(raw):
+        try:
+            text = ln.decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise FieldFormatError("not ASCII text", i + 1) from None
+        if text:
+            lines.append((i + 1, text))
     if not lines or lines[0][1] != "hgsfield 1":
         raise FieldFormatError("missing 'hgsfield 1' header",
                                lines[0][0] if lines else 1)
@@ -625,10 +695,15 @@ def field_load(path) -> FieldSample:
         lineno, ln = lines[pos]
         key = ln.split()[0]
         if key == "interval":
-            a, b = _parse_floats(ln.split()[1:], 2, lineno)
-            intervals.append((a, b))
+            intervals.append(tuple(_parse_floats(ln.split()[1:], 2, lineno)))
+            try:
+                SpectralSet(intervals)
+            except DomainError as exc:
+                raise FieldFormatError(str(exc), lineno) from None
         elif key == "lambda_min":
             (lambda_min,) = _parse_floats(ln.split()[1:], 1, lineno)
+            if not lambda_min > 0:
+                raise FieldFormatError("lambda_min must be positive", lineno)
         elif key == "rule":
             parts = ln.split()
             if len(parts) != 2:
@@ -639,6 +714,8 @@ def field_load(path) -> FieldSample:
                 n_nodes = int(ln.split()[1])
             except (IndexError, ValueError):
                 raise FieldFormatError("bad node count", lineno) from None
+            if n_nodes < 1:
+                raise FieldFormatError("need at least one node", lineno)
             pos += 1
             break
         else:
@@ -656,14 +733,11 @@ def field_load(path) -> FieldSample:
         if parts[0] != "node":
             raise FieldFormatError("expected node record", lineno)
         lam, w = _parse_floats(parts[1:], 2, lineno)
-        if not (math.isfinite(lam) and lam != 0.0
-                and (not nodes or lam > nodes[-1])):
+        if not (lam != 0.0 and (not nodes or lam > nodes[-1])):
             raise FieldFormatError(
-                "node must be finite, nonzero and above the previous node",
-                lineno)
-        if not (math.isfinite(w) and w > 0.0):
-            raise FieldFormatError("node weight must be positive and finite",
-                                   lineno)
+                "node must be nonzero and above the previous node", lineno)
+        if not w > 0.0:
+            raise FieldFormatError("node weight must be positive", lineno)
         pos += 1
         if pos >= len(lines):
             raise FieldFormatError("truncated file: missing slice record",
@@ -674,6 +748,8 @@ def field_load(path) -> FieldSample:
             raise FieldFormatError("expected slice record", lineno)
         if parts[1] == "indicator":
             a, b, re, im = _parse_floats(parts[2:], 4, lineno)
+            if not b > a:
+                raise FieldFormatError("indicator needs lo < hi", lineno)
             scale = complex(re, im)
             windows.append(Window.indicator(a, b, scale) if scale != 0
                            else Window.zero())
@@ -699,6 +775,8 @@ def field_load(path) -> FieldSample:
         nodes.append(lam)
         weights.append(w)
         pos += 1
+    if pos < len(lines):
+        raise FieldFormatError("record after the last node", lines[pos][0])
     grid = LambdaGrid(np.array(nodes), np.array(weights), lambda_min,
                       SpectralSet(intervals), rule)
     return FieldSample.from_windows(grid, windows, kinds=kinds)

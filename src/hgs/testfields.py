@@ -96,9 +96,10 @@ def two_slice_field(g: FieldSample, lam: float, seed: int,
     nodes = np.array([lam - 1.0, lam])
     grid = LambdaGrid(nodes=nodes, weights=np.ones(2), lambda_min=1e-12,
                       spectral_set=g.grid.spectral_set, rule="twoslice")
+    slices = g.slices_at(nodes)
     windows = []
-    for mu in nodes:
-        sup = g.slice_at(mu).support()
+    for k in range(nodes.size):
+        sup = slices.slice(k).support()
         if sup is None:
             sup = (0.0, 1.0)
         windows.append(random_pl_window(

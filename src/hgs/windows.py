@@ -193,13 +193,15 @@ def product_conj_terms(loa, hia, mida, coefa, freqa,
 
 
 def affine_terms(lo, hi, coef, freq, c):
-    """Terms of w(t / c) for real c != 0; returns (lo, hi, coef, freq)."""
-    if c == 0:
+    """Terms of w(t / c) for real c != 0, one c for all terms or one per
+    term; returns (lo, hi, coef, freq)."""
+    c = np.asarray(c, dtype=float)
+    if np.any(c == 0):
         raise WindowStructureError("affine substitution needs c != 0")
     lo, hi = lo * c, hi * c
-    if c < 0:
-        lo, hi = hi, lo
-    coef = coef / (float(c) ** np.arange(MAX_DEGREE + 1))[None, :]
+    flip = c < 0
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    coef = coef / c[..., None] ** np.arange(MAX_DEGREE + 1)
     return lo, hi, coef, freq / c
 
 

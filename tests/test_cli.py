@@ -99,6 +99,38 @@ def test_sinc_point_row(capsys, tmp_path):
     assert s0_printed == pytest.approx(-want, abs=1e-9)
 
 
+def test_sinc_report_rows_informational(capsys, tmp_path):
+    # the closed forms are compared with the oracle to pick a reading, so
+    # the rows carry readings, not pass marks
+    out_path = tmp_path / "sinc.json"
+    code, _, _ = run(capsys, "sinc", "--point", "0.5,1,1",
+                     "--lambda-nodes", "256", "--no-timestamp",
+                     "--out", str(out_path))
+    assert code == 0
+    report = json.loads(out_path.read_text())
+    rows = {c["name"]: c for c in report["checks"]}
+    for name in ("s0-closed-vs-oracle", "s1-closed-vs-oracle"):
+        assert rows[name]["informational"] is True
+        assert rows[name]["passed"] is None
+    assert report["passed"] is True
+
+
+def test_verify_canonical_lattice_note_informational(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify-canonical", "--alpha", "0.5",
+                       "--beta", "2", "--no-timestamp", "--lambda-nodes",
+                       "16", "--out", str(out_path))
+    report = json.loads(out_path.read_text())
+    note = report["checks"][0]
+    assert note["name"] == "lattice-integer-note"
+    assert note["informational"] is True and note["passed"] is None
+    assert out.splitlines()[0].split()[:2] == ["lattice-integer-note", "info"]
+    verdicts = [c["passed"] for c in report["checks"][1:]]
+    assert all("informational" not in c for c in report["checks"][1:])
+    assert report["passed"] == all(verdicts)
+    assert code == (0 if all(verdicts) else 1)
+
+
 def test_sinc_outside_strip(capsys):
     code, out, _ = run(capsys, "sinc", "--point", "1.5,0.2,0.3",
                        "--lambda-nodes", "256", "--no-timestamp")

@@ -15,7 +15,7 @@ from hgs.fieldcheck import (_suite_coefficients, _unfolded_sum,
                             theta, theta_delta_report, theta_gram_duality,
                             translate_field)
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, field_inner,
-                       lambda_grid)
+                       lambda_grid, point_grid)
 from hgs.group import LatticeIndex, QuasiLatticeSpec
 from hgs.testfields import (AtomSuite, atom_suite, random_pl_field,
                             two_slice_field)
@@ -398,6 +398,11 @@ def _pl_windows(draw):
     return Window.piecewise_linear(breaks, values)
 
 
+def _one_point(w):
+    """A window as the term table of a one-point grid."""
+    return FieldSample.from_windows(point_grid([0.5], E_FULL), [w])
+
+
 _scales = st.floats(0.2, 2.0).flatmap(
     lambda c: st.sampled_from([c, -c]))
 
@@ -408,7 +413,8 @@ _scales = st.floats(0.2, 2.0).flatmap(
        shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_unfolded_sum_matches_reference_property(f1, g1, f2, g2, c1, c2,
                                                  shifts):
-    got = _unfolded_sum(f1, g1, c1, f2, g2, c2, shifts)
+    one = [_one_point(w) for w in (f1, g1, f2, g2)]
+    got = _unfolded_sum(one[0], one[1], c1, one[2], one[3], c2, shifts)[0]
     want, scale = _unfolded_reference(f1, g1, c1, f2, g2, c2, shifts)
     assert abs(got - want) <= 1e-12 * scale + 1e-300
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hgs.errors import NotApplicableError
+from hgs.fieldcheck import gabor_field_verdict
 from hgs.gabor import (frame_bounds_empirical, gabor_atom,
                        norm_condition_check, painless_residual)
+from hgs.grids import FieldSample, SpectralSet, lambda_grid
 from hgs.group import QuasiLatticeSpec
 from hgs.windows import Window
 
@@ -142,3 +144,31 @@ def test_painless_parseval_implies_norm_condition():
         if painless_residual(u, SPEC11, lam) <= 1e-12:
             rep = norm_condition_check(canonical_window(lam), SPEC11, lam)
             assert abs(rep.difference) <= 1e-12
+
+
+def _transported_window(lam, alpha):
+    """Slice at lam of the canonical field moved to alpha Z x (1/alpha) Z x
+    Z by the automorphism (x, y, z) -> (alpha x, y / alpha, z)."""
+    scale = alpha ** -0.5
+    if lam > 0:
+        return Window.indicator(alpha * (1 / lam - 1), alpha / lam, scale)
+    return Window.indicator(-alpha, 0.0, scale)
+
+
+def test_painless_non_dyadic_alpha_fold():
+    # folding the ends by n alpha leaves points 2.2e-16 apart; the sliver
+    # between them is neither a gap nor a double cover
+    alpha, lam = 0.8, 0.36171875
+    u = _transported_window(lam, alpha).scaled(np.sqrt(lam))
+    assert painless_residual(u, QuasiLatticeSpec(alpha, 1.25), lam) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.8, 1.25), (1.25, 0.8)])
+def test_gabor_field_verdict_transported_non_dyadic(alpha, beta):
+    grid = lambda_grid(SpectralSet([(-1.0, 1.0)]), 64, 0.05)
+    f = FieldSample.from_windows(
+        grid, [_transported_window(lam, alpha) for lam in grid.nodes])
+    rep = gabor_field_verdict(f, QuasiLatticeSpec(alpha, beta))
+    assert all(s.painless is not None for s in rep.slices)
+    assert rep.passed
+    assert rep.worst_residual <= 1e-12

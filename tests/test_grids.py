@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgs.errors import (DomainError, EmptyGridError, FieldFormatError,
                         GridMismatchError, WindowStructureError)
@@ -271,6 +273,10 @@ def _samples_file(tmp_path):
     ("node", "node 0.75 -1"),                        # negative weight
     ("node", "node inf 1"),                          # non-finite node
     ("node", "node 0.1 1"),                          # below a previous node
+    ("interval", "interval 1 -1"),                   # reversed interval
+    ("lambda_min", "lambda_min -3"),                 # negative cut-off
+    ("nodes", "nodes 0"),                            # no nodes
+    ("slice samples", "slice samples 0 0.5 3 0 0 nan 0 0 0"),  # NaN sample
 ])
 def test_field_load_rejects_bad_records(tmp_path, prefix, replacement):
     # every bad record is a FieldFormatError naming its line, never an
@@ -285,3 +291,80 @@ def test_field_load_rejects_bad_records(tmp_path, prefix, replacement):
         field_load(path)
     assert err.value.line == idx + 1
     assert f"line {idx + 1}:" in str(err.value)
+
+
+@pytest.mark.parametrize("edit", ["non_ascii", "overlap", "reversed_slice",
+                                  "trailing"])
+def test_field_load_rejects_bad_lines(tmp_path, edit):
+    lines = [ln.encode("ascii") for ln in _samples_file(tmp_path)]
+    if edit == "non_ascii":
+        idx = 5
+        lines[idx] = b"node 0.75 1 \xff"
+    elif edit == "overlap":
+        # a second interval overlapping the first
+        idx = 2
+        lines.insert(idx, b"interval 0.75 2")
+    elif edit == "reversed_slice":
+        idx = 8
+        lines[idx] = b"slice indicator 2 1 1 0"
+    else:
+        # a record beyond the node count
+        idx = len(lines)
+        lines.append(b"node 0.95 0.1")
+    path = tmp_path / "bad.hgs"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FieldFormatError) as err:
+        field_load(path)
+    assert err.value.line == idx + 1
+
+
+_VALID_FIELD = [
+    "hgsfield 1", "interval 0.5 1", "lambda_min 0.05", "rule midpoint",
+    "nodes 2", "node 0.625 0.078125",
+    "slice samples -1 0.5 3 0 0 1 0.5 0 0", "node 0.875 0.109375",
+    "slice indicator 0 1 1 0"]
+_token = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "-0.5", "nan", "inf",
+                     "-inf", "1e308", "x", "indicator", "samples"]),
+    st.integers(-3, 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_record = st.tuples(
+    st.sampled_from(["hgsfield", "interval", "lambda_min", "rule", "nodes",
+                     "node", "slice indicator", "slice samples", "slice",
+                     "other"]),
+    st.lists(_token, max_size=9)).map(lambda r: " ".join((r[0], *r[1])))
+
+
+@settings(max_examples=200)
+@given(edits=st.lists(st.tuples(st.integers(0, len(_VALID_FIELD)),
+                                st.sampled_from(["replace", "insert",
+                                                 "delete"]),
+                                _record), max_size=4),
+       tail=st.binary(max_size=4))
+def test_field_load_fuzz_raises_only_format_errors(tmp_path_factory, edits,
+                                                   tail):
+    # mutations of a valid file: a load either gives a field with a sound
+    # grid or raises FieldFormatError naming a line
+    lines = list(_VALID_FIELD)
+    for pos, op, record in edits:
+        pos = min(pos, len(lines))
+        if op == "insert":
+            lines.insert(pos, record)
+        elif pos < len(lines):
+            if op == "replace":
+                lines[pos] = record
+            else:
+                del lines[pos]
+    path = tmp_path_factory.mktemp("fuzz") / "field.hgs"
+    path.write_bytes("\n".join(lines).encode("ascii") + tail)
+    try:
+        f = field_load(path)
+    except FieldFormatError as exc:
+        assert exc.line is not None
+        return
+    grid = f.grid
+    assert grid.n >= 1 and grid.lambda_min > 0
+    assert np.all(np.diff(grid.nodes) > 0) and np.all(grid.nodes != 0)
+    assert np.all(grid.weights > 0) and np.all(np.isfinite(grid.weights))
+    assert np.all(np.isfinite(f.term_lo)) and np.all(np.isfinite(f.term_hi))
+    assert np.all(np.isfinite(f.term_coef))

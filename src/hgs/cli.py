@@ -27,8 +27,8 @@ from .fieldcheck import (gabor_field_verdict, jittered_unit_grid,
                          orthogonality_residual, theta_delta_report)
 from .grids import SpectralSet, gauss_lambda_grid, lambda_grid
 from .group import QuasiLatticeSpec
-from .sampling import (interpolation_verdict, onb_gram_check,
-                       reconstruction_study)
+from .sampling import (_MAX_BOX_SAMPLES, interpolation_verdict,
+                       onb_gram_check, reconstruction_study)
 from .sinc import seeded_strip_points, sinc_compare
 from .testfields import atom_suite, two_slice_field
 
@@ -115,6 +115,10 @@ def _emit(report, args):
     lines.append(f"{'overall':<28} "
                  f"{'pass' if report['passed'] else 'FAIL'}")
     print("\n".join(lines))
+    _write_report(report, args)
+
+
+def _write_report(report, args):
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(report, fh, indent=2, default=_json_default)
@@ -271,10 +275,7 @@ def cmd_sinc(args):
            f"derived {rep.max_deviation('s1_derived'):.3e}",
            informational=True)
     report["passed"] = _overall(report)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=2, default=_json_default)
-            fh.write("\n")
+    _write_report(report, args)
     return 0
 
 
@@ -289,9 +290,11 @@ def cmd_sample(args):
     grid = lambda_grid(E, max(cfg["lambda_nodes"], 512), 1e-3)
     e = canonical_field(grid)
     bounds = _parse_triple(cfg["bounds"], int, "bounds")
-    if min(bounds) < 0:
+    if min(bounds) < 0 or math.prod(2 * b + 1 for b in bounds) \
+            > _MAX_BOX_SAMPLES:
         raise HgsError(f"bad bounds {cfg['bounds']!r}; expected three "
-                       "nonnegative int values")
+                       "nonnegative int values spanning at most "
+                       f"{_MAX_BOX_SAMPLES} samples")
     inner = (max(1, bounds[0] // 2), max(1, bounds[1] // 2),
              max(1, bounds[2] // 2))
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,

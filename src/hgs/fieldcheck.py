@@ -292,6 +292,15 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
     return out, np.maximum(norms, 0.0).tolist()
 
 
+def _test_fields(testfns) -> list:
+    """The fields of a nonempty list of test fields or of an AtomSuite."""
+    fields = (testfns.fields() if isinstance(testfns, AtomSuite)
+              else list(testfns))
+    if not fields:
+        raise DomainError("need at least one test field")
+    return fields
+
+
 def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
                       kmax: int = 4, lmax: int = 32, mmax: int = 16) -> float:
     """max over test fields f of |sum_box |<f, T_gamma g>|^2 - ||f||^2| / ||f||^2.
@@ -307,10 +316,7 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
         coeffs, norms = _suite_coefficients(testfns, g, spec,
                                             kmax, lmax, mmax)
     else:
-        fields = (testfns.fields() if isinstance(testfns, AtomSuite)
-                  else list(testfns))
-        if not fields:
-            raise DomainError("need at least one test field")
+        fields = _test_fields(testfns)
         coeffs = lattice_coefficients(fields, g, spec, kmax, lmax, mmax)
         norms = [f.norm2() for f in fields]
     worst = 0.0
@@ -483,10 +489,7 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     """
     if Ej.intersect(Ej2).intervals:
         raise DomainError("spectral pieces overlap")
-    fields = list(testfns.fields()) if hasattr(testfns, "fields") \
-        else list(testfns)
-    if not fields:
-        raise DomainError("need at least one test field")
+    fields = _test_fields(testfns)
     fold1 = _fold_map(Ej)
     fold2 = _fold_map(Ej2)
     # overlap cells of the two folded images, split at every breakpoint

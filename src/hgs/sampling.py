@@ -5,7 +5,9 @@ Point evaluation uses the reproducing identity in transform space: the
 value of a subspace element at a group point is its inner product against
 the group-translated unit field.  The sampling constant is never assumed:
 the isometry ratio estimates it empirically, while the density verdict
-reports the closed-form target separately.
+reports the closed-form target separately.  The reconstruction study takes
+the norm of the reconstruction from the group law, for any generator, and
+never builds it; reconstruct is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FieldFormatError
-from .fieldcheck import lattice_coefficients
+from .fieldcheck import _node_table, lattice_coefficients
 from .grids import FieldSample, SpectralSet, field_inner, plancherel_measure
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec
-from .windows import interval_moments
 
 _TWO_PI = 2.0 * math.pi
 # largest lattice box SampleSet.load_csv allocates, in samples (512 MB)
@@ -194,68 +195,61 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
 
 def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
                                c: float):
-    """||r||^2 for r = (1/c) sum_gamma s_gamma T_gamma e when every slice
-    of e is a single constant-coefficient term no wider than the
-    translation step (so distinct shifts never overlap).
+    """||r||^2 for r = (1/c) sum_gamma s_gamma T_gamma e, for any e.
 
-    Same-shift term pairs differ only in their modulation index, so the
-    double sum over modulations collapses to lag autocorrelations of the
-    phase-summed samples against one overlap moment per lag.  Returns None
-    when the structure does not apply.
+    By the group law two translates of e pair through their offset (kappa,
+    d) in translation and modulation and a cocycle phase: with H =
+    _node_table(e, e) over the doubled box and S from _sample_array,
+
+        ||r||^2 = (1/c^2) sum_n w_n sum_kappa sum_d conj(H_n(kappa, d))
+                  sum_k e^{-2 pi i lam_n alpha beta d k} C_{k,kappa,n}(d),
+
+    C_{k,kappa}(d) = sum_l S_{k+kappa, l+d} conj(S_{k,l}) an FFT cross-
+    correlation of two translation rows.  Only kappa at which cells of e
+    overlap contribute, and the -kappa part is the conjugate of the kappa
+    part, so kappa runs over kappa >= 0 with kappa > 0 counted twice.
     """
-    grid = e.grid
-    spec = samples.spec
-    counts = np.diff(e._starts)
-    if not np.all(counts == 1):
-        return None
-    if e.term_coef[:, 1:].any():
-        return None
-    widths = e.term_hi - e.term_lo
-    if np.any(widths > spec.alpha * (1.0 + 1e-9)):
-        return None
+    grid, spec = e.grid, samples.spec
+    kmax, lmax, _ = samples.bounds()
     ks, ls, stilde = _sample_array(samples, grid)
-    L = ls.size
-    M = 1
-    while M < 2 * L:
-        M *= 2
-    ds = np.arange(-(L - 1), L)
-    # overlap moment per lag on the unshifted interval, then the shift
-    # phase sums the translations
-    lam = grid.nodes
-    dfreq = -spec.beta * lam[None, :] * ds[:, None]          # (D, N)
-    T0 = interval_moments(e.term_lo[None, :], e.term_hi[None, :],
-                          dfreq, 0)[0]                       # (D, N)
-    # one translation at a time keeps the scratch at O(M N)
-    Z = np.zeros(dfreq.shape, dtype=complex)
-    for k, st in zip(ks, stilde):
-        F = np.fft.fft(st, n=M, axis=0)
-        corr = np.fft.ifft(F * np.conj(F), axis=0)  # (M, N), lag d at [d]
-        # shifting the interval by alpha*k multiplies the moment at
-        # frequency dfreq by exp(2 pi i dfreq alpha k)
-        Z += np.exp(1j * _TWO_PI * (spec.alpha * k * dfreq)) * corr[ds]
-    dens = np.abs(e.term_coef[:, 0]) ** 2  # one term per node, node order
-    total = np.einsum("n,dn,dn->", grid.weights * dens, T0, Z)
-    return float(total.real) / (c * c)
+    M = 1 << (2 * ls.size - 1).bit_length()   # a power of two >= 2 L
+    ds = np.arange(1 - ls.size, ls.size)
+    live_k, H = _node_table(e, e, spec, 2 * kmax, 2 * lmax)
+    kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
+    # the cocycle phase of translation k at lag d is exp(2 pi i dfreq alpha k)
+    dfreq = -spec.beta * grid.nodes[None, :] * ds[:, None]   # (D, N)
+    Z = np.zeros((kappas.size,) + dfreq.shape, dtype=complex)
+    # only the FFTs of rows b .. b + max kappa are held at a time
+    F = {}
+    for b, k in enumerate(ks):
+        F.pop(b - 1, None)
+        for a in range(b, min(b + kappas.max(initial=0) + 1, ks.size)):
+            if a not in F:
+                F[a] = np.fft.fft(stilde[a], n=M, axis=0)
+        phase = np.exp(1j * _TWO_PI * (spec.alpha * k * dfreq))
+        for j, kappa in enumerate(kappas):
+            if b + kappa < ks.size:
+                corr = np.fft.ifft(F[b + kappa] * np.conj(F[b]), axis=0)
+                Z[j] += phase * corr[ds]              # lag d at corr[d]
+    total = sum((1.0 if kappa == 0 else 2.0) * np.einsum(
+        "n,dn,dn->", grid.weights, np.conj(Hj).T, Zj).real
+        for kappa, Hj, Zj in zip(kappas, H, Z))
+    return float(total) / (c * c)
 
 
 def reconstruction_study(f: FieldSample, e: FieldSample,
                          spec: QuasiLatticeSpec, bounds, c: float) -> dict:
-    """Sample f on the lattice box, reconstruct, and report the isometry
-    ratio and the relative L2 reconstruction error.
+    """Sample f on the lattice box and report the isometry ratio and the
+    relative L2 error of the reconstruction r from those samples.
 
-    Uses the exact identity <f, r> = (1/c) sum |phi(gamma)|^2 (r is built
-    from those very coefficients) and a collapsed form of ||r||^2, so the
-    cost stays linear in the box size."""
+    r is never built: ||f - r||^2 = ||f||^2 - 2 <f, r> + ||r||^2, with
+    <f, r> = (1/c) sum |phi(gamma)|^2 exactly (the samples are r's own
+    coefficients) and ||r||^2 from _reconstruction_norm2_fast."""
     samples = sample_on_lattice(f, e, spec, bounds)
     norm_sq = f.norm2()
     ratio = isometry_ratio(samples, norm_sq)
-    energy = samples.energy()
-    r_norm2 = _reconstruction_norm2_fast(samples, e, c)
-    if r_norm2 is None:
-        r = reconstruct(samples, e, c)
-        err_sq = max((f - r).norm2(), 0.0)
-    else:
-        err_sq = max(norm_sq - 2.0 * energy / c + r_norm2, 0.0)
+    err_sq = max(norm_sq - 2.0 * samples.energy() / c
+                 + _reconstruction_norm2_fast(samples, e, c), 0.0)
     return {"bounds": tuple(bounds), "ratio": ratio,
             "recon_error": math.sqrt(err_sq / norm_sq),
             "samples": samples}

@@ -9,6 +9,7 @@ generators are deterministic in their seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,14 @@ def atom_suite(base: FieldSample, spec: QuasiLatticeSpec, n_functions: int,
     """Sample distinct atom indices inside the box, plus any forced extras,
     and draw unit-norm coefficient rows."""
     rng = np.random.default_rng(seed)
-    kmax, lmax, mmax = box
-    pool = [(k, l, m)
-            for k in range(-kmax, kmax + 1)
-            for l in range(-lmax, lmax + 1)
-            for m in range(-mmax, mmax + 1)]
-    if n_atoms > len(pool):
+    # flat positions in the box, k-major then l then m
+    shape = tuple(max(2 * b + 1, 0) for b in box)
+    if n_atoms > math.prod(shape):
         raise DomainError("box too small for the requested atom count")
-    picks = rng.choice(len(pool), size=n_atoms, replace=False)
-    indices = [LatticeIndex(*pool[int(p)]) for p in sorted(picks)]
+    picks = rng.choice(math.prod(shape), size=n_atoms, replace=False)
+    indices = [LatticeIndex(*(int(i) - b for i, b in
+                              zip(np.unravel_index(p, shape), box)))
+               for p in sorted(picks)]
     indices.extend(LatticeIndex(*idx) for idx in extra_indices)
     n = len(indices)
     coeffs = rng.normal(size=(n_functions, n)) \

@@ -228,6 +228,8 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--beta", "3"]),
     (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--bounds", "1,1,1"]),
     (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--tol", "5"]),
+    (None, None, ["sample", "--lambda-nodes", "256", "--bounds",
+                  "1000,1000,8"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):

@@ -9,10 +9,13 @@ from hgs.fieldcheck import translate_field
 from hgs.grids import (FieldSample, SpectralSet, field_sum,
                        lambda_grid, plancherel_measure)
 from hgs.group import GroupPoint, LatticeIndex, QuasiLatticeSpec
-from hgs.sampling import (SampleSet, evaluate_phi, interpolation_verdict,
+from hgs import sampling
+from hgs.sampling import (SampleSet, _reconstruction_norm2_fast,
+                          evaluate_phi, interpolation_verdict,
                           isometry_ratio, onb_gram_check, reconstruct,
-                          sample_on_lattice)
-from hgs.testfields import atom_suite
+                          reconstruction_study, sample_on_lattice)
+from hgs.testfields import atom_suite, random_pl_field
+from hgs.windows import Window
 
 SPEC = QuasiLatticeSpec(1, 1)
 E_FULL = SpectralSet([(-1.0, 1.0)])
@@ -276,3 +279,109 @@ def test_diagonal_identity_exact(setup):
     target = SPEC.alpha * SPEC.beta * (plancherel_measure(E_FULL) - excluded)
     assert SPEC.alpha * SPEC.beta * e.norm2() == \
         pytest.approx(target, abs=1e-12)
+
+
+# -- the reconstruction norm from one group-law table -------------------------
+
+def _split_cells(g):
+    """g, whose terms are constant, with every cell cut in two at its
+    midpoint: the same field with twice the terms."""
+    mid = 0.5 * (g.term_lo + g.term_hi)
+    two = (lambda x: np.concatenate([x, x]))
+    return FieldSample(g.grid, two(g.term_node),
+                       np.concatenate([g.term_lo, mid]),
+                       np.concatenate([mid, g.term_hi]),
+                       two(g.term_coef), two(g.term_freq))
+
+
+def _transported(g, alpha):
+    """g, whose terms are constant, with every cell scaled by alpha and its
+    coefficients by alpha^{-1/2}: the canonical field carried to
+    translation step alpha."""
+    return FieldSample(g.grid, g.term_node, alpha * g.term_lo,
+                       alpha * g.term_hi, g.term_coef / np.sqrt(alpha),
+                       g.term_freq / alpha)
+
+
+@pytest.fixture(scope="module")
+def generators():
+    grid = lambda_grid(E_FULL, 48, 1e-2)
+    e = canonical_field(grid)
+    return grid, {"canonical": e, "split": _split_cells(e),
+                  "random_pl": random_pl_field(grid, seed=3,
+                                               interval=(-0.8, 1.3)),
+                  "transported": _transported(e, 0.75)}
+
+
+@pytest.mark.parametrize("name", ["canonical", "split", "random_pl",
+                                  "transported"])
+@pytest.mark.parametrize("ab", [(1.0, 1.0), (0.75, 1.25)])
+def test_reconstruction_norm_matches_dense(generators, name, ab):
+    grid, gens = generators
+    spec = QuasiLatticeSpec(*ab)
+    f = atom_suite(gens["canonical"], spec, n_functions=1, n_atoms=6,
+                   box=(1, 3, 2), seed=5).fields()[0]
+    s = sample_on_lattice(f, gens[name], spec, (2, 5, 3))
+    got = _reconstruction_norm2_fast(s, gens[name], 0.8)
+    want = reconstruct(s, gens[name], 0.8).norm2()
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-13 * want
+
+
+@st.composite
+def _pl_generator(draw, n):
+    """n seeded piecewise-linear slices with drawn supports and breaks."""
+    windows = []
+    for _ in range(n):
+        lo = draw(st.floats(-1.5, 0.5))
+        width = draw(st.floats(0.2, 2.5))
+        k = draw(st.integers(2, 5))
+        breaks = lo + width * np.sort(np.concatenate(
+            [[0.0, 1.0], draw(st.lists(st.floats(0.05, 0.95), min_size=k - 2,
+                                       max_size=k - 2, unique=True))]))
+        if min(np.diff(breaks)) < 1e-3:
+            breaks = lo + width * np.linspace(0.0, 1.0, k)
+        parts = st.floats(-2.0, 2.0)
+        windows.append(Window.piecewise_linear(
+            breaks, [complex(draw(parts), draw(parts)) for _ in breaks]))
+    return windows
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows=_pl_generator(4),
+       box=st.tuples(st.integers(0, 2), st.integers(0, 3),
+                     st.integers(0, 2)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       ab=st.sampled_from([(1.0, 1.0), (0.75, 1.25), (0.5, 2.0),
+                           (1.3, 0.6)]),
+       c=st.floats(0.5, 2.0))
+def test_reconstruction_norm_property(windows, box, seed, ab, c):
+    grid = lambda_grid(E_FULL, 4, 0.1)
+    e = FieldSample.from_windows(grid, windows)
+    rng = np.random.default_rng(seed)
+    shape = tuple(2 * b + 1 for b in box)
+    s = SampleSet(QuasiLatticeSpec(*ab),
+                  rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    got = _reconstruction_norm2_fast(s, e, c)
+    want = reconstruct(s, e, c).norm2()
+    # rounding scale: the norm of r with every term taken in modulus
+    scale = s.energy() * float(np.sum(grid.weights * e.slice_norm2())) \
+        * s.array.size / (c * c)
+    assert abs(got - want) <= 1e-13 * scale
+
+
+def test_reconstruction_study_builds_no_field(generators, monkeypatch):
+    _, gens = generators
+    spec = QuasiLatticeSpec(0.75, 1.25)
+    f = atom_suite(gens["canonical"], spec, n_functions=1, n_atoms=6,
+                   box=(1, 3, 2), seed=7).fields()[0]
+    s = sample_on_lattice(f, gens["split"], spec, (2, 5, 3))
+    r = reconstruct(s, gens["split"], 1.0)
+    want = np.sqrt((f - r).norm2() / f.norm2())
+
+    def no_reconstruct(*args, **kwargs):
+        raise AssertionError("reconstruction_study built r")
+
+    monkeypatch.setattr(sampling, "reconstruct", no_reconstruct)
+    got = reconstruction_study(f, gens["split"], spec, (2, 5, 3), 1.0)
+    assert got["recon_error"] == pytest.approx(want, rel=1e-10)

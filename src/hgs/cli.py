@@ -23,8 +23,9 @@ import numpy as np
 
 from .canonical import canonical_field
 from .errors import HgsError
-from .fieldcheck import (gabor_field_verdict, jittered_unit_grid,
-                         orthogonality_residual, theta_delta_report)
+from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
+                         jittered_unit_grid, orthogonality_residual,
+                         theta_delta_report)
 from .grids import SpectralSet, gauss_lambda_grid, lambda_grid
 from .group import QuasiLatticeSpec
 from .sampling import (_MAX_BOX_SAMPLES, interpolation_verdict,
@@ -57,15 +58,19 @@ _RANGES = {
 def _load_config(path):
     """key value lines, same shape as the field file header records."""
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise HgsError(f"config line {lineno}: expected 'key value'")
-            out[parts[0]] = parts[1]
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines()
+    for lineno, line in enumerate(raw, start=1):
+        try:
+            line = line.decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise HgsError(f"config line {lineno}: not ASCII text") from None
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise HgsError(f"config line {lineno}: expected 'key value'")
+        out[parts[0]] = parts[1]
     return out
 
 
@@ -93,12 +98,16 @@ def _resolve(args, config):
 
 
 def _parse_triple(text, kind, what, extra_columns=False):
-    """Three comma-separated values of the given kind, e.g. bounds k,l,m or
-    a point x,y,z; extra_columns allows and drops further values."""
+    """Three comma-separated finite values of the given kind, e.g. bounds
+    k,l,m or a point x,y,z; extra_columns allows and drops further values."""
     parts = text.split(",")
     try:
         if len(parts) == 3 or (extra_columns and len(parts) > 3):
-            return tuple(kind(p) for p in parts[:3])
+            vals = tuple(kind(p) for p in parts[:3])
+            if not all(map(math.isfinite, vals)):
+                raise HgsError(f"bad {what} {text.strip()!r}; values must "
+                               "be finite")
+            return vals
     except ValueError:
         pass
     raise HgsError(f"bad {what} {text.strip()!r}; expected three "
@@ -188,13 +197,18 @@ def cmd_verify_canonical(args):
     _check(report, "orthogonality", worst <= max(tol, 1e-10),
            f"max |residual| {worst:.3e} over 8 spectral points")
 
-    pts = jittered_unit_grid(16)
-    theta_rep = theta_delta_report(e, spec, (pts, pts), kmax=2, lmax=8)
-    theta_ok = (theta_rep.dev_zero <= max(tol, 1e-10)
-                and theta_rep.dev_nonzero <= max(tol, 1e-10))
-    _check(report, "theta-criterion", theta_ok,
-           f"sup|T0-1| {theta_rep.dev_zero:.3e}, "
-           f"sup|Tk| {theta_rep.dev_nonzero:.3e}")
+    if spec == SPEC_UNIT:
+        pts = jittered_unit_grid(16)
+        theta_rep = theta_delta_report(e, spec, (pts, pts), kmax=2, lmax=8)
+        theta_ok = (theta_rep.dev_zero <= max(tol, 1e-10)
+                    and theta_rep.dev_nonzero <= max(tol, 1e-10))
+        _check(report, "theta-criterion", theta_ok,
+               f"sup|T0-1| {theta_rep.dev_zero:.3e}, "
+               f"sup|Tk| {theta_rep.dev_nonzero:.3e}")
+    else:
+        # Theta_k = delta_k characterizes orthonormality on Z^3 only
+        _check(report, "theta-criterion", None,
+               "not applicable off the unit lattice", informational=True)
 
     fine = lambda_grid(E, max(cfg["lambda_nodes"], 512), 1e-3)
     gram = onb_gram_check(canonical_field(fine), spec, (3, 3, 3), tol=1e-3)
@@ -352,6 +366,8 @@ def cmd_density(argv):
     try:
         E = SpectralSet.parse(argv[0])
         spec = QuasiLatticeSpec(float(argv[1]), float(argv[2]))
+        if not (math.isfinite(spec.alpha) and math.isfinite(spec.beta)):
+            raise HgsError("alpha and beta must be finite")
     except (HgsError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

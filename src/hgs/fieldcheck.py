@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotApplicableError
-from .gabor import (NormConditionReport, frame_bounds_empirical,
-                    norm_condition_check, painless_residual)
+from .gabor import (NormConditionReport, _norm_reports, _painless_table,
+                    frame_bounds_empirical)
 from .grids import (FieldSample, SpectralSet, _blocks, _concat,
-                    _cross_join, _ranges, field_inner, point_grid)
+                    _cross_join, field_inner, field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec
 from .testfields import AtomSuite
-from .windows import affine_terms, paired_inner_sweep, product_conj_terms
+from .windows import (_ranges, affine_terms, paired_inner_sweep,
+                      product_conj_terms)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -110,22 +111,25 @@ def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
                         empirical_kw: dict | None = None) -> GaborFieldReport:
     """Scale each slice by |lam|^{1/2} and verify the per-slice Parseval
     property (painless criterion where applicable, empirical frame bounds
-    otherwise) plus the norm identity, then aggregate."""
-    empirical_kw = empirical_kw or {}
-    checks = []
-    for i, lam in enumerate(g.grid.nodes):
-        w = g.slice(i)
-        scaled = w.scaled(math.sqrt(abs(lam)))
-        painless = empirical = None
-        try:
-            painless = painless_residual(scaled, spec, lam)
-        except NotApplicableError:
-            empirical = frame_bounds_empirical(scaled, spec, lam,
-                                               **empirical_kw)
-        checks.append(SliceCheck(lam=float(lam), painless=painless,
-                                 empirical=empirical,
-                                 norm=norm_condition_check(w, spec, lam)))
-    return GaborFieldReport(slices=tuple(checks), tol=tol, norm_tol=norm_tol,
+    otherwise) plus the norm identity, then aggregate.
+
+    The painless residuals of all slices come from one call over the
+    scaled term table and the norms from one slice_norm2 call; only the
+    slices outside the painless regime are built as windows."""
+    lams = g.grid.nodes
+    root = np.sqrt(np.abs(lams))
+    painless, why = _painless_table(
+        g.term_node, g.term_lo, g.term_hi,
+        g.term_coef * root[g.term_node, None], g.term_freq, lams, spec)
+    empirical = {i: frame_bounds_empirical(
+        g.slice(i).scaled(root[i]), spec, lams[i], **(empirical_kw or {}))
+        for i in why}
+    norms = _norm_reports(lams, g.slice_norm2(), spec)
+    checks = tuple(
+        SliceCheck(lam=norm.lam, painless=None if i in why else p,
+                   empirical=empirical.get(i), norm=norm)
+        for i, (p, norm) in enumerate(zip(painless.tolist(), norms)))
+    return GaborFieldReport(slices=checks, tol=tol, norm_tol=norm_tol,
                             lattice_integer=spec.is_integer)
 
 
@@ -489,7 +493,6 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     """
     if Ej.intersect(Ej2).intervals:
         raise DomainError("spectral pieces overlap")
-    fields = _test_fields(testfns)
     fold1 = _fold_map(Ej)
     fold2 = _fold_map(Ej2)
     # overlap cells of the two folded images, split at every breakpoint
@@ -513,12 +516,20 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     shifts = spec.alpha * np.arange(-trunc[0], trunc[0] + 1, dtype=float)
     # one kernel point per (quadrature point p, field i, field j): the
     # slices at lam1 and at lam2 sit at point p and point P + p of one table
-    P, F = lam1.size, len(fields)
-    p, i, j = (x.ravel() for x in np.meshgrid(
-        np.arange(P), np.arange(F), np.arange(F), indexing="ij"))
     both = np.concatenate([lam1, lam2])
     gs = g.slices_at(both)
-    fs = [f.slices_at(both) for f in fields]
+    if isinstance(testfns, AtomSuite):
+        # a suite's slices are translates of its base's: no field is built
+        # on the grid
+        base = testfns.base.slices_at(both)
+        atoms = [translate_field(base, gam.k, gam.l, gam.m, testfns.spec)
+                 for gam in testfns.indices]
+        fs = _test_fields([field_sum(atoms, c) for c in testfns.coeffs])
+    else:
+        fs = [f.slices_at(both) for f in _test_fields(testfns)]
+    P, F = lam1.size, len(fs)
+    p, i, j = (x.ravel() for x in np.meshgrid(
+        np.arange(P), np.arange(F), np.arange(F), indexing="ij"))
     sides = []
     for lam, row, field_of in ((lam1, p, i), (lam2, P + p, j)):
         grid = point_grid(lam[p], g.grid.spectral_set)
@@ -548,8 +559,8 @@ def theta(g: FieldSample, spec: QuasiLatticeSpec, k: int, lam: float,
             g(lam - l'', (t - l')/(lam - l'') - k)
             * conj(g(lam - l'', (t - l')/(lam - l'')))
 
-    at one point; see theta_delta_report.  Identically delta_k exactly when
-    the unit-density translates are orthonormal.
+    at one point; see theta_delta_report.  On the unit lattice Z^3 it is
+    identically delta_k exactly when the translates are orthonormal.
     """
     rep = theta_delta_report(g, spec, ([lam], [t]), kmax=abs(k), lmax=lmax)
     return complex(rep.values[k][0, 0])
@@ -592,7 +603,9 @@ def theta_delta_report(g: FieldSample, spec: QuasiLatticeSpec, gridpts,
     Support arithmetic keeps the sum finite: only spectral shifts with
     lam - l'' inside the spectral set contribute, and l' = n / beta runs
     over |n| <= lmax.  One window call per (lam, l'') covers every k, every
-    n and every t; an empty spectral set gives zeros.
+    n and every t; an empty spectral set gives zeros.  The literal sum is
+    evaluated at any spec, but it characterizes orthonormality only on
+    the unit lattice: the translation in Theta_k is k, not alpha k.
     """
     lams, ts = (np.asarray(gridpts[0], dtype=float),
                 np.asarray(gridpts[1], dtype=float))
@@ -632,7 +645,15 @@ def theta_gram_duality(g: FieldSample, spec: QuasiLatticeSpec,
                        lmax: int = 16) -> tuple:
     """Return (fourier_coefficient, gram) where the first is the (m, l)
     Fourier coefficient of Theta_k over the unit square by midpoint
-    quadrature and the second is the Gram entry it must reproduce."""
+    quadrature and the second is the Gram entry it must reproduce.
+
+    The duality is derived for the unit lattice Z^3; at other (alpha,
+    beta) Theta_k translates by k, not alpha k, so this raises
+    NotApplicableError."""
+    if spec != SPEC_UNIT:
+        raise NotApplicableError(
+            f"theta duality is not applicable off the unit lattice: "
+            f"(alpha, beta) = ({spec.alpha}, {spec.beta})")
     pts = (np.arange(n_quad) + 0.5 ** 0.5) / n_quad
     rep = theta_delta_report(g, spec, (pts, pts), kmax=abs(gamma.k),
                              lmax=lmax)

@@ -10,6 +10,12 @@ operator is multiplication by the periodization of |u|^2, which makes the
 Parseval property an exact, finitely checkable identity (the painless
 criterion).  An empirical frame-bound estimator covers windows outside that
 regime.
+
+The painless criterion is evaluated for every slice of a term table at
+once: |u|^2 comes as quadratics on the cells cut by the term ends, those
+cells are folded into [0, alpha) and summed on the cells cut there (two
+calls of windows._cover_sums), and the residual is read at the cell ends
+and the parabola vertices.  painless_residual is the one-slice call.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError, WindowStructureError
+from .errors import DomainError, NotApplicableError
 from .group import QuasiLatticeSpec
-from .windows import Window, _recenter
+from .windows import Window, _cover_sums, _modulus_cells, _ranges
 
 DEFAULT_SEED = 0x5EED
 _SUPPORT_SLACK = 1e-9
@@ -34,41 +40,60 @@ def gabor_atom(u: Window, lam: float, k: int, l: int,
     return u.translate(spec.alpha * k).modulate(-lam * spec.beta * l)
 
 
-def _fold_quadratics(breaks, quad, alpha):
-    """Fold the pieces of |u|^2 into one period [0, alpha) and return the
-    breakpoint partition with accumulated quadratic coefficients.
+def _painless_table(node, lo, hi, coef, freq, lams, spec):
+    """painless_residual of every slice of a term table (term r in slice
+    node_r, at lams[node_r]) as (res, why): res is NaN at the slices where
+    the criterion does not apply, and why maps each of them to the reason.
 
-    A piece end shifted by n alpha carries the rounding of n alpha, so two
+    The cells of |u|^2 are folded into [0, alpha) and summed there.  A
+    piece end shifted by n alpha carries the rounding of n alpha, so two
     ends that meet exactly can fold to points a few ulps apart; the sliver
     cell between them is dropped rather than read as a gap or a double
-    cover."""
-    folded = []
-    for c in range(breaks.size - 1):
-        lo, hi = breaks[c], breaks[c + 1]
-        mid = 0.5 * (lo + hi)
-        n0 = int(np.floor(lo / alpha))
-        n1 = int(np.floor(hi / alpha)) + 1
-        for n in range(n0, n1 + 1):
-            a, b = lo - n * alpha, hi - n * alpha
-            cl, ch = max(a, 0.0), min(b, alpha)
-            if ch > cl:
-                folded.append((cl, ch, mid - n * alpha, quad[c]))
-    pts = sorted({0.0, alpha}
-                 | {p for lo, hi, _, _ in folded for p in (lo, hi)})
-    pts = np.array(pts)
-    sliver = 8.0 * np.finfo(float).eps * max(alpha, np.abs(breaks).max())
-    cells = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= sliver:
-            continue
-        m = 0.5 * (a + b)
-        acc = np.zeros(3)
-        for lo, hi, mid, q in folded:
-            if lo <= a and hi >= b:
-                # recenter the quadratic at the cell midpoint
-                acc += _recenter(q, m - mid)
-        cells.append((a, b, acc))
-    return cells
+    cover.
+    """
+    if np.any(lams == 0):
+        raise DomainError("lam must be nonzero")
+    n, alpha = lams.size, spec.alpha
+    sup_lo, sup_hi = np.full(n, np.inf), np.full(n, -np.inf)
+    np.minimum.at(sup_lo, node, lo)
+    np.maximum.at(sup_hi, node, hi)
+    length, limit = sup_hi - sup_lo, 1.0 / (spec.beta * np.abs(lams))
+    long = length > limit * (1.0 + _SUPPORT_SLACK)
+    why = {i: f"support length {length[i]} exceeds 1/(beta*|lam|) = "
+              f"{limit[i]}" for i in np.flatnonzero(long).tolist()}
+    live = ~long[node]
+    cseg, a, b, quad, bad = _modulus_cells(node[live], lo[live], hi[live],
+                                           coef[live], freq[live])
+    why.update(bad)
+    ok = np.ones(n, dtype=bool)
+    ok[list(why)] = False
+    filled = np.bincount(node, minlength=n) > 0
+    # fold every cell by the shifts n alpha that meet [0, alpha), and sum
+    # on [0, alpha) cut at 0 and alpha too; slivers are 8 ulps of the
+    # slice's largest end or of alpha
+    n0 = np.floor(a / alpha).astype(np.int64)
+    c, k = _ranges(n0, np.floor(b / alpha).astype(np.int64) - n0 + 2)
+    shift = k * alpha
+    flo, fhi = np.maximum(a[c] - shift, 0.0), np.minimum(b[c] - shift, alpha)
+    f = fhi > flo
+    cut = np.flatnonzero(ok & filled)
+    reach = np.full(n, float(alpha))
+    np.maximum.at(reach, node, np.maximum(np.abs(lo), np.abs(hi)))
+    fseg, fa, fb, q = _cover_sums(
+        cseg[c[f]], flo[f], fhi[f], (0.5 * (a + b))[c[f]] - shift[f],
+        quad[c[f]], cuts=(np.tile(cut, 2), np.repeat([0.0, alpha], cut.size)),
+        sliver=8.0 * np.finfo(float).eps * reach)
+    # candidates: cell ends and the interior vertex of the parabola
+    h = 0.5 * (fb - fa)
+    q0, q1, q2 = q.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = -q1 / (2.0 * q2)
+    s = np.stack([-h, h, np.where((q2 != 0.0) & (-h < v) & (v < h), v, h)])
+    val = np.abs(limit[fseg] * (q0 + q1 * s + q2 * s * s) - 1.0)
+    res = np.where(filled, 0.0, 1.0)   # an empty slice periodizes to 0
+    np.fmax.at(res, fseg, np.fmax.reduce(val, axis=0))
+    res[~ok] = np.nan
+    return res, why
 
 
 def painless_residual(u: Window, spec: QuasiLatticeSpec, lam: float) -> float:
@@ -79,35 +104,12 @@ def painless_residual(u: Window, spec: QuasiLatticeSpec, lam: float) -> float:
     frame.  Raises NotApplicableError when the support condition fails or
     the window carries modulated terms.
     """
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    sup = u.support()
-    if sup is None:
-        return 1.0  # zero window: periodization is identically 0
-    length = sup[1] - sup[0]
-    limit = 1.0 / (spec.beta * abs(lam))
-    if length > limit * (1.0 + _SUPPORT_SLACK):
-        raise NotApplicableError(
-            f"support length {length} exceeds 1/(beta*|lam|) = {limit}")
-    try:
-        breaks, quad = u.squared_modulus_pieces()
-    except WindowStructureError as exc:
-        raise NotApplicableError(str(exc)) from None
-    cells = _fold_quadratics(breaks, quad, spec.alpha)
-    scale = 1.0 / (spec.beta * abs(lam))
-    worst = 0.0
-    for a, b, (q0, q1, q2) in cells:
-        h = 0.5 * (b - a)
-        # candidates: cell ends and the interior vertex of the parabola
-        ss = [-h, h]
-        if q2 != 0.0:
-            v = -q1 / (2.0 * q2)
-            if -h < v < h:
-                ss.append(v)
-        for s in ss:
-            val = scale * (q0 + q1 * s + q2 * s * s) - 1.0
-            worst = max(worst, abs(val))
-    return worst
+    res, why = _painless_table(np.zeros(u.n_terms, dtype=np.int64), u.lo,
+                               u.hi, u.coef, u.freq,
+                               np.array([lam], dtype=float), spec)
+    if why:
+        raise NotApplicableError(why[0])
+    return float(res[0])
 
 
 def _random_test_function(rng, interval, n_breaks=9):
@@ -177,9 +179,15 @@ def norm_condition_check(u: Window, spec: QuasiLatticeSpec,
     """Check || |lam|^{1/2} u ||^2 = alpha*beta*|lam| and alpha*beta*|lam| <= 1."""
     if lam == 0:
         raise DomainError("lam must be nonzero")
-    scaled = abs(lam) * u.norm2()
-    target = spec.alpha * spec.beta * abs(lam)
-    return NormConditionReport(
-        lam=lam, scaled_norm_sq=scaled, target=target,
-        difference=scaled - target,
-        density_admissible=spec.alpha * spec.beta * abs(lam) <= 1.0)
+    return _norm_reports(np.array([lam], dtype=float),
+                         np.array([u.norm2()]), spec)[0]
+
+
+def _norm_reports(lams, norm2, spec: QuasiLatticeSpec) -> list:
+    """norm_condition_check for arrays of lams and squared slice norms."""
+    scaled = np.abs(lams) * norm2
+    target = spec.alpha * spec.beta * np.abs(lams)
+    return [NormConditionReport(lam=lam, scaled_norm_sq=sc, target=t,
+                                difference=sc - t, density_admissible=t <= 1.0)
+            for lam, sc, t in zip(lams.tolist(), scaled.tolist(),
+                                  target.tolist())]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, EmptyGridError, FieldFormatError,
                      GridMismatchError, WindowStructureError)
-from .windows import MAX_DEGREE, Window, paired_inner_sweep
+from .windows import MAX_DEGREE, Window, _ranges, paired_inner_sweep
 
 _TWO_PI = 2.0 * math.pi
 # Term pairs per paired_inner_sweep call in field inner products and lattice
@@ -53,10 +53,11 @@ class SpectralSet:
         """Parse 'a,b[;a,b...]' as used by the command line."""
         pieces = []
         for chunk in text.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise DomainError(f"bad interval spec {chunk!r}")
-            pieces.append((float(parts[0]), float(parts[1])))
+            try:
+                a, b = (float(p) for p in chunk.split(","))
+            except ValueError:
+                raise DomainError(f"bad interval spec {chunk!r}") from None
+            pieces.append((a, b))
         return cls(pieces)
 
     def measure(self):
@@ -248,15 +249,6 @@ def point_grid(lams, spectral_set: SpectralSet) -> LambdaGrid:
 
 # ---------------------------------------------------------------------------
 # field samples
-
-
-def _ranges(first, count):
-    """Concatenated integer ranges [first_r, first_r + count_r).  Returns
-    the range index r of every element and its value, ranges in order."""
-    count = np.asarray(count, dtype=np.int64)
-    rep = np.repeat(np.arange(count.size), count)
-    rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
-    return rep, first[rep] + rank
 
 
 def _node_hits(nodes, lams, tol):

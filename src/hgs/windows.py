@@ -169,6 +169,63 @@ def _recenter(coef, shift):
     return out
 
 
+def _ranges(first, count):
+    """Concatenated integer ranges [first_r, first_r + count_r).  Returns
+    the range index r of every element and its value, ranges in order."""
+    count = np.asarray(count, dtype=np.int64)
+    rep = np.repeat(np.arange(count.size), count)
+    rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
+    return rep, first[rep] + rank
+
+
+def _cover_sums(seg, lo, hi, mid, coef, cuts=None, sliver=0.0):
+    """Cut the line of every segment at its pieces' ends, and at the
+    points cuts = (segments, points) if given; drop the cells no longer
+    than sliver (a scalar or one value per segment).  Piece r lies on
+    [lo_r, hi_r) in segment seg_r with coefficients coef_r centred at
+    mid_r.  Returns the (segment, a, b, sum) of every other cell [a, b),
+    in (segment, a) order, with sum the covering pieces' polynomials
+    recentred at (a + b) / 2 and added in piece order.
+    """
+    # complex numbers compare lexicographically, so seg + i x sorts and
+    # searches as the pair (seg, x); cell j lies between keys j and j + 1
+    klo, khi = seg + 1j * lo, seg + 1j * hi
+    extra = [] if cuts is None else [cuts[0] + 1j * cuts[1]]
+    key = np.unique(np.concatenate([klo, khi] + extra))
+    a, b = key.imag[:-1], key.imag[1:]
+    # piece r covers the cells from key lo_r up to key hi_r
+    ilo, ihi = np.searchsorted(key, klo), np.searchsorted(key, khi)
+    rep, cell = _ranges(ilo, np.maximum(ihi - ilo, 0))
+    order = np.argsort(cell, kind="stable")
+    rep, cell = rep[order], cell[order]
+    total = np.zeros((a.size, coef.shape[1]), dtype=coef.dtype)
+    np.add.at(total, cell,
+              _recenter(coef[rep], 0.5 * (a + b)[cell] - mid[rep]))
+    cseg = key.real[:-1].astype(np.int64)
+    keep = np.flatnonzero(key.real[1:] == key.real[:-1])
+    keep = keep[b[keep] - a[keep]
+                > (sliver[cseg[keep]] if np.ndim(sliver) else sliver)]
+    return cseg[keep], a[keep], b[keep], total[keep]
+
+
+def _modulus_cells(seg, lo, hi, coef, freq):
+    """squared_modulus_pieces of the window of every segment as the cells
+    (segment, a, b, quad) and why, a dict from each segment that has no
+    such form to the reason; the cells of those segments are left out."""
+    why = dict.fromkeys(np.unique(seg[freq != 0]).tolist(),
+                        "squared modulus needs an unmodulated window")
+    live = ~np.isin(seg, list(why))
+    cseg, a, b, amp = _cover_sums(seg[live], lo[live], hi[live],
+                                  0.5 * (lo + hi)[live], coef[live])
+    why.update(dict.fromkeys(np.unique(cseg[amp[:, 2] != 0]).tolist(),
+                             "squared modulus needs degree <= 1 per cell"))
+    ok = ~np.isin(cseg, list(why))
+    a0, a1 = amp[ok, 0], amp[ok, 1]
+    quad = np.stack([(a0 * np.conj(a0)).real, 2.0 * (a0 * np.conj(a1)).real,
+                     (a1 * np.conj(a1)).real], axis=1)
+    return cseg[ok], a[ok], b[ok], quad, why
+
+
 def product_conj_terms(loa, hia, mida, coefa, freqa,
                        lob, hib, midb, coefb, freqb):
     """Terms of a_r(t) * conj(b_r(t)) for paired term arrays, laid out as
@@ -401,26 +458,9 @@ class Window:
         (breaks, quad) with quad[c] = (q0, q1, q2) the coefficients of
         |w|^2 in powers of (t - cell midpoint) on [breaks[c], breaks[c+1]).
         """
-        if self.n_terms == 0:
-            return np.zeros(0), np.zeros((0, 3))
-        if np.any(self.freq != 0.0):
-            raise WindowStructureError(
-                "squared modulus needs an unmodulated window")
-        breaks = np.unique(np.concatenate([self.lo, self.hi]))
-        cell_lo, cell_hi = breaks[:-1], breaks[1:]
-        cmid = 0.5 * (cell_lo + cell_hi)
-        quad = np.zeros((cmid.size, 3))
-        for c in range(cmid.size):
-            amp = np.zeros(MAX_DEGREE + 1, dtype=complex)
-            for j in range(self.n_terms):
-                if self.lo[j] <= cell_lo[c] and self.hi[j] >= cell_hi[c]:
-                    amp += _recenter(self.coef[j][None, :],
-                                     np.array([cmid[c] - self.mid[j]]))[0]
-            if amp[2] != 0:
-                raise WindowStructureError(
-                    "squared modulus needs degree <= 1 per cell")
-            a0, a1 = amp[0], amp[1]
-            quad[c, 0] = (a0 * np.conj(a0)).real
-            quad[c, 1] = 2.0 * (a0 * np.conj(a1)).real
-            quad[c, 2] = (a1 * np.conj(a1)).real
-        return breaks, quad
+        _, a, b, quad, why = _modulus_cells(
+            np.zeros(self.n_terms, dtype=np.int64), self.lo, self.hi,
+            self.coef, self.freq)
+        if why:
+            raise WindowStructureError(why[0])
+        return np.append(a, b[-1:]), quad

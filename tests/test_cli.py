@@ -125,10 +125,50 @@ def test_verify_canonical_lattice_note_informational(capsys, tmp_path):
     assert note["name"] == "lattice-integer-note"
     assert note["informational"] is True and note["passed"] is None
     assert out.splitlines()[0].split()[:2] == ["lattice-integer-note", "info"]
-    verdicts = [c["passed"] for c in report["checks"][1:]]
-    assert all("informational" not in c for c in report["checks"][1:])
+    rows = [c for c in report["checks"][1:] if c["name"] != "theta-criterion"]
+    verdicts = [c["passed"] for c in rows]
+    assert all("informational" not in c for c in rows)
     assert report["passed"] == all(verdicts)
     assert code == (0 if all(verdicts) else 1)
+
+
+@pytest.mark.parametrize("alpha,beta", [("2", "0.5"), ("1", "0.5"),
+                                        ("0.5", "1"), ("1", "2")])
+def test_verify_canonical_theta_informational_off_unit_lattice(
+        capsys, tmp_path, alpha, beta):
+    # the theta criterion characterizes orthonormality on Z^3 only; off it
+    # its reading contradicts the Gram check (deviations of 0.5 to 0.637
+    # at the first three lattices, a Gram pass at (1, 2))
+    out_path = tmp_path / "report.json"
+    _, out, _ = run(capsys, "verify-canonical", "--alpha", alpha,
+                       "--beta", beta, "--no-timestamp", "--lambda-nodes",
+                       "16", "--out", str(out_path))
+    rows = {c["name"]: c for c in json.loads(out_path.read_text())["checks"]}
+    assert rows["theta-criterion"] == {
+        "name": "theta-criterion", "passed": None,
+        "detail": "not applicable off the unit lattice",
+        "informational": True}
+    assert "theta-criterion              info  not applicable off the unit " \
+        "lattice" in out.splitlines()
+
+
+def test_sinc_non_finite_points_named(capsys, tmp_path):
+    # a non-finite coordinate would divide by zero in the oracle or give
+    # NaN rows; the error names the point or its line
+    for point in ("nan,0,0", "0.5,inf,0"):
+        code, _, err = run(capsys, "sinc", "--point", point)
+        assert code == 2 and err.startswith("error:") and point in err
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5,1,1\nnan,0,0\n")
+    code, _, err = run(capsys, "sinc", "--points-file", str(pts))
+    assert code == 2 and "line 2" in err and "nan,0,0" in err
+
+
+def test_config_non_ascii_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "hgs.cfg"
+    cfg.write_bytes(b"lambda_nodes 16\n\xff\n")
+    code, _, err = run(capsys, "verify-canonical", "--config", str(cfg))
+    assert code == 2 and err.startswith("error:") and "line 2" in err
 
 
 def test_sinc_outside_strip(capsys):
@@ -230,6 +270,8 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, None, ["sinc", "--point", "0.5,0.2,0.1", "--tol", "5"]),
     (None, None, ["sample", "--lambda-nodes", "256", "--bounds",
                   "1000,1000,8"]),
+    (None, None, ["verify-canonical", "--spectrum", "a,b"]),
+    (None, None, ["density", "-1,1", "inf", "1"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):

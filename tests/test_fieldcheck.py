@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgs.canonical import canonical_field
-from hgs.errors import DomainError
+from hgs.errors import DomainError, NotApplicableError
 from hgs.fieldcheck import (_suite_coefficients, _unfolded_sum,
                             coefficient_cross_orthogonality,
                             gabor_field_verdict, gram_entry,
@@ -279,6 +279,26 @@ def test_cross_orthogonality_canonical(fine):
     assert val <= 1e-6
 
 
+@pytest.mark.parametrize("spec", [SPEC, QuasiLatticeSpec(0.8, 1.25)])
+def test_cross_orthogonality_suite_matches_fields_route(fine, spec,
+                                                        monkeypatch):
+    # a suite's slices are built on the quadrature points only; the values
+    # equal those of its fields() evaluated there
+    _, e = fine
+    suite = atom_suite(e, spec, n_functions=2, n_atoms=6, box=(1, 3, 2),
+                       seed=7)
+    args = (e, SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]))
+    want = coefficient_cross_orthogonality(*args, suite.fields(),
+                                           trunc=(4, 32, 16), spec=spec)
+
+    def boom(self):
+        raise AssertionError("suite fields built on the grid")
+    monkeypatch.setattr(AtomSuite, "fields", boom)
+    got = coefficient_cross_orthogonality(*args, suite, trunc=(4, 32, 16),
+                                          spec=spec)
+    assert got == want
+
+
 def test_cross_orthogonality_empty_piece(fine):
     _, e = fine
     suite = atom_suite(e, SPEC, n_functions=1, n_atoms=3,
@@ -540,6 +560,17 @@ def test_theta_gram_duality(fine):
                 LatticeIndex(1, 0, 1), LatticeIndex(0, -1, 2)]:
         coeff, gram = theta_gram_duality(e, SPEC, idx, n_quad=32, lmax=8)
         assert coeff == pytest.approx(gram, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha,beta", [(2, 0.5), (1, 0.5), (0.5, 1),
+                                        (1, 2)])
+def test_theta_gram_duality_off_unit_lattice(coarse, alpha, beta):
+    # Theta_k translates by k, not alpha k: at (1, 0.5) and gamma =
+    # (0, -1, 0) its coefficient is 0 against a Gram entry of 0.637i
+    _, e = coarse
+    with pytest.raises(NotApplicableError, match="unit lattice"):
+        theta_gram_duality(e, QuasiLatticeSpec(alpha, beta),
+                           LatticeIndex(0, -1, 0), n_quad=8, lmax=4)
 
 
 # -- composed invariants -------------------------------------------------------

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgs import fieldcheck, gabor
+from hgs.canonical import canonical_field
 from hgs.errors import NotApplicableError
 from hgs.fieldcheck import gabor_field_verdict
 from hgs.gabor import (frame_bounds_empirical, gabor_atom,
                        norm_condition_check, painless_residual)
-from hgs.grids import FieldSample, SpectralSet, lambda_grid
+from hgs.grids import FieldSample, LambdaGrid, SpectralSet, lambda_grid
 from hgs.group import QuasiLatticeSpec
 from hgs.windows import Window
 
@@ -48,6 +52,13 @@ def test_painless_unnormalized_indicator():
     # periodization is identically 2, residual |2 - 1| = 1
     u = Window.indicator(0, 1, 1.0)
     assert painless_residual(u, SPEC11, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_painless_interior_vertex():
+    # |u|^2 = (1 - 2t)^2 covers [0, 1) once: 1 at the cell ends, 0 at the
+    # vertex t = 1/2, where the residual |0 - 1| is attained
+    u = Window.piecewise_linear([0.0, 1.0], [1.0, -1.0])
+    assert painless_residual(u, SPEC11, 1.0) == 1.0
 
 
 def test_painless_coverage_gap():
@@ -172,3 +183,127 @@ def test_gabor_field_verdict_transported_non_dyadic(alpha, beta):
     assert all(s.painless is not None for s in rep.slices)
     assert rep.passed
     assert rep.worst_residual <= 1e-12
+
+
+def test_gabor_field_verdict_canonical_builds_no_window(monkeypatch):
+    # one table call and one slice_norm2 call: no per-slice painless
+    # residual, window norm or window at all
+    e = canonical_field(lambda_grid(SpectralSet([(-1.0, 1.0)]), 64, 0.05))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-slice call")
+    monkeypatch.setattr(gabor, "painless_residual", boom)
+    monkeypatch.setattr(fieldcheck, "frame_bounds_empirical", boom)
+    monkeypatch.setattr(Window, "norm2", boom)
+    monkeypatch.setattr(Window, "__init__", boom)
+    rep = gabor_field_verdict(e, SPEC11)
+    assert rep.passed and rep.worst_residual <= 1e-12
+    assert rep.worst_norm_error == 0
+
+
+# -- the table verdict against one-slice calls on generated fields -----------
+
+_EMPIRICAL = {"trials": 1, "kmax": 1, "lmax": 4}
+
+
+def _periodization(u, spec, lam, ts, krange=40):
+    """sum_k |u(t - alpha k)|^2 / (beta |lam|) at every t, pointwise."""
+    ks = np.arange(-krange, krange + 1)
+    vals = u(np.asarray(ts)[:, None] - spec.alpha * ks[None, :])
+    return np.sum(np.abs(vals) ** 2, axis=1) / (spec.beta * abs(lam))
+
+
+def _painless_pointwise(u, spec, lam):
+    """sup_t |periodization - 1| from pointwise values: on each cell
+    between the folded piece ends the periodization is one quadratic,
+    fitted through three interior points and read at the cell ends and
+    its vertex; cells below 1e-9 are skipped."""
+    alpha = spec.alpha
+    ends = np.mod(np.concatenate([u.lo, u.hi]), alpha)
+    pts = np.unique(np.concatenate([ends, [0.0, alpha]]))
+    worst = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if b - a < 1e-9:
+            continue
+        ts = a + (b - a) * np.array([0.25, 0.5, 0.75])
+        c = np.polyfit(ts - a, _periodization(u, spec, lam, ts), 2)
+        cand = [0.0, b - a]
+        if c[0] != 0 and 0 < -c[1] / (2 * c[0]) < b - a:
+            cand.append(-c[1] / (2 * c[0]))
+        worst = max(worst, max(abs(np.polyval(c, x) - 1.0) for x in cand))
+    return worst
+
+
+_eighths = st.integers(-16, 16).map(lambda j: j / 8)
+_coefs = st.integers(-4, 4).map(lambda j: j / 2)
+
+
+@st.composite
+def _slices(draw, lam, spec):
+    """A window of one of the kinds the verdict tells apart, within the
+    support limit 1/(beta |lam|) unless it is meant to be too long."""
+    limit = 1.0 / (spec.beta * abs(lam))
+    kind = draw(st.sampled_from(["empty", "tight", "indicator", "pl",
+                                 "modulated", "long", "quadratic"]))
+    a = draw(_eighths)
+    w = min(draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])), limit)
+    if kind == "empty":
+        return Window.zero()
+    if kind == "long":
+        return Window.indicator(a, a + limit + 0.5)
+    if kind == "tight":     # Parseval when alpha <= limit
+        return Window.indicator(a, a + spec.alpha, spec.beta ** 0.5)
+    if kind == "quadratic":
+        return Window([a], [a + w], [[1.0, 0.5, 0.25]], [0.0])
+    u = Window.indicator(a, a + w, complex(draw(_coefs), draw(_coefs)))
+    if kind == "modulated":
+        return u.modulate(0.5)
+    if kind == "pl":
+        # two overlapping piecewise-linear terms plus the indicator
+        for _ in range(2):
+            breaks = sorted(draw(st.sets(st.integers(0, 8), min_size=2,
+                                         max_size=4)))
+            vals = [complex(draw(_coefs), draw(_coefs)) for _ in breaks]
+            u = u + Window.piecewise_linear(
+                a + w * np.array(breaks) / 8, vals)
+    return u
+
+
+@st.composite
+def _fields(draw):
+    spec = QuasiLatticeSpec(draw(st.sampled_from([0.5, 0.8, 1.0, 1.25, 2.0])),
+                            draw(st.sampled_from([0.5, 0.8, 1.0, 1.25])))
+    lams = sorted(draw(st.sets(st.sampled_from(
+        [-1.0, -0.5, 0.25, 0.4, 0.5, 0.75, 1.0]), min_size=1, max_size=5)))
+    windows = [draw(_slices(lam, spec)) for lam in lams]
+    grid = LambdaGrid(np.array(lams), np.ones(len(lams)), 0.25,
+                      SpectralSet([(-1.0, 1.0)]), "custom")
+    return spec, FieldSample.from_windows(grid, windows), windows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields(), st.integers(0, 2 ** 32 - 1))
+def test_gabor_field_verdict_matches_one_slice_calls_property(case, seed):
+    spec, f, windows = case
+    rep = gabor_field_verdict(f, spec, empirical_kw=_EMPIRICAL)
+    ts = np.random.default_rng(seed).uniform(0.0, spec.alpha, 64)
+    for s, w in zip(rep.slices, windows):
+        u = w.scaled(np.sqrt(abs(s.lam)))
+        assert s.norm.difference == pytest.approx(
+            norm_condition_check(w, spec, s.lam).difference, abs=1e-12)
+        try:
+            want = painless_residual(u, spec, s.lam)
+        except NotApplicableError:
+            assert s.painless is None
+            assert s.empirical == frame_bounds_empirical(u, spec, s.lam,
+                                                         **_EMPIRICAL)
+            continue
+        assert s.empirical is None
+        assert s.painless == want
+        if w.n_terms == 0:
+            assert s.painless == 1.0
+            continue
+        brute = np.max(np.abs(_periodization(u, spec, s.lam, ts) - 1.0))
+        assert s.painless >= brute - 1e-9
+        assert s.painless == pytest.approx(
+            _painless_pointwise(u, spec, s.lam), rel=1e-9, abs=1e-9)

@@ -54,6 +54,16 @@ _RANGES = {
     "tol": (lambda v: 0 <= v < math.inf, "a nonnegative finite number"),
 }
 
+# flags a command would ignore, and why; config-file keys stay accepted
+_IGNORED = {
+    "verify-canonical": (("bounds",), "its Gram check uses the box 3,3,3"),
+    "sinc": (("alpha", "beta", "bounds", "tol", "lambda_min"),
+             "it tabulates the unit-lattice kernel with the spectral "
+             "cut-off 1e-8 and checks no tolerance"),
+    "sample": (("lambda_min", "tol"), "it uses the spectral cut-off 1e-3 "
+               "and fixed acceptance bounds"),
+}
+
 
 def _load_config(path):
     """key value lines, same shape as the field file header records."""
@@ -94,6 +104,11 @@ def _resolve(args, config):
     for key, (ok, want) in _RANGES.items():
         if not ok(merged[key]):
             raise HgsError(f"bad {key} {merged[key]!r}; expected {want}")
+    keys, why = _IGNORED[args.command]
+    for key in keys:
+        if getattr(args, key) is not None:
+            raise HgsError(f"--{key.replace('_', '-')} does not apply to "
+                           f"{args.command}: {why}")
     return merged
 
 
@@ -232,12 +247,6 @@ def cmd_verify_canonical(args):
 
 def cmd_sinc(args):
     cfg = _resolve(args, _load_config(args.config) if args.config else {})
-    for key in ("alpha", "beta", "bounds", "tol", "lambda_min"):
-        if getattr(args, key) is not None:
-            raise HgsError(f"--{key.replace('_', '-')} does not apply to "
-                           "sinc: it tabulates the unit-lattice kernel with "
-                           "the spectral cut-off 1e-8 and checks no "
-                           "tolerance")
     if args.random is not None and args.random < 0:
         raise HgsError(f"bad --random {args.random}; expected a "
                        "nonnegative point count")
@@ -451,21 +460,16 @@ def main(argv=None):
         return cmd_density(argv[1:])
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(argv))
+    command = {"verify-canonical": cmd_verify_canonical, "sinc": cmd_sinc,
+               "sample": cmd_sample}[args.command]
     try:
-        if args.command == "verify-canonical":
-            return cmd_verify_canonical(args)
-        if args.command == "sinc":
-            return cmd_sinc(args)
-        if args.command == "sample":
-            return cmd_sample(args)
-    except HgsError as exc:
+        return command(args)
+    except (HgsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
-from .grids import (FieldSample, SpectralSet, _blocks, _concat,
-                    _cross_join, field_inner, field_sum, point_grid)
+from .grids import (FieldSample, SpectralSet, _concat, _cross_join,
+                    _node_table, _overlap_shifts, field_inner, field_sum,
+                    point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec
 from .testfields import AtomSuite
 from .windows import (_ranges, affine_terms, paired_inner_sweep,
@@ -135,63 +136,6 @@ def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
 
 # ---------------------------------------------------------------------------
 # lattice coefficient sweeps (shared by Parseval residual and sampling)
-
-
-def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
-                kmax: int, lmax: int):
-    """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
-    beta l t} g_n(t - alpha k)> for |l| <= lmax and the translations
-    |k| <= kmax at which some pair of cells overlaps.  Returns (live_k, H)
-    with live_k the ascending k + kmax of those translations.
-
-    Every same-node pair of an f term and a g term is expanded over only
-    the translations k at which their cells can overlap (_overlap_shifts),
-    and the overlapping (pair, k) rows are evaluated in blocks.  The
-    modulation sweep shares the overlap geometry across all l, so the cost
-    is one closed-form moment evaluation per live (pair, k, l).
-    """
-    grid = g.grid
-    if not grid.same_as(f.grid):
-        raise DomainError("test field lives on a different grid")
-    ls = np.arange(-lmax, lmax + 1)
-    ia, ib, node = _cross_join(f._starts, g._starts)
-    rep, k = _overlap_shifts(f.term_lo[ia], f.term_hi[ia],
-                             g.term_lo[ib], g.term_hi[ib], spec.alpha, kmax)
-    # k-major rows, pairs in node-major order within each k
-    perm = np.argsort(k, kind="stable")
-    rep, k = rep[perm], k[perm]
-    ia, ib, node = ia[rep], ib[rep], node[rep]
-    shift = spec.alpha * k
-    g_lo = g.term_lo[ib] + shift
-    g_hi = g.term_hi[ib] + shift
-    live = (np.minimum(f.term_hi[ia], g_hi)
-            > np.maximum(f.term_lo[ia], g_lo))
-    ia, ib, node, shift, g_lo, g_hi = (
-        x[live] for x in (ia, ib, node, shift, g_lo, g_hi))
-    kidx = k[live].astype(np.int64) + kmax
-    live_k = np.unique(kidx)
-    # accumulator row of every (k, node) with a live pair
-    slot = np.searchsorted(live_k, kidx) * grid.n + node
-    H = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
-    # blocks end at slot boundaries, so each slot sums in one segment
-    per_slot = np.bincount(slot, minlength=H.shape[0])
-    bounds = np.concatenate([[0], np.cumsum(per_slot)])
-    f_mid = f.term_mid()
-    for j0, j1 in _blocks(per_slot * ls.size):
-        s, e = bounds[j0], bounds[j1]
-        a, b = ia[s:e], ib[s:e]
-        lo, hi = g_lo[s:e], g_hi[s:e]
-        coef = g.term_coef[b] * np.exp(
-            -1j * _TWO_PI * g.term_freq[b] * shift[s:e])[:, None]
-        df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
-        vals = paired_inner_sweep(
-            f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],
-            f.term_freq[a], lo, hi, 0.5 * (lo + hi), coef,
-            g.term_freq[b], df)
-        sl = slot[s:e]
-        seg = np.flatnonzero(np.diff(sl, prepend=-1))
-        H[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
-    return live_k, H.reshape(live_k.size, grid.n, ls.size)
 
 
 def _m_phase(grid, mmax: int) -> np.ndarray:
@@ -336,12 +280,11 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
 # two-slice orthogonality condition
 
 
-def _shift_pairs(f: FieldSample, g: FieldSample, shifts: np.ndarray):
-    """Pair every term of f with every term of T_s g at the same point, for
-    every shift s; f and g hold one slice per point of a common point grid.
-    Returns the segment p * S + s of every pair (S shifts), pairs ordered
-    by segment, then by f term and g term, and the paired term arrays in
-    the argument layout of paired_inner_sweep."""
+def _unfolded_products(f: FieldSample, g: FieldSample, c: np.ndarray,
+                       shifts: np.ndarray):
+    """Terms (lo, hi, coef, freq) of (f_p * conj(T_s g_p))(t / c_p) for
+    every point p of the common point grid of f and g and every shift s,
+    ordered by (p, s), and the starts of those segments."""
     ia, ib, node = _cross_join(f._starts, g._starts)
     per_point = np.bincount(node, minlength=f.grid.n)
     first = np.cumsum(per_point) - per_point
@@ -351,31 +294,13 @@ def _shift_pairs(f: FieldSample, g: FieldSample, shifts: np.ndarray):
     dt = shifts[seg % shifts.size]
     phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * dt)
     lo, hi = g.term_lo[ib] + dt, g.term_hi[ib] + dt
-    return seg, (f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia],
-                 f.term_coef[ia], f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
-                 g.term_coef[ib] * phase[:, None], g.term_freq[ib])
-
-
-def _unfolded_products(f: FieldSample, g: FieldSample, c: np.ndarray,
-                       shifts: np.ndarray):
-    """Terms (lo, hi, coef, freq) of (f_p * conj(T_s g_p))(t / c_p) for
-    every point p and shift s, ordered by (p, s), and the starts of those
-    segments."""
-    seg, pairs = _shift_pairs(f, g, shifts)
-    live, *prod = product_conj_terms(*pairs)
+    live, *prod = product_conj_terms(
+        f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia], f.term_coef[ia],
+        f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
+        g.term_coef[ib] * phase[:, None], g.term_freq[ib])
     seg = seg[live]
     starts = np.searchsorted(seg, np.arange(c.size * shifts.size + 1))
     return affine_terms(*prod, c[seg // shifts.size]), starts
-
-
-def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
-    """Expand paired cells over the integers n, |n| <= nmax, at which
-    [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
-    each end whose exact-zero term guards against rounding.  Returns the
-    pair index and the n of every row: pairs in order, n ascending."""
-    n_lo = np.maximum(np.floor((lo1 - hi2) / step), -nmax)
-    n_hi = np.minimum(np.ceil((hi1 - lo2) / step), nmax)
-    return _ranges(n_lo, np.maximum(n_hi - n_lo + 1, 0))
 
 
 def _unfolded_sum(f1: FieldSample, g1: FieldSample, c1, f2: FieldSample,
@@ -445,11 +370,11 @@ def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
     shifts = spec.alpha * np.arange(-kmax, kmax + 1, dtype=float)
     if method == "exact":
         return complex(_unfolded_sum(*slices[0], *slices[1], shifts)[0])
-    ls = np.arange(-lmax, lmax + 1)
-    # <f, exp(-2 pi i c l t) T_s g> per (shift, l), summed over term pairs
-    a, b = (paired_inner_sweep(*_shift_pairs(fp, gp, shifts)[1], -c * ls)
-            .reshape(shifts.size, fp.n_terms * gp.n_terms, ls.size)
-            .sum(axis=1) for fp, gp, c in slices)
+    # <f, exp(-2 pi i c l t) T_{alpha k} g> on the dense (k, l) box
+    a, b = np.zeros((2, 2 * kmax + 1, 2 * lmax + 1), dtype=complex)
+    for dense, (fp, gp, _) in zip((a, b), slices):
+        live_k, H = _node_table(fp, gp, spec, kmax, lmax)
+        dense[live_k] = H[:, 0]
     return complex(np.sum(a * np.conj(b)))
 
 

@@ -8,8 +8,8 @@ parameter lam consists of the atoms
 When u is supported on an interval no longer than 1/(beta |lam|), the frame
 operator is multiplication by the periodization of |u|^2, which makes the
 Parseval property an exact, finitely checkable identity (the painless
-criterion).  An empirical frame-bound estimator covers windows outside that
-regime.
+criterion).  Outside that regime, frame_bounds_empirical estimates the
+bounds from one grids._node_table call over seeded test functions.
 
 The painless criterion is evaluated for every slice of a term table at
 once: |u|^2 comes as quadratics on the cells cut by the term ends, those
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotApplicableError
+from .grids import FieldSample, SpectralSet, _node_table, point_grid
 from .group import QuasiLatticeSpec
 from .windows import Window, _cover_sums, _modulus_cells, _ranges
 
@@ -112,21 +113,21 @@ def painless_residual(u: Window, spec: QuasiLatticeSpec, lam: float) -> float:
     return float(res[0])
 
 
-def _random_test_function(rng, interval, n_breaks=9):
-    """Seeded continuous piecewise-linear function vanishing at the ends of
-    the given interval; regenerated if it degenerates to zero."""
-    a, b = interval
-    for _ in range(100):
+def _random_test_functions(rng, interval, count, n_breaks=9):
+    """count seeded continuous piecewise-linear functions vanishing at the
+    ends of the given interval; a draw whose breaks collide is redrawn."""
+    out = []
+    for _ in range(100 * count):
         breaks = np.sort(np.concatenate(
-            [[a, b], rng.uniform(a, b, n_breaks - 2)]))
+            [interval, rng.uniform(*interval, n_breaks - 2)]))
         if np.any(np.diff(breaks) <= 0):
             continue
         vals = rng.normal(size=n_breaks) + 1j * rng.normal(size=n_breaks)
         vals[0] = vals[-1] = 0.0
-        w = Window.piecewise_linear(breaks, vals)
-        if w.norm2() > 1e-12:
-            return w
-    raise RuntimeError("could not generate a nonzero test function")
+        out.append(Window.piecewise_linear(breaks, vals))
+        if len(out) == count:
+            return out
+    raise RuntimeError("could not generate a test function")
 
 
 def frame_bounds_empirical(u: Window, spec: QuasiLatticeSpec, lam: float,
@@ -136,24 +137,28 @@ def frame_bounds_empirical(u: Window, spec: QuasiLatticeSpec, lam: float,
 
     Returns (A_est, B_est) = min/max over trials of
     sum_{|k|<=kmax, |l|<=lmax} |<f, u_{k,l}>|^2 / ||f||^2.
+
+    The trials sit at the nodes of a point grid that repeats lam, with u at
+    every node: one _node_table call gives every <f, u_{k,l}>, and cumsum
+    adds the live translations strictly in order.  A trial of squared norm
+    <= 1e-12 (a support about that short) raises RuntimeError.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     if u.n_terms == 0 or u.norm2() == 0.0:
         return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    interval = u.support()
-    ls = np.arange(-lmax, lmax + 1)
-    ratios = []
-    for _ in range(trials):
-        f = _random_test_function(rng, interval)
-        total = 0.0
-        for k in range(-kmax, kmax + 1):
-            shifted = u.translate(spec.alpha * k)
-            coeffs = f.inner_freq_sweep(shifted, -lam * spec.beta * ls)
-            total += float(np.sum(np.abs(coeffs) ** 2))
-        ratios.append(total / f.norm2())
-    return min(ratios), max(ratios)
+    grid = point_grid(np.full(trials, float(lam)), SpectralSet([]))
+    f = FieldSample.from_windows(grid, _random_test_functions(
+        np.random.default_rng(seed), u.support(), trials))
+    norms = f.slice_norm2()
+    if np.any(norms <= 1e-12):
+        raise RuntimeError("could not generate a nonzero test function")
+    _, H = _node_table(f, FieldSample.from_windows(grid, [u] * trials),
+                       spec, kmax, lmax)
+    per_k = np.sum(np.abs(H) ** 2, axis=2)
+    total = np.cumsum(per_k, axis=0)[-1] if per_k.size else 0.0
+    ratios = total / norms
+    return float(ratios.min()), float(ratios.max())
 
 
 @dataclass(frozen=True)

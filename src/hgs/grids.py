@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, EmptyGridError, FieldFormatError,
                      GridMismatchError, WindowStructureError)
+from .group import QuasiLatticeSpec
 from .windows import MAX_DEGREE, Window, _ranges, paired_inner_sweep
 
 _TWO_PI = 2.0 * math.pi
@@ -66,9 +67,6 @@ class SpectralSet:
         for a, b in self.intervals:
             total += 0.5 * (b * abs(b) - a * abs(a))
         return total
-
-    def total_length(self):
-        return sum(b - a for a, b in self.intervals)
 
     def bounds(self):
         if not self.intervals:
@@ -516,6 +514,73 @@ def _blocks(weights):
         stop = max(stop, start + 1)
         yield start, stop
         start = stop
+
+
+def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
+    """Expand paired cells over the integers n, |n| <= nmax, at which
+    [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
+    each end whose exact-zero term guards against rounding.  Returns the
+    pair index and the n of every row: pairs in order, n ascending."""
+    n_lo = np.maximum(np.floor((lo1 - hi2) / step), -nmax)
+    n_hi = np.minimum(np.ceil((hi1 - lo2) / step), nmax)
+    return _ranges(n_lo, np.maximum(n_hi - n_lo + 1, 0))
+
+
+def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
+                kmax: int, lmax: int):
+    """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
+    beta l t} g_n(t - alpha k)> for |l| <= lmax and the translations
+    |k| <= kmax at which some pair of cells overlaps.  Returns (live_k, H)
+    with live_k the ascending k + kmax of those translations.
+
+    Every same-node pair of an f term and a g term is expanded over only
+    the translations k at which their cells can overlap (_overlap_shifts),
+    and the overlapping (pair, k) rows are evaluated in blocks.  The
+    modulation sweep shares the overlap geometry across all l, so the cost
+    is one closed-form moment evaluation per live (pair, k, l).
+    """
+    grid = g.grid
+    if not grid.same_as(f.grid):
+        raise DomainError("test field lives on a different grid")
+    ls = np.arange(-lmax, lmax + 1)
+    ia, ib, node = _cross_join(f._starts, g._starts)
+    rep, k = _overlap_shifts(f.term_lo[ia], f.term_hi[ia],
+                             g.term_lo[ib], g.term_hi[ib], spec.alpha, kmax)
+    # k-major rows, pairs in node-major order within each k
+    perm = np.argsort(k, kind="stable")
+    rep, k = rep[perm], k[perm]
+    ia, ib, node = ia[rep], ib[rep], node[rep]
+    shift = spec.alpha * k
+    g_lo = g.term_lo[ib] + shift
+    g_hi = g.term_hi[ib] + shift
+    live = (np.minimum(f.term_hi[ia], g_hi)
+            > np.maximum(f.term_lo[ia], g_lo))
+    ia, ib, node, shift, g_lo, g_hi = (
+        x[live] for x in (ia, ib, node, shift, g_lo, g_hi))
+    kidx = k[live].astype(np.int64) + kmax
+    live_k = np.unique(kidx)
+    # accumulator row of every (k, node) with a live pair
+    slot = np.searchsorted(live_k, kidx) * grid.n + node
+    H = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
+    # blocks end at slot boundaries, so each slot sums in one segment
+    per_slot = np.bincount(slot, minlength=H.shape[0])
+    bounds = np.concatenate([[0], np.cumsum(per_slot)])
+    f_mid = f.term_mid()
+    for j0, j1 in _blocks(per_slot * ls.size):
+        s, e = bounds[j0], bounds[j1]
+        a, b = ia[s:e], ib[s:e]
+        lo, hi = g_lo[s:e], g_hi[s:e]
+        coef = g.term_coef[b] * np.exp(
+            -1j * _TWO_PI * g.term_freq[b] * shift[s:e])[:, None]
+        df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
+        vals = paired_inner_sweep(
+            f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],
+            f.term_freq[a], lo, hi, 0.5 * (lo + hi), coef,
+            g.term_freq[b], df)
+        sl = slot[s:e]
+        seg = np.flatnonzero(np.diff(sl, prepend=-1))
+        H[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
+    return live_k, H.reshape(live_k.size, grid.n, ls.size)
 
 
 def _overlap_join(f: FieldSample, g: FieldSample):

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FieldFormatError
-from .fieldcheck import _node_table, lattice_coefficients
-from .grids import FieldSample, SpectralSet, field_inner, plancherel_measure
+from .fieldcheck import lattice_coefficients
+from .grids import (FieldSample, SpectralSet, _node_table, field_inner,
+                    plancherel_measure)
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec
 
 _TWO_PI = 2.0 * math.pi

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -272,6 +273,11 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
                   "1000,1000,8"]),
     (None, None, ["verify-canonical", "--spectrum", "a,b"]),
     (None, None, ["density", "-1,1", "inf", "1"]),
+    (None, None, ["sample", "--lambda-nodes", "256", "--lambda-min", "0.3"]),
+    (None, None, ["sample", "--lambda-nodes", "256", "--tol", "7"]),
+    (None, None, ["verify-canonical", "--lambda-nodes", "16", "--bounds",
+                  "9,9,9"]),
+    (None, None, ["verify-canonical", "--lambda-nodes", "1000000000000"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):
@@ -285,5 +291,22 @@ def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
         cfg = tmp_path / "hgs.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
-    code, _, err = run(capsys, *argv)
+    # an address-space cap of at most 1 TiB makes an impossible allocation
+    # fail at once whatever the host's overcommit policy
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 40 if soft == resource.RLIM_INFINITY else min(soft, 1 << 40)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code, _, err = run(capsys, *argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     assert code == 2 and err.startswith("error:")
+
+
+def test_ignored_keys_accepted_from_config(capsys, tmp_path):
+    # a config file shared by all commands may hold keys one command ignores
+    cfg = tmp_path / "hgs.cfg"
+    cfg.write_text("lambda_nodes 16\nbounds 9,9,9\n")
+    code, _, _ = run(capsys, "verify-canonical", "--no-timestamp",
+                     "--config", str(cfg))
+    assert code == 0

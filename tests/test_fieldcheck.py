@@ -259,6 +259,36 @@ def test_orthogonality_truncated_converges_to_exact():
     assert abs(t2 - exact) < 5e-3
 
 
+def _reference_truncated(g, f, lam, kmax, lmax, spec):
+    """The truncated double sum with every term pair expanded over every
+    translation: one inner_freq_sweep per slice and k."""
+    ls = np.arange(-lmax, lmax + 1)
+    sides = []
+    for mu in (lam - 1.0, lam):
+        fw, gw = f.slice_at(mu), g.slice_at(mu)
+        sides.append(np.array([
+            fw.inner_freq_sweep(gw.translate(spec.alpha * k),
+                                -mu * spec.beta * ls)
+            for k in range(-kmax, kmax + 1)]))
+    return complex(np.sum(sides[0] * np.conj(sides[1])))
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.75, 1.0),
+                                        (0.75, 1.25)])
+def test_orthogonality_truncated_matches_full_pair_sum(coarse, alpha, beta):
+    grid, _ = coarse
+    spec = QuasiLatticeSpec(alpha, beta)
+    # two frequencies per slice, so the phases of the translates matter
+    g = random_pl_field(grid, seed=3) + translate_field(
+        random_pl_field(grid, seed=4), 1, 2, 0, spec)
+    f = random_pl_field(grid, seed=5)
+    for lam in (0.3, 0.55, 0.9):
+        got = orthogonality_residual(g, f, lam, kmax=6, lmax=24, spec=spec,
+                                     method="truncated")
+        assert got == pytest.approx(
+            _reference_truncated(g, f, lam, 6, 24, spec), rel=1e-12, abs=0)
+
+
 def test_orthogonality_missing_slice_error(coarse):
     grid, e = coarse
     f = random_pl_field(lambda_grid(SpectralSet([(0.4, 0.9)]), 8, 0.05),

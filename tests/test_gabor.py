@@ -11,6 +11,7 @@ from hgs.gabor import (frame_bounds_empirical, gabor_atom,
                        norm_condition_check, painless_residual)
 from hgs.grids import FieldSample, LambdaGrid, SpectralSet, lambda_grid
 from hgs.group import QuasiLatticeSpec
+from hgs.testfields import random_pl_field
 from hgs.windows import Window
 
 SPEC11 = QuasiLatticeSpec(1, 1)
@@ -22,12 +23,11 @@ def canonical_window(lam):
     return Window.indicator(-1.0, 0.0, 1.0)
 
 
-def brute_periodization(u, spec, lam, t, krange=40):
-    """Independent oracle: direct pointwise sum of |u(t - alpha k)|^2."""
-    total = 0.0
-    for k in range(-krange, krange + 1):
-        total += abs(u(t - spec.alpha * k)) ** 2
-    return total / (spec.beta * abs(lam))
+def _periodization(u, spec, lam, ts, krange=40):
+    """sum_k |u(t - alpha k)|^2 / (beta |lam|) at every t, pointwise."""
+    ks = np.arange(-krange, krange + 1)
+    vals = u(np.asarray(ts)[:, None] - spec.alpha * ks[None, :])
+    return np.sum(np.abs(vals) ** 2, axis=1) / (spec.beta * abs(lam))
 
 
 def test_gabor_atom_identity_and_norm():
@@ -91,10 +91,48 @@ def test_painless_matches_brute_periodization():
         u = Window.piecewise_linear(breaks, vals)
         res = painless_residual(u, spec, lam)
         ts = rng.uniform(0, 1, 200)
-        brute = max(abs(brute_periodization(u, spec, lam, t) - 1.0)
-                    for t in ts)
+        brute = np.max(np.abs(_periodization(u, spec, lam, ts) - 1.0))
         assert res >= brute - 1e-9
         assert res <= brute + 0.75  # sup can exceed a finite scan
+
+
+def _reference_frame_bounds(u, spec, lam, trials=8, kmax=8, lmax=64,
+                            seed=gabor.DEFAULT_SEED):
+    """The frame sums as a loop over trials and translations, one
+    inner_freq_sweep per (trial, k), over the same seeded test functions."""
+    if u.n_terms == 0 or u.norm2() == 0.0:
+        return 0.0, 0.0
+    rng = np.random.default_rng(seed)
+    a, b = u.support()
+    ls = np.arange(-lmax, lmax + 1)
+    ratios = []
+    while len(ratios) < trials:
+        breaks = np.sort(np.concatenate([[a, b], rng.uniform(a, b, 7)]))
+        if np.any(np.diff(breaks) <= 0):
+            continue
+        vals = rng.normal(size=9) + 1j * rng.normal(size=9)
+        vals[0] = vals[-1] = 0.0
+        f = Window.piecewise_linear(breaks, vals)
+        if f.norm2() <= 1e-12:
+            continue
+        total = 0.0
+        for k in range(-kmax, kmax + 1):
+            coeffs = f.inner_freq_sweep(u.translate(spec.alpha * k),
+                                        -lam * spec.beta * ls)
+            total += float(np.sum(np.abs(coeffs) ** 2))
+        ratios.append(total / f.norm2())
+    return min(ratios), max(ratios)
+
+
+def test_frame_bounds_match_translation_loop_at_defaults():
+    # the fallback slices of a random piecewise-linear field, at the
+    # verdict's default truncation
+    g = random_pl_field(lambda_grid(SpectralSet([(-1.0, 1.0)]), 64, 0.05), 0)
+    for i in (0, 17, 40, 63):
+        u, lam = g.slice(i), g.grid.nodes[i]
+        for spec in (SPEC11, QuasiLatticeSpec(0.8, 1.25)):
+            assert frame_bounds_empirical(u, spec, lam) == pytest.approx(
+                _reference_frame_bounds(u, spec, lam), rel=1e-13, abs=0)
 
 
 def test_frame_bounds_canonical_near_one():
@@ -106,6 +144,12 @@ def test_frame_bounds_canonical_near_one():
 
 def test_frame_bounds_zero_window():
     assert frame_bounds_empirical(Window.zero(), SPEC11, 0.5) == (0.0, 0.0)
+
+
+def test_frame_bounds_degenerate_support_raises():
+    # every test function on a support this short has a negligible norm
+    with pytest.raises(RuntimeError):
+        frame_bounds_empirical(Window.indicator(0.0, 1e-13), SPEC11, 0.5)
 
 
 def test_frame_bounds_monotone_in_truncation():
@@ -206,13 +250,6 @@ def test_gabor_field_verdict_canonical_builds_no_window(monkeypatch):
 _EMPIRICAL = {"trials": 1, "kmax": 1, "lmax": 4}
 
 
-def _periodization(u, spec, lam, ts, krange=40):
-    """sum_k |u(t - alpha k)|^2 / (beta |lam|) at every t, pointwise."""
-    ks = np.arange(-krange, krange + 1)
-    vals = u(np.asarray(ts)[:, None] - spec.alpha * ks[None, :])
-    return np.sum(np.abs(vals) ** 2, axis=1) / (spec.beta * abs(lam))
-
-
 def _painless_pointwise(u, spec, lam):
     """sup_t |periodization - 1| from pointwise values: on each cell
     between the folded piece ends the periodization is one quadratic,
@@ -307,3 +344,45 @@ def test_gabor_field_verdict_matches_one_slice_calls_property(case, seed):
         assert s.painless >= brute - 1e-9
         assert s.painless == pytest.approx(
             _painless_pointwise(u, spec, s.lam), rel=1e-9, abs=1e-9)
+
+
+# -- frame bounds on generated windows ---------------------------------------
+
+@st.composite
+def _frame_windows(draw, lam, spec):
+    """An empty, indicator, overlapping piecewise-linear, modulated or
+    over-long window.  The modulated one carries two frequencies and may
+    be longer than alpha, so the phases of its translates matter."""
+    kind = draw(st.sampled_from(["empty", "indicator", "pl", "modulated",
+                                 "long"]))
+    a = draw(_eighths)
+    if kind == "empty":
+        return Window.zero()
+    if kind == "long":
+        return Window.indicator(a, a + 1.0 / (spec.beta * abs(lam)) + 0.5)
+    w = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    u = Window.indicator(a, a + w, complex(draw(_coefs), draw(_coefs)))
+    if kind == "indicator":
+        return u
+    breaks = sorted(draw(st.sets(st.integers(0, 8), min_size=2, max_size=4)))
+    pl = Window.piecewise_linear(a + w * np.array(breaks) / 8,
+                                 [complex(draw(_coefs), draw(_coefs))
+                                  for _ in breaks])
+    if kind == "modulated":
+        return u + pl.modulate(draw(st.sampled_from([0.5, -1.25, 2.0])))
+    return u + pl
+
+
+_DENSITIES = st.sampled_from([0.5, 0.8, 1.0, 1.25])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DENSITIES, _DENSITIES,
+       st.sampled_from([-1.0, -0.45, 0.3, 0.75, 1.0]), st.data())
+def test_frame_bounds_match_translation_loop_property(alpha, beta, lam, data):
+    spec = QuasiLatticeSpec(alpha, beta)
+    u = data.draw(_frame_windows(lam, spec))
+    kw = {"trials": 2, "kmax": 3, "lmax": 6,
+          "seed": data.draw(st.integers(0, 2 ** 32 - 1))}
+    assert frame_bounds_empirical(u, spec, lam, **kw) == pytest.approx(
+        _reference_frame_bounds(u, spec, lam, **kw), rel=1e-13, abs=0)

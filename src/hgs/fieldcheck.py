@@ -21,13 +21,12 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
-from .grids import (FieldSample, SpectralSet, _concat, _cross_join,
-                    _node_table, _overlap_shifts, field_inner, field_sum,
-                    point_grid)
-from .group import LatticeIndex, QuasiLatticeSpec
+from .grids import (FieldSample, SpectralSet, _concat, _node_table,
+                    _overlap_shifts, field_inner, field_sum, point_grid)
+from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
-from .windows import (_ranges, affine_terms, paired_inner_sweep,
-                      product_conj_terms)
+from .windows import (_cross_join, _ranges, affine_terms,
+                      paired_inner_sweep, product_conj_terms)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -155,6 +154,7 @@ def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
     modulation sweep; the phase sum over m is a dense matrix product per
     translation with a live pair.
     """
+    _check_bounds(kmax, lmax, mmax)
     wphase = _m_phase(g.grid, mmax)
     out = np.zeros((len(fields), 2 * kmax + 1, 2 * lmax + 1, 2 * mmax + 1),
                    dtype=complex)
@@ -260,6 +260,7 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
     concentrated in the box the residual is bounded by quadrature noise
     plus the energy the box misses.
     """
+    _check_bounds(kmax, lmax, mmax)
     if isinstance(testfns, AtomSuite) and testfns.spec == spec:
         coeffs, norms = _suite_coefficients(testfns, g, spec,
                                             kmax, lmax, mmax)
@@ -280,54 +281,51 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
 # two-slice orthogonality condition
 
 
-def _unfolded_products(f: FieldSample, g: FieldSample, c: np.ndarray,
-                       shifts: np.ndarray):
-    """Terms (lo, hi, coef, freq) of (f_p * conj(T_s g_p))(t / c_p) for
-    every point p of the common point grid of f and g and every shift s,
-    ordered by (p, s), and the starts of those segments."""
-    ia, ib, node = _cross_join(f._starts, g._starts)
-    per_point = np.bincount(node, minlength=f.grid.n)
-    first = np.cumsum(per_point) - per_point
-    seg, pair = _ranges(np.repeat(first, shifts.size),
-                        np.repeat(per_point, shifts.size))
-    ia, ib = ia[pair], ib[pair]
-    dt = shifts[seg % shifts.size]
-    phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * dt)
-    lo, hi = g.term_lo[ib] + dt, g.term_hi[ib] + dt
-    live, *prod = product_conj_terms(
-        f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia], f.term_coef[ia],
-        f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
-        g.term_coef[ib] * phase[:, None], g.term_freq[ib])
-    seg = seg[live]
-    starts = np.searchsorted(seg, np.arange(c.size * shifts.size + 1))
-    return affine_terms(*prod, c[seg // shifts.size]), starts
+def _unfolded_sum(f: FieldSample, g: FieldSample, c, shifts) -> np.ndarray:
+    """Per point p < P of the common grid of 2P points of f and g, paired
+    with point q = P + p:
 
+        sum_s sum_{n in Z} <(f_p conj T_s g_p)(./c_p),
+                            T_n (f_q conj T_s g_q)(./c_q)> / |c_p c_q|,
 
-def _unfolded_sum(f1: FieldSample, g1: FieldSample, c1, f2: FieldSample,
-                  g2: FieldSample, c2, shifts) -> np.ndarray:
-    """Per point p of the common point grid of f1, g1, f2 and g2:
-
-        sum_s sum_{n in Z} <(f1_p conj T_s g1_p)(./c1_p),
-                            T_n (f2_p conj T_s g2_p)(./c2_p)> / |c1_p c2_p|,
-
-    with T_s the translation by s; an array over the points.
+    with T_s the translation by s and c of length 2P; an array over the P
+    points.
 
     The periodization behind the two-slice orthogonality condition and the
     coefficient cross-orthogonality: after the unfolding substitution a
     modulation sum over the frequencies c*l, l in Z, is a sum of integer-
     frequency Fourier coefficients, so it collapses to overlap integrals
-    over integer shifts n.  Product terms that share a point and a shift
-    are paired, each pair is expanded over the n at which its cells can
+    over integer shifts n.  The product terms of all 2P points and shifts
+    are built in one pass, the terms of (p, s) are paired with those of
+    (P + p, s), each pair is expanded over the n at which its cells can
     overlap, and all of them are evaluated in one sweep.
     """
     shifts = np.asarray(shifts, dtype=float)
-    c1, c2 = np.atleast_1d(c1).astype(float), np.atleast_1d(c2).astype(float)
-    q1, starts1 = _unfolded_products(f1, g1, c1, shifts)
-    q2, starts2 = _unfolded_products(f2, g2, c2, shifts)
-    ia, ib, seg = _cross_join(starts1, starts2)
-    rep, n = _overlap_shifts(q1[0][ia], q1[1][ia], q2[0][ib], q2[1][ib])
-    lo1, hi1, coef1, freq1 = (x[ia[rep]] for x in q1)
-    lo2, hi2, coef2, freq2 = (x[ib[rep]] for x in q2)
+    c = np.asarray(c, dtype=float)
+    S, P = shifts.size, c.size // 2
+    # the (point, shift, term pair) rows in (point, shift) order, kept only
+    # where the cells overlap (product_conj_terms' test) before any
+    # coefficient is gathered
+    ia, ib, node = _cross_join(f._starts, g._starts)
+    per_point = np.bincount(node, minlength=c.size)
+    first = np.cumsum(per_point) - per_point
+    seg, pair = _ranges(np.repeat(first, S), np.repeat(per_point, S))
+    ia, ib, dt = ia[pair], ib[pair], shifts[seg % S]
+    lo, hi = g.term_lo[ib] + dt, g.term_hi[ib] + dt
+    live = np.minimum(f.term_hi[ia], hi) > np.maximum(f.term_lo[ia], lo)
+    seg, ia, ib, dt, lo, hi = (x[live] for x in (seg, ia, ib, dt, lo, hi))
+    phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * dt)
+    _, *prod = product_conj_terms(
+        f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia], f.term_coef[ia],
+        f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
+        g.term_coef[ib] * phase[:, None], g.term_freq[ib])
+    terms = affine_terms(*prod, c[seg // S])
+    starts = np.searchsorted(seg, np.arange(c.size * S + 1))
+    ia, ib, seg = _cross_join(starts[:P * S + 1], starts[P * S:])
+    rep, n = _overlap_shifts(terms[0][ia], terms[1][ia], terms[0][ib],
+                             terms[1][ib])
+    lo1, hi1, coef1, freq1 = (x[ia[rep]] for x in terms)
+    lo2, hi2, coef2, freq2 = (x[ib[rep]] for x in terms)
     lo2, hi2 = lo2 + n, hi2 + n
     coef2 = coef2 * np.exp(-1j * _TWO_PI * freq2 * n)[:, None]
     vals = paired_inner_sweep(lo1, hi1, 0.5 * (lo1 + hi1), coef1, freq1,
@@ -335,47 +333,32 @@ def _unfolded_sum(f1: FieldSample, g1: FieldSample, c1, f2: FieldSample,
                               np.zeros(1))
     # rows come point by point; one np.sum per point keeps numpy's pairwise
     # order, so every value equals that of a one-point call bit for bit
-    bounds = np.searchsorted(seg[rep] // shifts.size,
-                             np.arange(c1.size + 1))
+    bounds = np.searchsorted(seg[rep] // S, np.arange(P + 1))
     sums = np.array([np.sum(vals[a:b]) for a, b
                      in zip(bounds[:-1], bounds[1:])], dtype=complex)
-    scale = np.abs(c1 * c2)
-    out = np.empty(c1.size, dtype=complex)
+    scale = np.abs(c[:P] * c[P:])
+    out = np.empty(P, dtype=complex)
     out.real, out.imag = sums.real / scale, sums.imag / scale
     return out
 
 
 def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
-                           kmax: int = 8, lmax: int = 64,
-                           spec: QuasiLatticeSpec = SPEC_UNIT,
-                           method: str = "exact") -> complex:
+                           kmax: int = 8,
+                           spec: QuasiLatticeSpec = SPEC_UNIT) -> complex:
     """sum_{k,l} <f(lam-1), (T_{k,l,0} g)(lam-1)> conj(<f(lam), (T_{k,l,0} g)(lam)>).
 
-    method="exact" evaluates the modulation sum in closed form with
-    _unfolded_sum at one point: the l-sum over all of Z equals a finite sum
-    of overlap integrals over integer shifts.  The k-sum is exactly finite
-    once kmax covers the support spread.  method="truncated" performs the
-    literal double sum over |l| <= lmax for convergence studies.
+    The modulation sum is evaluated in closed form by one _unfolded_sum
+    call that pairs the slices at lam - 1 and at lam: the l-sum over all of
+    Z equals a finite sum of overlap integrals over integer shifts.  The
+    k-sum is exactly finite once kmax covers the support spread.
     """
-    if not 0 < lam <= 1:
-        raise DomainError("lam must lie in (0, 1]")
-    if method not in ("exact", "truncated"):
-        raise DomainError(f"unknown method {method!r}")
-    c1 = (lam - 1.0) * spec.beta
-    c2 = lam * spec.beta
-    if c1 == 0.0:
-        raise DomainError("degenerate unfolding at lam = 1")
-    slices = [(f.slices_at([mu]), g.slices_at([mu]), c)
-              for mu, c in ((lam - 1.0, c1), (lam, c2))]
+    if not 0 < lam < 1:
+        raise DomainError("lam must lie in (0, 1)")
+    _check_bounds(kmax)
+    mus = [lam - 1.0, lam]
     shifts = spec.alpha * np.arange(-kmax, kmax + 1, dtype=float)
-    if method == "exact":
-        return complex(_unfolded_sum(*slices[0], *slices[1], shifts)[0])
-    # <f, exp(-2 pi i c l t) T_{alpha k} g> on the dense (k, l) box
-    a, b = np.zeros((2, 2 * kmax + 1, 2 * lmax + 1), dtype=complex)
-    for dense, (fp, gp, _) in zip((a, b), slices):
-        live_k, H = _node_table(fp, gp, spec, kmax, lmax)
-        dense[live_k] = H[:, 0]
-    return complex(np.sum(a * np.conj(b)))
+    return complex(_unfolded_sum(f.slices_at(mus), g.slices_at(mus),
+                                 spec.beta * np.array(mus), shifts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +399,9 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     trunc[0]).  Test fields must be evaluable at arbitrary spectral points
     (profile-backed or on-grid interpolable).
     """
+    _check_bounds(*trunc)
+    if min(quad_cells, quad_order) < 1:
+        raise DomainError("quad_cells and quad_order must be at least 1")
     if Ej.intersect(Ej2).intervals:
         raise DomainError("spectral pieces overlap")
     fold1 = _fold_map(Ej)
@@ -433,7 +419,7 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     xg, wg = np.polynomial.legendre.leggauss(quad_order)
     points = []
     for a, b, n1, n2 in cells:
-        edges = np.linspace(a, b, max(1, quad_cells) + 1)
+        edges = np.linspace(a, b, quad_cells + 1)
         for ca, cb in zip(edges[:-1], edges[1:]):
             x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
             points.extend(zip(0.5 * (cb - ca) * wg, x + n1, x + n2))
@@ -455,14 +441,14 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     P, F = lam1.size, len(fs)
     p, i, j = (x.ravel() for x in np.meshgrid(
         np.arange(P), np.arange(F), np.arange(F), indexing="ij"))
-    sides = []
-    for lam, row, field_of in ((lam1, p, i), (lam2, P + p, j)):
-        grid = point_grid(lam[p], g.grid.spectral_set)
-        picks = [np.flatnonzero(field_of == k) for k in range(F)]
-        f_side = _concat(grid, [fk.take(row[pk]) for fk, pk in zip(fs, picks)],
-                         picks)
-        sides.append((f_side, gs.take(row), -spec.beta * lam[p]))
-    vals = _unfolded_sum(*sides[0], *sides[1], shifts).reshape(P, F, F)
+    # kernel point r < P F^2 holds the f_i slice at lam1_p and its partner
+    # P F^2 + r the f_j slice at lam2_p
+    row, field_of = np.concatenate([p, P + p]), np.concatenate([i, j])
+    picks = [np.flatnonzero(field_of == k) for k in range(F)]
+    f_all = _concat(point_grid(both[row], g.grid.spectral_set),
+                    [fk.take(row[pk]) for fk, pk in zip(fs, picks)], picks)
+    vals = _unfolded_sum(f_all, gs.take(row), -spec.beta * both[row],
+                         shifts).reshape(P, F, F)
     # the coefficients pair T g with f, so the products are the conjugates
     # of the kernel's f * conj(T g); |lam1 lam2| is the spectral weight of
     # the two folded slices; cumsum adds the points strictly in order, so
@@ -532,6 +518,7 @@ def theta_delta_report(g: FieldSample, spec: QuasiLatticeSpec, gridpts,
     evaluated at any spec, but it characterizes orthonormality only on
     the unit lattice: the translation in Theta_k is k, not alpha k.
     """
+    _check_bounds(kmax, lmax)
     lams, ts = (np.asarray(gridpts[0], dtype=float),
                 np.asarray(gridpts[1], dtype=float))
     ks = np.arange(-kmax, kmax + 1)

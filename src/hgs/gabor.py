@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NotApplicableError
 from .grids import FieldSample, SpectralSet, _node_table, point_grid
-from .group import QuasiLatticeSpec
+from .group import QuasiLatticeSpec, _check_bounds
 from .windows import Window, _cover_sums, _modulus_cells, _ranges
 
 DEFAULT_SEED = 0x5EED
@@ -145,6 +145,7 @@ def frame_bounds_empirical(u: Window, spec: QuasiLatticeSpec, lam: float,
     """
     if trials < 1:
         raise DomainError("need at least one trial")
+    _check_bounds(kmax, lmax)
     if u.n_terms == 0 or u.norm2() == 0.0:
         return 0.0, 0.0
     grid = point_grid(np.full(trials, float(lam)), SpectralSet([]))

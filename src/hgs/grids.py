@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (DomainError, EmptyGridError, FieldFormatError,
                      GridMismatchError, WindowStructureError)
 from .group import QuasiLatticeSpec
-from .windows import MAX_DEGREE, Window, _ranges, paired_inner_sweep
+from .windows import (MAX_DEGREE, Window, _cross_join, _ranges,
+                      paired_inner_sweep)
 
 _TWO_PI = 2.0 * math.pi
 # Term pairs per paired_inner_sweep call in field inner products and lattice
@@ -486,20 +487,6 @@ def field_sum(fields, coeffs):
         out.profile = lambda lams: _concat(
             point_grid(lams, grid.spectral_set), [p(lams) for p in profs])
     return out
-
-
-def _cross_join(starts_a, starts_b):
-    """Segmented cross join of two term tables sharing node segmentation.
-
-    Returns (ia, ib, node) index arrays covering, per node, every pair of a
-    term from table A and a term from table B.
-    """
-    counts_a = np.diff(starts_a)
-    counts_b = np.diff(starts_b)
-    node, rank = _ranges(np.zeros(counts_a.size, dtype=np.int64),
-                         counts_a * counts_b)
-    cb = counts_b[node]
-    return starts_a[node] + rank // cb, starts_b[node] + rank % cb, node
 
 
 def _blocks(weights):

@@ -89,14 +89,19 @@ class LatticeIndex:
         return (self.k, self.l, self.m)
 
 
+def _check_bounds(*bounds):
+    """Raise DomainError unless every truncation bound is nonnegative."""
+    if min(bounds) < 0:
+        raise DomainError("bounds must be nonnegative")
+
+
 def lattice_enumerate(spec: QuasiLatticeSpec, kmax: int, lmax: int,
                       mmax: int) -> list[LatticeIndex]:
     """All indices with |k| <= kmax, |l| <= lmax, |m| <= mmax, lexicographic.
 
     The fixed order makes truncated lattice sums reproducible.
     """
-    if min(kmax, lmax, mmax) < 0:
-        raise DomainError("bounds must be nonnegative")
+    _check_bounds(kmax, lmax, mmax)
     return [LatticeIndex(k, l, m)
             for k in range(-kmax, kmax + 1)
             for l in range(-lmax, lmax + 1)

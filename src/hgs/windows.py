@@ -155,6 +155,11 @@ def _live_degree(coef):
     return 0
 
 
+def _row_degree(coef):
+    """Degree of the polynomial of every row."""
+    return np.max((coef != 0) * np.arange(coef.shape[1]), axis=1, initial=0)
+
+
 def _recenter(coef, shift):
     """Re-expand centered polynomial coefficients about mid + shift.
 
@@ -176,6 +181,22 @@ def _ranges(first, count):
     rep = np.repeat(np.arange(count.size), count)
     rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
     return rep, first[rep] + rank
+
+
+def _cross_join(starts_a, starts_b):
+    """Segmented cross join of two term tables sharing node segmentation,
+    given as the segment starts of each.
+
+    Returns (ia, ib, node) index arrays covering, per node, every pair of a
+    term from table A and a term from table B, A-major.
+    """
+    starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
+    counts_a = np.diff(starts_a)
+    counts_b = np.diff(starts_b)
+    node, rank = _ranges(np.zeros(counts_a.size, dtype=np.int64),
+                         counts_a * counts_b)
+    cb = counts_b[node]
+    return starts_a[node] + rank // cb, starts_b[node] + rank % cb, node
 
 
 def _cover_sums(seg, lo, hi, mid, coef, cuts=None, sliver=0.0):
@@ -231,17 +252,18 @@ def product_conj_terms(loa, hia, mida, coefa, freqa,
     """Terms of a_r(t) * conj(b_r(t)) for paired term arrays, laid out as
     for paired_inner_sweep.  Returns (live, lo, hi, coef, freq) with live
     the indices of the pairs whose cells overlap, one product term each.
-    Requires deg(a) + deg(b) <= MAX_DEGREE.
+    Requires deg(a_r) + deg(b_r) <= MAX_DEGREE for every such pair.
     """
-    if _live_degree(coefa) + _live_degree(coefb) > MAX_DEGREE:
-        raise WindowStructureError("product would exceed max degree")
     lo = np.maximum(loa, lob)
     hi = np.minimum(hia, hib)
     live = np.nonzero(hi > lo)[0]
+    a, b = coefa[live], coefb[live]
+    if np.any(_row_degree(a) + _row_degree(b) > MAX_DEGREE):
+        raise WindowStructureError("product would exceed max degree")
     lo, hi = lo[live], hi[live]
     mid = 0.5 * (lo + hi)
-    a = _recenter(coefa[live], mid - mida[live])
-    b = np.conj(_recenter(coefb[live], mid - midb[live]))
+    a = _recenter(a, mid - mida[live])
+    b = np.conj(_recenter(b, mid - midb[live]))
     coef = np.zeros((lo.size, MAX_DEGREE + 1), dtype=complex)
     coef[:, 0] = a[:, 0] * b[:, 0]
     coef[:, 1] = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
@@ -387,9 +409,7 @@ class Window:
 
         Requires deg(w1) + deg(w2) <= MAX_DEGREE.
         """
-        i, j = np.meshgrid(np.arange(self.n_terms), np.arange(other.n_terms),
-                           indexing="ij")
-        i, j = i.ravel(), j.ravel()
+        i, j, _ = _cross_join([0, self.n_terms], [0, other.n_terms])
         return Window(*product_conj_terms(
             self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
             other.lo[j], other.hi[j], other.mid[j], other.coef[j],
@@ -421,9 +441,7 @@ class Window:
         df = np.asarray(df, dtype=float)
         if self.n_terms == 0 or other.n_terms == 0:
             return np.zeros(df.shape, dtype=complex)
-        i, j = np.meshgrid(np.arange(self.n_terms), np.arange(other.n_terms),
-                           indexing="ij")
-        i, j = i.ravel(), j.ravel()
+        i, j, _ = _cross_join([0, self.n_terms], [0, other.n_terms])
         vals = paired_inner_sweep(
             self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
             other.lo[j], other.hi[j], other.mid[j], other.coef[j],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgs import fieldcheck
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, NotApplicableError
 from hgs.fieldcheck import (_suite_coefficients, _unfolded_sum,
@@ -14,9 +15,11 @@ from hgs.fieldcheck import (_suite_coefficients, _unfolded_sum,
                             orthogonality_residual, parseval_residual,
                             theta, theta_delta_report, theta_gram_duality,
                             translate_field)
+from hgs.gabor import frame_bounds_empirical
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, field_inner,
                        lambda_grid, point_grid)
 from hgs.group import LatticeIndex, QuasiLatticeSpec
+from hgs.sampling import onb_gram_check, sample_on_lattice
 from hgs.testfields import (AtomSuite, atom_suite, random_pl_field,
                             two_slice_field)
 from hgs.windows import Window
@@ -251,10 +254,8 @@ def test_orthogonality_truncated_converges_to_exact():
     g = duplicated_slice_field(0.5)
     exact = orthogonality_residual(g, g, 0.5, kmax=4)
     assert abs(exact) == pytest.approx(1.0, abs=1e-12)
-    t1 = orthogonality_residual(g, g, 0.5, kmax=4, lmax=64,
-                                method="truncated")
-    t2 = orthogonality_residual(g, g, 0.5, kmax=4, lmax=256,
-                                method="truncated")
+    t1 = _reference_truncated(g, g, 0.5, 4, 64, SPEC)
+    t2 = _reference_truncated(g, g, 0.5, 4, 256, SPEC)
     assert abs(t2 - exact) < abs(t1 - exact)
     assert abs(t2 - exact) < 5e-3
 
@@ -273,20 +274,28 @@ def _reference_truncated(g, f, lam, kmax, lmax, spec):
     return complex(np.sum(sides[0] * np.conj(sides[1])))
 
 
-@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.75, 1.0),
-                                        (0.75, 1.25)])
-def test_orthogonality_truncated_matches_full_pair_sum(coarse, alpha, beta):
-    grid, _ = coarse
-    spec = QuasiLatticeSpec(alpha, beta)
-    # two frequencies per slice, so the phases of the translates matter
-    g = random_pl_field(grid, seed=3) + translate_field(
-        random_pl_field(grid, seed=4), 1, 2, 0, spec)
-    f = random_pl_field(grid, seed=5)
-    for lam in (0.3, 0.55, 0.9):
-        got = orthogonality_residual(g, f, lam, kmax=6, lmax=24, spec=spec,
-                                     method="truncated")
-        assert got == pytest.approx(
-            _reference_truncated(g, f, lam, 6, 24, spec), rel=1e-12, abs=0)
+def test_orthogonality_degree_checked_per_product():
+    # a quadratic f slice at lam - 1 and a quadratic g slice at lam: every
+    # product is quadratic, although the one product table holds both
+    grid = LambdaGrid(np.array([-0.5, 0.5]), np.ones(2), 1e-9, E_FULL,
+                      "twoslice")
+    quad = Window(np.array([0.0]), np.array([2.0]),
+                  np.array([[1.0, 0.5j, 0.3]]), np.array([0.0]))
+    flat = Window.indicator(-0.2, 1.8, 0.7)
+    f = FieldSample.from_windows(grid, [quad, flat])
+    g = FieldSample.from_windows(grid, [flat, quad])
+    got = orthogonality_residual(g, f, 0.5, kmax=2)
+    want, _ = _unfolded_reference(quad, flat, -0.5, flat, quad, 0.5,
+                                  np.arange(-2, 3))
+    assert abs(want) > 1e-2
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_orthogonality_lam_outside_unit_interval(coarse):
+    _, e = coarse
+    for lam in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError, match=r"lam must lie in \(0, 1\)"):
+            orthogonality_residual(e, e, lam, kmax=2)
 
 
 def test_orthogonality_missing_slice_error(coarse):
@@ -347,6 +356,33 @@ def test_cross_orthogonality_overlap_error(fine):
             e, SpectralSet([(-1.0, 0.0)]), SpectralSet([(-0.5, 0.5)]), suite)
 
 
+def _counting(calls, name, fn):
+    def spy(*args):
+        calls.append(name)
+        return fn(*args)
+    return spy
+
+
+def test_unfolding_checks_make_one_kernel_pass(coarse, monkeypatch):
+    # one product table and one sweep per call, for the two slices of the
+    # orthogonality condition and for every quadrature point and test-field
+    # pair of the cross-orthogonality
+    _, e = coarse
+    calls = []
+    for name in ("product_conj_terms", "paired_inner_sweep"):
+        monkeypatch.setattr(fieldcheck, name,
+                            _counting(calls, name, getattr(fieldcheck, name)))
+    orthogonality_residual(e, two_slice_field(e, 0.4, seed=1), 0.4, kmax=8)
+    assert sorted(calls) == ["paired_inner_sweep", "product_conj_terms"]
+    calls.clear()
+    suite = atom_suite(e, SPEC, n_functions=2, n_atoms=3, box=(1, 2, 1),
+                       seed=8)
+    coefficient_cross_orthogonality(
+        e, SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]), suite,
+        trunc=(2, 0, 0), quad_cells=2, quad_order=3)
+    assert sorted(calls) == ["paired_inner_sweep", "product_conj_terms"]
+
+
 # -- the unfolding kernel against the per-shift, per-n loop ------------------
 
 def _periodized_reference(products, c1, c2):
@@ -379,20 +415,22 @@ SPEC_075 = QuasiLatticeSpec(0.75, 1.0)
 
 
 def test_orthogonality_matches_reference_loop(coarse):
-    # two generic two-slice fields on a non-integer lattice: the residual is
+    # two generic two-slice fields on non-integer lattices: the residual is
     # far from zero, so every term counts
     _, e = coarse
-    spec = SPEC_075
-    shifts = spec.alpha * np.arange(-4, 5)
-    for i, lam in enumerate((0.3, 0.55, 0.8)):
-        f = two_slice_field(e, lam, seed=60 + i)
-        g = two_slice_field(e, lam, seed=70 + i)
-        got = orthogonality_residual(g, f, lam, kmax=4, spec=spec)
-        want, _ = _unfolded_reference(
-            f.slice_at(lam - 1), g.slice_at(lam - 1), (lam - 1) * spec.beta,
-            f.slice_at(lam), g.slice_at(lam), lam * spec.beta, shifts)
-        assert abs(want) > 1e-2
-        assert abs(got - want) <= 1e-13 * abs(want)
+    for spec in (SPEC_075, QuasiLatticeSpec(0.75, 1.25),
+                 QuasiLatticeSpec(2, 0.5)):
+        shifts = spec.alpha * np.arange(-4, 5)
+        for i, lam in enumerate((0.3, 0.55, 0.8)):
+            f = two_slice_field(e, lam, seed=60 + i)
+            g = two_slice_field(e, lam, seed=70 + i)
+            got = orthogonality_residual(g, f, lam, kmax=4, spec=spec)
+            want, _ = _unfolded_reference(
+                f.slice_at(lam - 1), g.slice_at(lam - 1),
+                (lam - 1) * spec.beta, f.slice_at(lam), g.slice_at(lam),
+                lam * spec.beta, shifts)
+            assert abs(want) > 1e-2
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def _pl_profile(lam):
@@ -407,34 +445,35 @@ def _pl_profile2(lam):
 def test_cross_orthogonality_matches_reference_loop():
     # profile-backed piecewise-linear fields whose coefficient operators
     # are not orthogonal, with the fold [-1, 0] -> [0, 1] written out
-    spec = SPEC_075
     grid = lambda_grid(E_FULL, 16, 0.05)
     g = FieldSample.from_profile(grid, _pl_profile)
     fields = [FieldSample.from_profile(grid, _pl_profile2), g]
-    got = coefficient_cross_orthogonality(
-        g, SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]), fields,
-        trunc=(3, 0, 0), spec=spec, quad_cells=2, quad_order=4)
     xg, wg = np.polynomial.legendre.leggauss(4)
-    shifts = spec.alpha * np.arange(-3, 4)
-    worst = 0.0
-    for f in fields:
-        for f2 in fields:
-            total = 0j
-            for ca, cb in ((0.0, 0.5), (0.5, 1.0)):
-                for x, wq in zip(0.5 * (cb - ca) * xg + 0.5 * (ca + cb),
-                                 0.5 * (cb - ca) * wg):
-                    lam1, lam2 = x - 1.0, x
-                    c1, c2 = -spec.beta * lam1, -spec.beta * lam2
-                    gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
-                    fw1, fw2 = f.slice_at(lam1), f2.slice_at(lam2)
-                    acc, _ = _periodized_reference(
-                        [(gw1.translate(s).product_conj(fw1),
-                          gw2.translate(s).product_conj(fw2))
-                         for s in shifts], c1, c2)
-                    total += wq * acc * abs(lam1 * lam2) / abs(c1 * c2)
-            worst = max(worst, abs(total))
-    assert worst > 1e-2
-    assert abs(got - worst) <= 1e-13 * worst
+    for spec in (SPEC_075, QuasiLatticeSpec(0.75, 1.25)):
+        got = coefficient_cross_orthogonality(
+            g, SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]),
+            fields, trunc=(3, 0, 0), spec=spec, quad_cells=2, quad_order=4)
+        shifts = spec.alpha * np.arange(-3, 4)
+        worst = 0.0
+        for f in fields:
+            for f2 in fields:
+                total = 0j
+                for ca, cb in ((0.0, 0.5), (0.5, 1.0)):
+                    for x, wq in zip(0.5 * (cb - ca) * xg + 0.5 * (ca + cb),
+                                     0.5 * (cb - ca) * wg):
+                        lam1, lam2 = x - 1.0, x
+                        c1, c2 = -spec.beta * lam1, -spec.beta * lam2
+                        gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
+                        fw1, fw2 = f.slice_at(lam1), f2.slice_at(lam2)
+                        acc, _ = _periodized_reference(
+                            [(gw1.translate(s).product_conj(fw1),
+                              gw2.translate(s).product_conj(fw2))
+                             for s in shifts], c1, c2)
+                        total += (wq * acc * abs(lam1 * lam2)
+                                  / abs(c1 * c2))
+                worst = max(worst, abs(total))
+        assert worst > 1e-2
+        assert abs(got - worst) <= 1e-13 * worst
 
 
 @st.composite
@@ -448,9 +487,10 @@ def _pl_windows(draw):
     return Window.piecewise_linear(breaks, values)
 
 
-def _one_point(w):
-    """A window as the term table of a one-point grid."""
-    return FieldSample.from_windows(point_grid([0.5], E_FULL), [w])
+def _two_points(w1, w2):
+    """Two windows as the term table of a two-point grid, which the
+    unfolding kernel pairs."""
+    return FieldSample.from_windows(point_grid([0.5, 0.5], E_FULL), [w1, w2])
 
 
 _scales = st.floats(0.2, 2.0).flatmap(
@@ -463,10 +503,52 @@ _scales = st.floats(0.2, 2.0).flatmap(
        shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_unfolded_sum_matches_reference_property(f1, g1, f2, g2, c1, c2,
                                                  shifts):
-    one = [_one_point(w) for w in (f1, g1, f2, g2)]
-    got = _unfolded_sum(one[0], one[1], c1, one[2], one[3], c2, shifts)[0]
+    got = _unfolded_sum(_two_points(f1, f2), _two_points(g1, g2),
+                        [c1, c2], shifts)[0]
     want, scale = _unfolded_reference(f1, g1, c1, f2, g2, c2, shifts)
     assert abs(got - want) <= 1e-12 * scale + 1e-300
+
+
+# -- truncation sizes ---------------------------------------------------------
+
+_HALVES = (SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]))
+_NEGATIVE = "bounds must be nonnegative"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda e, s: orthogonality_residual(e, e, 0.5, kmax=-1), _NEGATIVE),
+    (lambda e, s: coefficient_cross_orthogonality(
+        e, *_HALVES, s, trunc=(-1, 2, 2)), _NEGATIVE),
+    (lambda e, s: coefficient_cross_orthogonality(
+        e, *_HALVES, s, quad_cells=0), "at least 1"),
+    (lambda e, s: coefficient_cross_orthogonality(
+        e, *_HALVES, s, quad_order=0), "at least 1"),
+    (lambda e, s: frame_bounds_empirical(
+        Window.indicator(0, 2), SPEC, 0.5, kmax=-1), _NEGATIVE),
+    (lambda e, s: frame_bounds_empirical(
+        Window.indicator(0, 2), SPEC, 0.5, lmax=-1), _NEGATIVE),
+    (lambda e, s: theta_delta_report(e, SPEC, ([0.5], [0.1]), kmax=-1),
+     _NEGATIVE),
+    (lambda e, s: theta_delta_report(e, SPEC, ([0.5], [0.1]), lmax=-1),
+     _NEGATIVE),
+    (lambda e, s: lattice_coefficients([e], e, SPEC, -1, 2, 2), _NEGATIVE),
+    (lambda e, s: parseval_residual(e, SPEC, s, kmax=1, lmax=-1, mmax=1),
+     _NEGATIVE),
+    (lambda e, s: parseval_residual(e, SPEC, [e], kmax=1, lmax=1, mmax=-1),
+     _NEGATIVE),
+    (lambda e, s: onb_gram_check(e, SPEC, (1, -1, 1)), _NEGATIVE),
+    (lambda e, s: sample_on_lattice(e, e, SPEC, (1, 1, -1)), _NEGATIVE),
+], ids=["orthogonality", "cross-trunc", "cross-cells", "cross-order",
+        "frame-kmax", "frame-lmax", "theta-kmax", "theta-lmax",
+        "coefficients", "parseval-suite", "parseval-fields", "gram",
+        "sample"])
+def test_bad_truncation_sizes_raise(coarse, call, message):
+    # an empty truncated sum would read as a pass
+    _, e = coarse
+    suite = atom_suite(e, SPEC, n_functions=1, n_atoms=3, box=(1, 2, 1),
+                       seed=8)
+    with pytest.raises(DomainError, match=message):
+        call(e, suite)
 
 
 # -- double periodization ----------------------------------------------------

@@ -165,12 +165,11 @@ def test_batched_unfolded_sum_matches_per_point_calls(points, shifts):
     # points mix degrees and empty slices, so the one sweep over every
     # point's pairs runs at the largest degree present
     f1, g1, f2, g2, c1, c2 = (list(x) for x in zip(*points))
-    got = _unfolded_sum(_table(f1), _table(g1), np.array(c1), _table(f2),
-                        _table(g2), np.array(c2), shifts)
+    got = _unfolded_sum(_table(f1 + f2), _table(g1 + g2), c1 + c2, shifts)
     assert got.shape == (len(points),)
     for p, (a, b, c, d, s1, s2) in enumerate(points):
-        want = _unfolded_sum(_table([a]), _table([b]), s1, _table([c]),
-                             _table([d]), s2, shifts)[0]
+        want = _unfolded_sum(_table([a, c]), _table([b, d]), [s1, s2],
+                             shifts)[0]
         assert abs(got[p] - want) <= 1e-13 * (1.0 + abs(want))
 
 

@@ -15,6 +15,15 @@ closed-form moments
 so the headline identities are evaluated without discretization error.
 Pointwise evaluation uses half-open cells [lo, hi); membership at cell
 boundaries is a measure-zero convention, not a contract.
+
+Degree 0 (every pair against an indicator field) has a real path: N_0 is
+real, so centered_moments(theta, 0) evaluates it in real arithmetic and
+interval_moments multiplies the complex phase by it once.  Its values are
+bit for bit those of the complex series and recurrence that serve the
+higher degrees, and interval_moments(..., 0)[0] equals row 0 at any larger
+degree.  interval_moments computes each cell's half-width, midpoint and
+live mask on the shape of lo and hi, once per row of a pair sweep, and
+paired_inner_sweep uses its rows in place when every pair overlaps.
 """
 
 from __future__ import annotations
@@ -36,17 +45,44 @@ def centered_moments(theta, pmax):
     """Moments N_p(theta) = int_{-1}^{1} s^p exp(i*theta*s) ds for p = 0..pmax.
 
     The physical moment over [-h, h] at angular frequency phi is
-    h**(p+1) * N_p(phi*h).  Returns an array of shape (pmax+1,) + theta.shape.
-    The branch partition keeps scratch memory at O(result size).
+    h**(p+1) * N_p(phi*h).  Returns an array of shape (pmax+1,) + theta.shape,
+    complex for pmax >= 1.  For pmax = 0 it is the real N_0, equal bit for
+    bit to the real part of row 0 at any larger pmax (whose imaginary part
+    is exactly zero).  The branch partition keeps scratch memory at
+    O(result size).
     """
     theta = np.asarray(theta, dtype=float)
     shape = theta.shape
     th = theta.ravel()
-    out = np.empty((pmax + 1, th.size), dtype=complex)
-
     small = np.abs(th) < _SERIES_CUT
     ns = np.nonzero(small)[0]
+    if pmax == 0:
+        # The real part of row 0 of the complex branches below, with the
+        # same roundings: (2 sin(theta)) * (1/theta) at and above the cut;
+        # under it the series' even terms in order, (i theta)^j as
+        # ((i theta)^(j-2) * theta) * -theta, each term times 1/j!, then
+        # times 1/(j+1).
+        n0 = np.sin(th)
+        n0 *= 2.0
+        # the cells under the cut are overwritten: silence 1/0, 0 * inf
+        # and the overflow of 1/theta at subnormal theta
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            n0 *= 1.0 / th
+        if ns.size:
+            ts = th[ns]
+            nts = -ts
+            power = np.ones(ns.size)
+            acc = np.ones(ns.size)
+            fact = 1.0
+            for j in range(2, _SERIES_TERMS, 2):
+                power = (power * ts) * nts
+                fact *= (j - 1) * j
+                acc += power * (1.0 / fact) * (1.0 / (j + 1))
+            n0[ns] = 2.0 * acc
+        return n0.reshape((1,) + shape)
+
     nb = np.nonzero(~small)[0]
+    out = np.empty((pmax + 1, th.size), dtype=complex)
     if ns.size:
         # Series: N_p = 2 * sum_{j: j+p even} (i*theta)^j / (j! * (p+j+1)).
         it = 1j * th[ns]
@@ -81,20 +117,28 @@ def centered_moments(theta, pmax):
 def interval_moments(lo, hi, freq, pmax):
     """int_lo^hi (t - mid)^p exp(2*pi*i*freq*t) dt, mid = (lo+hi)/2, p = 0..pmax.
 
-    All arguments broadcast; the result has shape (pmax+1,) + broadcast shape.
-    Empty intervals (hi <= lo) contribute zero.
+    All arguments broadcast; the result is complex of shape
+    (pmax+1,) + broadcast shape.  Empty intervals (hi <= lo) contribute
+    zero.  The cell geometry (half-width h, midpoint, live mask) is
+    computed on the shape of lo and hi alone, (R, 1) in the pair sweeps;
+    only theta and the phase take the broadcast shape.  Every value is
+    ((phase * live) * h**(p+1)) * N_p(theta), and the degree-0 row, which
+    multiplies by the real N_0, has the same bits for every pmax.
     """
-    lo, hi, freq = np.broadcast_arrays(
-        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-        np.asarray(freq, dtype=float))
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     live = h > 0.0
     hs = np.where(live, h, 0.0)
-    theta = _TWO_PI * freq * hs
-    mom = centered_moments(theta, pmax)
-    phase = np.exp(1j * _TWO_PI * freq * mid)
-    scale = phase * np.where(live, 1.0, 0.0)
+    omega = _TWO_PI * np.asarray(freq, dtype=float)
+    mom = centered_moments(omega * hs, pmax)
+    scale = np.exp(1j * (omega * mid))
+    scale *= np.where(live, 1.0, 0.0)
+    if pmax == 0:
+        scale *= hs
+        scale *= mom[0]
+        return scale[None]
     for p in range(pmax + 1):
         mom[p] *= scale * hs ** (p + 1)
     return mom
@@ -112,18 +156,21 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
 
     Returns a complex (R, D) array.  Pairs with empty overlap contribute
     exact zeros; the moment depth adapts to the polynomial degrees present.
-    Shared by Window.inner_freq_sweep and the batched field inner products.
+    When every pair overlaps (the table callers keep only those) the rows
+    are used in place; otherwise the live rows are gathered and scattered
+    back.  Shared by Window.inner_freq_sweep and the batched field inner
+    products.
     """
     df = np.asarray(df, dtype=float)
     if df.ndim == 1:
         df = np.broadcast_to(df, (loa.size, df.size))
     lo = np.maximum(loa, lob)
     hi = np.minimum(hia, hib)
-    out = np.zeros((lo.size, df.shape[1]), dtype=complex)
     live = hi > lo
     if not live.any():
-        return out
-    idx = np.nonzero(live)[0]
+        return np.zeros((lo.size, df.shape[1]), dtype=complex)
+    gather = not live.all()
+    idx = np.nonzero(live)[0] if gather else slice(None)
     lo, hi = lo[idx], hi[idx]
     mid = 0.5 * (lo + hi)
     # recentering preserves the degree and leaves constants unchanged
@@ -144,6 +191,9 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
     acc = np.zeros(freq.shape, dtype=complex)
     for p in range(pmax + 1):
         acc += poly[:, p, None] * mom[p]
+    if not gather:
+        return acc
+    out = np.zeros((live.size, df.shape[1]), dtype=complex)
     out[idx] = acc
     return out
 

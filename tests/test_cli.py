@@ -207,6 +207,22 @@ def test_sinc_random_csv_bytes_pinned(capsys):
         "308d00e3a32963efb94861e9e2eca9091fc4715ab617f10e11b8038d282a201c")
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("sample",
+     "e9cfbf1ffbf446dec53062b44d687195bc91139e4a55f40fd7552694006b71e6"),
+    ("verify-canonical",
+     "407c642c92580c06153ae56042c6c96791c3f5e2b883169ca3adcfbcab02d74b"),
+])
+def test_report_bytes_pinned(capsys, tmp_path, command, digest):
+    # the JSON report of a seeded run is part of the output contract; its
+    # bytes do not depend on the --out path
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, command, "--seed", "5", "--no-timestamp",
+                     "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("text", ["0.5,1\n", "0.5,1,1\n\n0.25\n"])
 def test_sinc_short_points_file_line(capsys, tmp_path, text):
     bad = tmp_path / "pts.txt"

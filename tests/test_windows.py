@@ -10,7 +10,9 @@ from scipy.integrate import quad
 
 from hgs.errors import WindowStructureError
 from hgs.group import GroupPoint, group_mul, schrodinger_apply
-from hgs.windows import Window, indicator_transform, interval_moments
+from hgs.windows import (_SERIES_CUT, _SERIES_TERMS, _TWO_PI, MAX_DEGREE,
+                         Window, indicator_transform, interval_moments,
+                         paired_inner_sweep)
 
 
 def quad_complex(fn, a, b, points=None):
@@ -99,6 +101,162 @@ def test_indicator_transform_matches_length_at_zero():
     got = indicator_transform(0.0, 1.0, 0.5)[()]
     want = quad_complex(lambda t: np.exp(1j * np.pi * t), 0, 1)
     assert got == pytest.approx(want, abs=1e-13)
+
+
+def _complex_degree0(lo, hi, freq):
+    """Oracle for the degree-0 moment: the complex Taylor series and
+    boundary recurrence on the broadcast shape, as the kernel evaluated
+    every degree before degree 0 got its real path."""
+    lo, hi, freq = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                       np.asarray(hi, dtype=float),
+                                       np.asarray(freq, dtype=float))
+    h = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    live = h > 0.0
+    hs = np.where(live, h, 0.0)
+    th = (_TWO_PI * freq * hs).ravel()
+    n0 = np.empty(th.size, dtype=complex)
+    small = np.abs(th) < _SERIES_CUT
+    it = 1j * th[small]
+    power = np.ones(it.size, dtype=complex)
+    acc = np.zeros(it.size, dtype=complex)
+    fact = 1.0
+    for j in range(_SERIES_TERMS):
+        if j:
+            power = power * it
+            fact *= j
+        if j % 2 == 0:
+            acc += (power / fact) / (j + 1)
+    n0[small] = 2.0 * acc
+    tb = th[~small]
+    eip = np.exp(1j * tb)
+    n0[~small] = (eip - np.conj(eip)) * (1.0 / (1j * tb))
+    scale = np.exp(1j * _TWO_PI * freq * mid) * np.where(live, 1.0, 0.0)
+    return n0.reshape(h.shape) * (scale * hs ** 1)
+
+
+def _assert_degree0_bits(lo, hi, freq):
+    got = interval_moments(lo, hi, freq, 0)
+    want = _complex_degree0(lo, hi, freq)
+    assert got.shape == (1,) + want.shape and got.dtype == complex
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(got[0], interval_moments(lo, hi, freq, 2)[0])
+
+
+def _freq_at_theta(h, theta):
+    """A frequency f with 2 pi f h == theta exactly in floating point."""
+    f = theta / (_TWO_PI * h)
+    for _ in range(64):
+        got = _TWO_PI * f * h
+        if got == theta:
+            return f
+        f = np.nextafter(f, np.inf if got < theta else -np.inf)
+    raise AssertionError("no frequency hits theta exactly")
+
+
+def test_degree0_bit_identical_edge_cases():
+    cut = _freq_at_theta(0.5, _SERIES_CUT)
+    below = np.nextafter(cut, 0.0)
+    assert _TWO_PI * below * 0.5 < _SERIES_CUT
+    cases = [
+        (0.0, 1.0, 0.0),                        # theta = 0
+        (0.0, 1.0, 2.2e-311),                   # 1/theta overflows
+        (-0.5, 0.5, cut), (-0.5, 0.5, -cut),    # |theta| at the cut
+        (-0.5, 0.5, below), (-0.5, 0.5, -below),
+        (1.0, 1.0, 3.0), (2.0, 1.0, 3.0),       # empty, reversed
+        (np.array(0.25), np.array(2.0), np.array(-1.5)),    # 0-d
+        (np.array([0.0, 1.0, 3.0]), np.array([1.0, 1.0, 2.0]), 0.75),
+        (np.array([[0.0], [1.0], [2.5]]), np.array([[0.5], [4.0], [2.5]]),
+         np.linspace(-3.0, 3.0, 12).reshape(3, 4)),
+    ]
+    for lo, hi, freq in cases:
+        _assert_degree0_bits(lo, hi, freq)
+    assert interval_moments(0.0, 1.0, 0.0, 0)[0, ...] == 1.0
+    assert interval_moments(2.0, 1.0, 3.0, 0)[0, ...] == 0.0
+
+
+def test_degree0_dense_sweep_bit_identical():
+    # a series term rounded another way changes about one theta in 30000,
+    # so a dense (R, 1) x (R, D) sweep over both branches is needed
+    rng = np.random.default_rng(2024)
+    lo = rng.uniform(-2.0, 2.0, (1000, 1))
+    hi = lo + rng.uniform(0.01, 0.2, (1000, 1))
+    freq = rng.uniform(-1.0, 1.0, (1000, 500))
+    _assert_degree0_bits(lo, hi, freq)
+
+
+_any_freq = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3),
+                      st.floats(-0.2, 0.2), st.floats(-60.0, 60.0))
+
+
+@st.composite
+def _moment_args(draw):
+    """lo, hi, freq in the layouts the callers use: (R, 1) cells against
+    (R, D) frequencies, flat arrays, a scalar frequency with array cells,
+    and 0-d arrays; cell widths include zero and negative."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 5))
+    lo = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=rows,
+                                max_size=rows)))
+    width = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-1.0, 3.0), st.floats(0.0, 0.1)),
+        min_size=rows, max_size=rows)))
+    freq = np.array(draw(st.lists(_any_freq, min_size=rows * cols,
+                                  max_size=rows * cols)))
+    layout = draw(st.sampled_from(["sweep", "flat", "scalar-freq", "0-d"]))
+    if layout == "sweep":
+        return lo[:, None], (lo + width)[:, None], freq.reshape(rows, cols)
+    if layout == "flat":
+        return lo, lo + width, freq[:rows]
+    if layout == "scalar-freq":
+        return lo, lo + width, float(freq[0])
+    return np.array(lo[0]), np.array(lo[0] + width[0]), np.array(freq[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_moment_args())
+def test_degree0_real_path_bit_identical(args):
+    _assert_degree0_bits(*args)
+
+
+def _pair_table(rng, rows, deg):
+    """Paired term arrays (a, b) whose cells all overlap."""
+    loa = rng.uniform(-2.0, 2.0, rows)
+    hia = loa + rng.uniform(0.1, 2.0, rows)
+    lob = loa + rng.uniform(-0.05, 0.9, rows) * (hia - loa)
+    hib = lob + rng.uniform(0.1, 2.0, rows)
+    coef = np.zeros((2, rows, MAX_DEGREE + 1), dtype=complex)
+    for p in range(deg + 1):
+        coef[..., p] = (rng.normal(size=(2, rows))
+                        + 1j * rng.normal(size=(2, rows)))
+    freq = rng.choice([0.0, 0.5, -1.25], size=(2, rows))
+    return [loa, hia, 0.5 * (loa + hia), coef[0], freq[0],
+            lob, hib, 0.5 * (lob + hib), coef[1], freq[1]]
+
+
+@pytest.mark.parametrize("deg", [0, 1])
+@pytest.mark.parametrize("per_row_df", [False, True])
+def test_paired_inner_sweep_dead_rows(deg, per_row_df):
+    rng = np.random.default_rng(17 + deg)
+    rows, at = 9, 4
+    table = _pair_table(rng, rows, deg)
+    df = np.linspace(-2.0, 2.0, 5)
+    if per_row_df:
+        df = df + rng.uniform(-0.3, 0.3, (rows, 1))
+    live = paired_inner_sweep(*table, df)
+    assert live.shape == (rows, 5)
+    # a pair of disjoint cells, of higher degree, at row `at`
+    dead = [np.insert(x, at, v, axis=0) for x, v in zip(table, [
+        0.0, 1.0, 0.5, [[1.0, 2.0, 3.0]], 0.5,
+        1.0, 2.0, 1.5, [[1.0, -1.0, 1j]], 0.0])]
+    ddf = np.insert(df, at, 0.0, axis=0) if per_row_df else df
+    got = paired_inner_sweep(*dead, ddf)
+    assert np.array_equal(np.delete(got, at, axis=0), live)
+    assert np.array_equal(got[at], np.zeros(5))
+    # no live pair at all
+    none = table[:5] + [table[0] + 10.0, table[1] + 10.0] + table[7:]
+    assert np.array_equal(paired_inner_sweep(*none, df),
+                          np.zeros((rows, 5), dtype=complex))
 
 
 def test_inner_matches_quadrature_oracle():

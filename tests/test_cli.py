@@ -223,6 +223,15 @@ def test_report_bytes_pinned(capsys, tmp_path, command, digest):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+def test_sample_stdout_bytes_pinned(capsys):
+    # the console table rounds every reading, so it holds through changes
+    # that move the report's floats at rounding level
+    code, out, _ = run(capsys, "sample", "--seed", "5", "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "9521a8a1c53400461df660a589bc2f2d1be01740d6f42293f54d91e25564c04c")
+
+
 @pytest.mark.parametrize("text", ["0.5,1\n", "0.5,1,1\n\n0.25\n"])
 def test_sinc_short_points_file_line(capsys, tmp_path, text):
     bad = tmp_path / "pts.txt"

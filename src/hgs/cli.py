@@ -318,8 +318,7 @@ def cmd_sample(args):
         raise HgsError(f"bad bounds {cfg['bounds']!r}; expected three "
                        "nonnegative int values spanning at most "
                        f"{_MAX_BOX_SAMPLES} samples")
-    inner = (max(1, bounds[0] // 2), max(1, bounds[1] // 2),
-             max(1, bounds[2] // 2))
+    inner = tuple(min(b, max(1, b // 2)) for b in bounds)
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,
                        seed=cfg["seed"])
     # a straddling function with one atom outside the base box makes the
@@ -349,6 +348,9 @@ def cmd_sample(args):
     errs = []
     for scale in (1, 2):
         b = tuple(min(s * scale, 128) for s in bounds)
+        if scale == 2:
+            # the doubled box always holds the straddling atom
+            b = (b[0], max(b[1], bounds[1] + 2), b[2])
         row = reconstruction_study(fs, e, spec, b, c)
         errs.append(row["recon_error"])
         table.append({"bounds": list(b), "ratio": row["ratio"],

@@ -155,14 +155,14 @@ def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
 
 def _sample_array(samples: SampleSet, grid):
     """The samples' translation and modulation indices and their phase sum
-    over the central index at every grid node, (K, L, N).  Returns
-    (ks, ls, stilde)."""
+    over the central index at every grid node, (K, N, L): row k is an
+    (N, L) array contiguous along l.  Returns (ks, ls, stilde)."""
     kmax, lmax, mmax = samples.bounds()
     ks = np.arange(-kmax, kmax + 1)
     ls = np.arange(-lmax, lmax + 1)
     ms = np.arange(-mmax, mmax + 1)
     phases = np.exp(1j * _TWO_PI * np.outer(grid.nodes, ms))
-    return ks, ls, np.tensordot(samples.array, phases, axes=([2], [1]))
+    return ks, ls, np.matmul(phases, samples.array.transpose(0, 2, 1))
 
 
 def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
@@ -186,12 +186,21 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
     base_freq = np.repeat(e.term_freq, K * L)
     lam = grid.nodes[node]
     freq = base_freq - lam * spec.beta * np.tile(np.tile(ls, K), T)
-    weight = stilde[np.tile(np.repeat(np.arange(K), L), T),
-                    np.tile(np.tile(np.arange(L), K), T),
-                    node]
+    weight = stilde[np.tile(np.repeat(np.arange(K), L), T), node,
+                    np.tile(np.tile(np.arange(L), K), T)]
     weight = weight * np.exp(-1j * _TWO_PI * base_freq * shift) / c
     coef = np.repeat(e.term_coef, K * L, axis=0) * weight[:, None]
     return FieldSample(grid, node, lo, hi, coef, freq)
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 3
+    while p3 < best:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
 
 
 def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
@@ -203,38 +212,64 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     _node_table(e, e) over the doubled box and S from _sample_array,
 
         ||r||^2 = (1/c^2) sum_n w_n sum_kappa sum_d conj(H_n(kappa, d))
-                  sum_k e^{-2 pi i lam_n alpha beta d k} C_{k,kappa,n}(d),
+                  sum_k sum_l S_{k+kappa}(l+d) conj(S_k(l))
+                  e^{-2 pi i lam_n alpha beta k d}.
 
-    C_{k,kappa}(d) = sum_l S_{k+kappa, l+d} conj(S_{k,l}) an FFT cross-
-    correlation of two translation rows.  Only kappa at which cells of e
-    overlap contribute, and the -kappa part is the conjugate of the kappa
-    part, so kappa runs over kappa >= 0 with kappa > 0 counted twice.
+    The cocycle factor is u_k(l+d) conj(u_k(l)), u_k(l) = e^{-2 pi i lam_n
+    alpha beta k l}, so it folds into the rows: row k becomes P_k = S_k u_k
+    and its partner S_{k+kappa} u_k (= P_{k+kappa} e^{2 pi i lam_n alpha
+    beta kappa l}).  The lag sum is then a correlation over l, taken by
+    Parseval in frequency space: for an FFT length M >= 2L - 1 it is (1/M)
+    sum_m conj(Hhat_m) sum_k F(S_{k+kappa} u_k)_m conj(F(P_k)_m), with
+    Hhat the FFT of H's lags placed circularly; at kappa = 0 the inner sum
+    is sum_k |F(P_k)|^2.  Only kappa at which cells of e overlap
+    contribute, and the -kappa part is the conjugate of the kappa part, so
+    kappa runs over kappa >= 0 with kappa > 0 counted twice.  The rows
+    stream: one row spectrum, and one partner spectrum, is held at a time.
     """
     grid, spec = e.grid, samples.spec
     kmax, lmax, _ = samples.bounds()
-    ks, ls, stilde = _sample_array(samples, grid)
-    M = 1 << (2 * ls.size - 1).bit_length()   # a power of two >= 2 L
-    ds = np.arange(1 - ls.size, ls.size)
+    L = 2 * lmax + 1
+    M = _fft_size(2 * L - 1)
     live_k, H = _node_table(e, e, spec, 2 * kmax, 2 * lmax)
     kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
-    # the cocycle phase of translation k at lag d is exp(2 pi i dfreq alpha k)
-    dfreq = -spec.beta * grid.nodes[None, :] * ds[:, None]   # (D, N)
-    Z = np.zeros((kappas.size,) + dfreq.shape, dtype=complex)
-    # only the FFTs of rows b .. b + max kappa are held at a time
-    F = {}
-    for b, k in enumerate(ks):
-        F.pop(b - 1, None)
-        for a in range(b, min(b + kappas.max(initial=0) + 1, ks.size)):
-            if a not in F:
-                F[a] = np.fft.fft(stilde[a], n=M, axis=0)
-        phase = np.exp(1j * _TWO_PI * (spec.alpha * k * dfreq))
-        for j, kappa in enumerate(kappas):
+    # Hhat with lag d at d mod M; sum_n w_n / M enters the weights below
+    Hc = np.zeros(H.shape[:2] + (M,), dtype=complex)
+    Hc[..., :L] = H[..., L - 1:]
+    Hc[..., M - L + 1:] = H[..., :L - 1]
+    del H
+    Hhat = np.fft.fft(Hc, axis=-1)
+    del Hc
+    wts = grid.weights[:, None] / M
+    # H(0, -d) = conj(H(0, d)), so Hhat is real at kappa = 0
+    W0 = Hhat[kappas == 0].real.sum(axis=0) * wts
+    W = 2.0 * np.conj(Hhat[kappas > 0]) * wts
+    kappas = kappas[kappas > 0]
+    del Hhat
+    ks, ls, S = _sample_array(samples, grid)
+    # u_k(l) from one cosine and one sine per node and distinct |k l|
+    kl = np.outer(ks, ls)
+    q, inv = np.unique(np.abs(kl), return_inverse=True)
+    angle = (_TWO_PI * spec.alpha * spec.beta) * np.outer(grid.nodes, q)
+    cos, sin = np.cos(angle), np.sin(angle)
+    del angle
+    total = 0.0
+    for b in range(ks.size):
+        u = np.empty(S.shape[1:], dtype=complex)
+        u.real = cos[:, inv[b]]
+        u.imag = sin[:, inv[b]] * -np.sign(kl[b])
+        S[b] *= u          # rows above b stay unfolded for their partners
+        F = np.fft.fft(S[b], n=M, axis=-1)
+        for kappa, Wj in zip(kappas, W):
             if b + kappa < ks.size:
-                corr = np.fft.ifft(F[b + kappa] * np.conj(F[b]), axis=0)
-                Z[j] += phase * corr[ds]              # lag d at corr[d]
-    total = sum((1.0 if kappa == 0 else 2.0) * np.einsum(
-        "n,dn,dn->", grid.weights, np.conj(Hj).T, Zj).real
-        for kappa, Hj, Zj in zip(kappas, H, Z))
+                Q = np.fft.fft(S[b + kappa] * u, n=M, axis=-1)
+                Q *= Wj
+                total += np.vdot(F, Q).real
+        # |F|^2 in place: square F's real view, sum each pair in the dot
+        Fv = F.view(float)
+        Fv *= Fv
+        total += (W0.ravel() @ Fv.reshape(-1, 2)).sum()
+        del u, F, Fv     # one row's arrays at a time
     return float(total) / (c * c)
 
 

@@ -209,7 +209,7 @@ def test_sinc_random_csv_bytes_pinned(capsys):
 
 @pytest.mark.parametrize("command, digest", [
     ("sample",
-     "e9cfbf1ffbf446dec53062b44d687195bc91139e4a55f40fd7552694006b71e6"),
+     "98be26f9161c47235c05eba8049386770df835d88b856cf90474bbed5904d92e"),
     ("verify-canonical",
      "407c642c92580c06153ae56042c6c96791c3f5e2b883169ca3adcfbcab02d74b"),
 ])
@@ -246,6 +246,23 @@ def test_sample_default(capsys):
                        "--lambda-nodes", "256", "--bounds", "2,6,3")
     assert code == 0
     assert "isometry-ratio" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("bounds", ["1,1,1", "2,1,2", "1,0,1"])
+def test_sample_small_boxes_pass(capsys, bounds):
+    # the doubled box holds the straddling atom and the in-box atoms lie
+    # in the box, whatever the bounds
+    code, out, _ = run(capsys, "sample", "--no-timestamp", "--bounds",
+                       bounds)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_sample_empty_box_exit_2(capsys):
+    code, _, err = run(capsys, "sample", "--no-timestamp", "--bounds",
+                       "0,0,0")
+    assert code == 2
+    assert err.startswith("error:") and "box too small" in err
 
 
 def test_sample_small_spectrum_marks_interpolation(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,11 @@ from hypothesis import strategies as st
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, FieldFormatError
 from hgs.fieldcheck import translate_field
-from hgs.grids import (FieldSample, SpectralSet, field_sum,
+from hgs.grids import (FieldSample, SpectralSet, _node_table, field_sum,
                        lambda_grid, plancherel_measure)
 from hgs.group import GroupPoint, LatticeIndex, QuasiLatticeSpec
 from hgs import sampling
-from hgs.sampling import (SampleSet, _reconstruction_norm2_fast,
+from hgs.sampling import (SampleSet, _fft_size, _reconstruction_norm2_fast,
                           evaluate_phi, interpolation_verdict,
                           isometry_ratio, onb_gram_check, reconstruct,
                           reconstruction_study, sample_on_lattice)
@@ -349,7 +351,7 @@ def _pl_generator(draw, n):
 
 @settings(max_examples=40, deadline=None)
 @given(windows=_pl_generator(4),
-       box=st.tuples(st.integers(0, 2), st.integers(0, 3),
+       box=st.tuples(st.integers(0, 2), st.integers(0, 8),
                      st.integers(0, 2)),
        seed=st.integers(0, 2 ** 32 - 1),
        ab=st.sampled_from([(1.0, 1.0), (0.75, 1.25), (0.5, 2.0),
@@ -368,6 +370,66 @@ def test_reconstruction_norm_property(windows, box, seed, ab, c):
     scale = s.energy() * float(np.sum(grid.weights * e.slice_norm2())) \
         * s.array.size / (c * c)
     assert abs(got - want) <= 1e-13 * scale
+
+
+def _random_samples(spec, box, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(2 * b + 1 for b in box)
+    return SampleSet(spec, rng.normal(size=shape)
+                     + 1j * rng.normal(size=shape))
+
+
+def test_fft_size_is_smallest_3_smooth_power():
+    smooth = [2 ** a * 3 ** b for a in range(11) for b in range(7)]
+    for n in range(1, 1001):
+        assert _fft_size(n) == min(m for m in smooth if m >= n)
+
+
+@pytest.mark.parametrize("box", [(0, 0, 1), (0, 3, 1), (2, 0, 1)])
+@pytest.mark.parametrize("name", ["canonical", "split", "random_pl"])
+def test_reconstruction_norm_degenerate_boxes(generators, name, box):
+    # kmax = 0 leaves one row; lmax = 0 gives rows of length L = 1, M = 1
+    _, gens = generators
+    s = _random_samples(QuasiLatticeSpec(0.75, 1.25), box, seed=11)
+    got = _reconstruction_norm2_fast(s, gens[name], 0.8)
+    want = reconstruct(s, gens[name], 0.8).norm2()
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_reconstruction_norm_zero_samples(generators):
+    _, gens = generators
+    s = SampleSet(SPEC, np.zeros((5, 7, 3), dtype=complex))
+    assert _reconstruction_norm2_fast(s, gens["random_pl"], 1.0) == 0.0
+
+
+def test_reconstruction_norm_reach_beyond_box():
+    # slices 4 wide overlap at translations up to 4 > K = 3 rows, so the
+    # widest offsets in the doubled box pair a single row each
+    grid = lambda_grid(E_FULL, 8, 0.1)
+    e = random_pl_field(grid, seed=4, interval=(-2.0, 2.0))
+    live_k, _ = _node_table(e, e, SPEC, 8, 0)
+    assert live_k.max() - 8 >= 3
+    s = _random_samples(SPEC, (1, 4, 1), seed=12)
+    got = _reconstruction_norm2_fast(s, e, 1.0)
+    want = reconstruct(s, e, 1.0).norm2()
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_reconstruction_norm_memory_streams():
+    # one row spectrum at a time: a batched (K, N, M) spectrum alone would
+    # be 30 MB at this box
+    e = canonical_field(lambda_grid(E_FULL, 1024, 1e-3))
+    s = _random_samples(SPEC, (6, 32, 16), seed=13)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _reconstruction_norm2_fast(s, e, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_reconstruction_study_builds_no_field(generators, monkeypatch):

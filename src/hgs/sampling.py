@@ -203,25 +203,6 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _lag_weights(e: FieldSample, spec: QuasiLatticeSpec, kmax: int,
-                 lmax: int, M: int):
-    """The kappa >= 0 half of H = _node_table(e, e) over the doubled box as
-    weights on length-M row spectra, conj(Hhat_n) w_n / M with Hhat the FFT
-    of H's lags d placed at d mod M, and kappa > 0 counted twice.  Returns
-    (W0, kappas, W): the kappa = 0 weights, real because the row sums they
-    meet are, and the live kappa > 0 with their weights."""
-    live_k, H = _node_table(e, e, spec, 2 * kmax, 2 * lmax)
-    kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
-    L = 2 * lmax + 1
-    Hc = np.zeros(H.shape[:2] + (M,), dtype=complex)
-    Hc[..., :L] = H[..., L - 1:]
-    Hc[..., M - L + 1:] = H[..., :L - 1]
-    Hhat = np.fft.fft(Hc, axis=-1)
-    wts = e.grid.weights[:, None] / M
-    return (Hhat[kappas == 0].real.sum(axis=0) * wts, kappas[kappas > 0],
-            2.0 * np.conj(Hhat[kappas > 0]) * wts)
-
-
 def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
                                c: float):
     """||r||^2 for r = (1/c) sum_gamma s_gamma T_gamma e, for any e.
@@ -248,15 +229,30 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     """
     grid, spec = e.grid, samples.spec
     kmax, lmax, _ = samples.bounds()
-    M = _fft_size(4 * lmax + 1)                 # 2L - 1 lags
-    W0, kappas, W = _lag_weights(e, spec, kmax, lmax, M)
+    L = 2 * lmax + 1
+    M = _fft_size(2 * L - 1)
+    live_k, H = _node_table(e, e, spec, 2 * kmax, 2 * lmax)
+    kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
+    # Hhat with lag d at d mod M; sum_n w_n / M enters the weights below
+    Hc = np.zeros(H.shape[:2] + (M,), dtype=complex)
+    Hc[..., :L] = H[..., L - 1:]
+    Hc[..., M - L + 1:] = H[..., :L - 1]
+    del H
+    Hhat = np.fft.fft(Hc, axis=-1)
+    del Hc
+    wts = grid.weights[:, None] / M
+    # at kappa = 0 the row sum |F|^2 is real, so only Re(Hhat) enters
+    W0 = Hhat[kappas == 0].real.sum(axis=0) * wts
+    W = 2.0 * np.conj(Hhat[kappas > 0]) * wts
+    kappas = kappas[kappas > 0]
+    del Hhat
     ks, ls, S = _sample_array(samples, grid)
     # u_k(l) from one cosine and one sine per node and distinct |k l|
     kl = np.outer(ks, ls)
     q, inv = np.unique(np.abs(kl), return_inverse=True)
     angle = (_TWO_PI * spec.alpha * spec.beta) * np.outer(grid.nodes, q)
-    cos = np.cos(angle)
-    sin = np.sin(angle, out=angle)
+    cos, sin = np.cos(angle), np.sin(angle)
+    del angle
     total = 0.0
     for b in range(ks.size):
         u = np.empty(S.shape[1:], dtype=complex)

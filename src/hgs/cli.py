@@ -331,7 +331,7 @@ def cmd_sample(args):
     _check(report, "density", True,
            f"interpolation={dens.interpolation} mu(E)={dens.mu_E:.6g} "
            f"target={dens.target:.6g}")
-    c = 1.0 / dens.target
+    c = dens.c
     table = []
     ok = True
     for f in suite.fields():
@@ -377,8 +377,6 @@ def cmd_density(argv):
     try:
         E = SpectralSet.parse(argv[0])
         spec = QuasiLatticeSpec(float(argv[1]), float(argv[2]))
-        if not (math.isfinite(spec.alpha) and math.isfinite(spec.beta)):
-            raise HgsError("alpha and beta must be finite")
     except (HgsError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

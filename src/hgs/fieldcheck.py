@@ -22,11 +22,11 @@ from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
 from .grids import (FieldSample, SpectralSet, _concat, _node_table,
-                    _overlap_shifts, field_inner, field_sum, point_grid)
+                    _translated_pairs, field_inner, field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
-from .windows import (_cross_join, _ranges, affine_terms,
-                      paired_inner_sweep, product_conj_terms)
+from .windows import (_ranges, affine_terms, paired_inner_sweep,
+                      product_conj_terms)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -281,59 +281,57 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
 # two-slice orthogonality condition
 
 
-def _unfolded_sum(f: FieldSample, g: FieldSample, c, shifts) -> np.ndarray:
+def _unfolded_sum(f: FieldSample, g: FieldSample, c, step: float,
+                  kmax: int) -> np.ndarray:
     """Per point p < P of the common grid of 2P points of f and g, paired
     with point q = P + p:
 
-        sum_s sum_{n in Z} <(f_p conj T_s g_p)(./c_p),
+        sum_{|k| <= kmax} sum_{n in Z} <(f_p conj T_s g_p)(./c_p),
                             T_n (f_q conj T_s g_q)(./c_q)> / |c_p c_q|,
 
-    with T_s the translation by s and c of length 2P; an array over the P
-    points.
+    with T_s the translation by s = step k and c of length 2P; an array
+    over the P points.
 
     The periodization behind the two-slice orthogonality condition and the
     coefficient cross-orthogonality: after the unfolding substitution a
     modulation sum over the frequencies c*l, l in Z, is a sum of integer-
     frequency Fourier coefficients, so it collapses to overlap integrals
-    over integer shifts n.  The product terms of all 2P points and shifts
-    are built in one pass, the terms of (p, s) are paired with those of
-    (P + p, s), each pair is expanded over the n at which its cells can
-    overlap, and all of them are evaluated in one sweep.
+    over integer shifts n.  Both joins come from _translated_pairs: the
+    overlapping (point, shift, term pair) rows give the product terms of
+    all 2P points, the terms of (p, s) meet those of (P + p, s) at every n
+    where their cells overlap, and one sweep evaluates them all.
     """
-    shifts = np.asarray(shifts, dtype=float)
     c = np.asarray(c, dtype=float)
-    S, P = shifts.size, c.size // 2
-    # the (point, shift, term pair) rows in (point, shift) order, kept only
-    # where the cells overlap (product_conj_terms' test) before any
-    # coefficient is gathered
-    ia, ib, node = _cross_join(f._starts, g._starts)
-    per_point = np.bincount(node, minlength=c.size)
-    first = np.cumsum(per_point) - per_point
-    seg, pair = _ranges(np.repeat(first, S), np.repeat(per_point, S))
-    ia, ib, dt = ia[pair], ib[pair], shifts[seg % S]
-    lo, hi = g.term_lo[ib] + dt, g.term_hi[ib] + dt
-    live = np.minimum(f.term_hi[ia], hi) > np.maximum(f.term_lo[ia], lo)
-    seg, ia, ib, dt, lo, hi = (x[live] for x in (seg, ia, ib, dt, lo, hi))
-    phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * dt)
+    # the sweep forms |c|^5 and |c|^-5 (degree-4 products on scaled cells)
+    if not np.all((2.0 ** -200 <= np.abs(c)) & (np.abs(c) <= 2.0 ** 200)):
+        raise DomainError("unfolding scales beta*lambda out of range")
+    S, P = 2 * kmax + 1, c.size // 2
+    ia, ib, seg, k, lo, hi = _translated_pairs(
+        f._starts, f.term_lo, f.term_hi, g._starts, g.term_lo, g.term_hi,
+        step, kmax)
+    # (point, shift, term pair) order
+    seg = seg * S + (k.astype(np.int64) + kmax)
+    perm = np.argsort(seg, kind="stable")
+    seg, ia, ib, k, lo, hi = (x[perm] for x in (seg, ia, ib, k, lo, hi))
+    phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * (step * k))
     _, *prod = product_conj_terms(
         f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia], f.term_coef[ia],
         f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
         g.term_coef[ib] * phase[:, None], g.term_freq[ib])
     terms = affine_terms(*prod, c[seg // S])
     starts = np.searchsorted(seg, np.arange(c.size * S + 1))
-    ia, ib, seg = _cross_join(starts[:P * S + 1], starts[P * S:])
-    rep, n = _overlap_shifts(terms[0][ia], terms[1][ia], terms[0][ib],
-                             terms[1][ib])
-    lo1, hi1, coef1, freq1 = (x[ia[rep]] for x in terms)
-    lo2, hi2, coef2, freq2 = (x[ib[rep]] for x in terms)
-    lo2, hi2 = lo2 + n, hi2 + n
-    coef2 = coef2 * np.exp(-1j * _TWO_PI * freq2 * n)[:, None]
+    ia, ib, seg, n, lo2, hi2 = _translated_pairs(
+        starts[:P * S + 1], terms[0], terms[1], starts[P * S:], terms[0],
+        terms[1], 1.0, math.inf)
+    lo1, hi1, coef1, freq1 = (x[ia] for x in terms)
+    freq2 = terms[3][ib]
+    coef2 = terms[2][ib] * np.exp(-1j * _TWO_PI * freq2 * n)[:, None]
     vals = paired_inner_sweep(lo1, hi1, 0.5 * (lo1 + hi1), coef1, freq1,
                               lo2, hi2, 0.5 * (lo2 + hi2), coef2, freq2,
                               np.zeros(1))
     # rows come point by point; one np.sum per point keeps numpy's pairwise
     # order, so every value equals that of a one-point call bit for bit
-    bounds = np.searchsorted(seg[rep] // S, np.arange(P + 1))
+    bounds = np.searchsorted(seg // S, np.arange(P + 1))
     sums = np.array([np.sum(vals[a:b]) for a, b
                      in zip(bounds[:-1], bounds[1:])], dtype=complex)
     scale = np.abs(c[:P] * c[P:])
@@ -356,9 +354,9 @@ def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
         raise DomainError("lam must lie in (0, 1)")
     _check_bounds(kmax)
     mus = [lam - 1.0, lam]
-    shifts = spec.alpha * np.arange(-kmax, kmax + 1, dtype=float)
     return complex(_unfolded_sum(f.slices_at(mus), g.slices_at(mus),
-                                 spec.beta * np.array(mus), shifts)[0])
+                                 spec.beta * np.array(mus), spec.alpha,
+                                 kmax)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,6 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
             x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
             points.extend(zip(0.5 * (cb - ca) * wg, x + n1, x + n2))
     wq, lam1, lam2 = np.array(points, dtype=float).reshape(-1, 3).T
-    shifts = spec.alpha * np.arange(-trunc[0], trunc[0] + 1, dtype=float)
     # one kernel point per (quadrature point p, field i, field j): the
     # slices at lam1 and at lam2 sit at point p and point P + p of one table
     both = np.concatenate([lam1, lam2])
@@ -448,7 +445,7 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     f_all = _concat(point_grid(both[row], g.grid.spectral_set),
                     [fk.take(row[pk]) for fk, pk in zip(fs, picks)], picks)
     vals = _unfolded_sum(f_all, gs.take(row), -spec.beta * both[row],
-                         shifts).reshape(P, F, F)
+                         spec.alpha, trunc[0]).reshape(P, F, F)
     # the coefficients pair T g with f, so the products are the conjugates
     # of the kernel's f * conj(T g); |lam1 lam2| is the spectral weight of
     # the two folded slices; cumsum adds the points strictly in order, so

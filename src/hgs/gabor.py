@@ -72,8 +72,8 @@ def _painless_table(node, lo, hi, coef, freq, lams, spec):
     # fold every cell by the shifts n alpha that meet [0, alpha), and sum
     # on [0, alpha) cut at 0 and alpha too; slivers are 8 ulps of the
     # slice's largest end or of alpha
-    n0 = np.floor(a / alpha).astype(np.int64)
-    c, k = _ranges(n0, np.floor(b / alpha).astype(np.int64) - n0 + 2)
+    n0 = np.floor(a / alpha)
+    c, k = _ranges(n0, np.floor(b / alpha) - n0 + 2)
     shift = k * alpha
     flo, fhi = np.maximum(a[c] - shift, 0.0), np.minimum(b[c] - shift, alpha)
     f = fhi > flo

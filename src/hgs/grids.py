@@ -503,7 +503,7 @@ def _blocks(weights):
         start = stop
 
 
-def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
+def _overlap_shifts(lo1, hi1, lo2, hi2, step, nmax):
     """Expand paired cells over the integers n, |n| <= nmax, at which
     [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
     each end whose exact-zero term guards against rounding.  Returns the
@@ -513,6 +513,23 @@ def _overlap_shifts(lo1, hi1, lo2, hi2, step=1.0, nmax=math.inf):
     return _ranges(n_lo, np.maximum(n_hi - n_lo + 1, 0))
 
 
+def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
+                      nmax):
+    """Same-segment term pairs of tables A and B, expanded over the n,
+    |n| <= nmax, at which the cells can meet (_overlap_shifts), with the B
+    cell moved to [lo_b', hi_b') = [lo_b, hi_b) + n step; keeps the rows
+    where min(hi_a, hi_b') > max(lo_a, lo_b').  Returns (ia, ib, seg, n,
+    lo_b', hi_b') in (segment, ia, ib, n) order."""
+    ia, ib, seg = _cross_join(starts_a, starts_b)
+    rep, n = _overlap_shifts(lo_a[ia], hi_a[ia], lo_b[ib], hi_b[ib], step,
+                             nmax)
+    ia, ib, seg = ia[rep], ib[rep], seg[rep]
+    shift = step * n
+    lo, hi = lo_b[ib] + shift, hi_b[ib] + shift
+    live = np.minimum(hi_a[ia], hi) > np.maximum(lo_a[ia], lo)
+    return tuple(x[live] for x in (ia, ib, seg, n, lo, hi))
+
+
 def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
                 kmax: int, lmax: int):
     """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
@@ -520,31 +537,22 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     |k| <= kmax at which some pair of cells overlaps.  Returns (live_k, H)
     with live_k the ascending k + kmax of those translations.
 
-    Every same-node pair of an f term and a g term is expanded over only
-    the translations k at which their cells can overlap (_overlap_shifts),
-    and the overlapping (pair, k) rows are evaluated in blocks.  The
-    modulation sweep shares the overlap geometry across all l, so the cost
-    is one closed-form moment evaluation per live (pair, k, l).
+    The overlapping (pair, k) rows come from _translated_pairs and are
+    evaluated in blocks.  The modulation sweep shares the overlap geometry
+    across all l, so the cost is one closed-form moment evaluation per
+    live (pair, k, l).
     """
     grid = g.grid
     if not grid.same_as(f.grid):
         raise DomainError("test field lives on a different grid")
     ls = np.arange(-lmax, lmax + 1)
-    ia, ib, node = _cross_join(f._starts, g._starts)
-    rep, k = _overlap_shifts(f.term_lo[ia], f.term_hi[ia],
-                             g.term_lo[ib], g.term_hi[ib], spec.alpha, kmax)
+    rows = _translated_pairs(f._starts, f.term_lo, f.term_hi, g._starts,
+                             g.term_lo, g.term_hi, spec.alpha, kmax)
     # k-major rows, pairs in node-major order within each k
-    perm = np.argsort(k, kind="stable")
-    rep, k = rep[perm], k[perm]
-    ia, ib, node = ia[rep], ib[rep], node[rep]
-    shift = spec.alpha * k
-    g_lo = g.term_lo[ib] + shift
-    g_hi = g.term_hi[ib] + shift
-    live = (np.minimum(f.term_hi[ia], g_hi)
-            > np.maximum(f.term_lo[ia], g_lo))
-    ia, ib, node, shift, g_lo, g_hi = (
-        x[live] for x in (ia, ib, node, shift, g_lo, g_hi))
-    kidx = k[live].astype(np.int64) + kmax
+    perm = np.argsort(rows[3], kind="stable")
+    ia, ib, node, k, g_lo, g_hi = (x[perm] for x in rows)
+    del rows
+    kidx = k.astype(np.int64) + kmax
     live_k = np.unique(kidx)
     # accumulator row of every (k, node) with a live pair
     slot = np.searchsorted(live_k, kidx) * grid.n + node
@@ -558,7 +566,7 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
         a, b = ia[s:e], ib[s:e]
         lo, hi = g_lo[s:e], g_hi[s:e]
         coef = g.term_coef[b] * np.exp(
-            -1j * _TWO_PI * g.term_freq[b] * shift[s:e])[:, None]
+            -1j * _TWO_PI * g.term_freq[b] * (spec.alpha * k[s:e]))[:, None]
         df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
         vals = paired_inner_sweep(
             f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],

@@ -62,8 +62,11 @@ class QuasiLatticeSpec:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError("alpha and beta must be positive")
+        ab = self.alpha * self.beta
+        if not (self.alpha > 0 and self.beta > 0 and 0 < ab < math.inf
+                and 1.0 / ab < math.inf):
+            raise DomainError("alpha, beta, alpha*beta and 1/(alpha*beta) "
+                              "must be positive and finite")
 
     @property
     def is_integer(self) -> bool:

@@ -281,6 +281,9 @@ def reconstruction_study(f: FieldSample, e: FieldSample,
     r is never built: ||f - r||^2 = ||f||^2 - 2 <f, r> + ||r||^2, with
     <f, r> = (1/c) sum |phi(gamma)|^2 exactly (the samples are r's own
     coefficients) and ||r||^2 from _reconstruction_norm2_fast."""
+    if not (c > 0 and 0 < c * c < math.inf):
+        raise DomainError(f"sampling constant c = {c:g}: c and c*c must be "
+                          "positive and finite")
     samples = sample_on_lattice(f, e, spec, bounds)
     norm_sq = f.norm2()
     ratio = isometry_ratio(samples, norm_sq)

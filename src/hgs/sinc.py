@@ -20,7 +20,7 @@ import numpy as np
 
 from .canonical import sinc_intervals
 from .errors import DomainError
-from .grids import FieldSample, LambdaGrid
+from .grids import FieldSample, LambdaGrid, field_inner_per_node
 from .windows import indicator_transform
 
 _SMALL = 0.25 / math.pi  # |2 pi w| < 0.5 switches psi to its series
@@ -136,7 +136,6 @@ def S_quadrature(x: float, y: float, z: float, grid: LambdaGrid,
     coefficient <e_lam, pi_lam(x, y, z) e_lam>, split into the negative-
     and positive-side parts.  Per-slice inner products are the exact
     overlap integrals of modulated indicators."""
-    from .grids import field_inner_per_node
     moved = fld.heisenberg_translate(x, y, z)
     vals = grid.weights * field_inner_per_node(fld, moved)
     neg = grid.nodes < 0

@@ -37,8 +37,8 @@ class AtomSuite:
         return self.coeffs.shape[0]
 
     def atoms(self):
-        from .fieldcheck import translate_field
-        return [translate_field(self.base, g.k, g.l, g.m, self.spec)
+        a, b = self.spec.alpha, self.spec.beta
+        return [self.base.heisenberg_translate(a * g.k, b * g.l, float(g.m))
                 for g in self.indices]
 
     def fields(self):

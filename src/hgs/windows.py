@@ -22,15 +22,15 @@ interval_moments multiplies the complex phase by it once.  Its values are
 bit for bit those of the complex series and recurrence that serve the
 higher degrees, and interval_moments(..., 0)[0] equals row 0 at any larger
 degree.  interval_moments computes each cell's half-width, midpoint and
-live mask on the shape of lo and hi, once per row of a pair sweep, and
-paired_inner_sweep uses its rows in place when every pair overlaps.
+live mask once per row of a pair sweep, and paired_inner_sweep uses its
+rows in place: a disjoint pair comes out as exact zeros.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import WindowStructureError
+from .errors import DomainError, WindowStructureError
 
 _TWO_PI = 2.0 * np.pi
 # |theta| below this uses the Taylor series for the centered moments; above,
@@ -154,48 +154,33 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
     """Per-pair inner products <a_r, exp(2*pi*i*df*t) * b_r> for paired term
     arrays (same length R) and modulations df of shape (D,) or (R, D).
 
-    Returns a complex (R, D) array.  Pairs with empty overlap contribute
-    exact zeros; the moment depth adapts to the polynomial degrees present.
-    When every pair overlaps (the table callers keep only those) the rows
-    are used in place; otherwise the live rows are gathered and scattered
-    back.  Shared by Window.inner_freq_sweep and the batched field inner
-    products.
+    Returns a complex (R, D) array, one row per pair, evaluated in place;
+    the moment depth adapts to the polynomial degrees present.  The table
+    callers pass only pairs whose cells overlap.  A pair with empty overlap
+    (Window.inner_freq_sweep pairs every term with every term) comes out
+    as exact zeros through the live mask of interval_moments.  Shared by
+    Window.inner_freq_sweep and the batched field inner products.
     """
     df = np.asarray(df, dtype=float)
-    if df.ndim == 1:
-        df = np.broadcast_to(df, (loa.size, df.size))
     lo = np.maximum(loa, lob)
     hi = np.minimum(hia, hib)
-    live = hi > lo
-    if not live.any():
-        return np.zeros((lo.size, df.shape[1]), dtype=complex)
-    gather = not live.all()
-    idx = np.nonzero(live)[0] if gather else slice(None)
-    lo, hi = lo[idx], hi[idx]
     mid = 0.5 * (lo + hi)
     # recentering preserves the degree and leaves constants unchanged
-    a, b = coefa[idx], coefb[idx]
-    dega = _live_degree(a)
-    degb = _live_degree(b)
-    if dega:
-        a = _recenter(a, mid - mida[idx])
-    b = np.conj(_recenter(b, mid - midb[idx]) if degb else b)
+    dega = _live_degree(coefa)
+    degb = _live_degree(coefb)
+    a = _recenter(coefa, mid - mida) if dega else coefa
+    b = np.conj(_recenter(coefb, mid - midb) if degb else coefb)
     pmax = dega + degb
     poly = np.zeros((lo.size, pmax + 1), dtype=complex)
     for p in range(dega + 1):
         for q in range(degb + 1):
             poly[:, p + q] += a[:, p] * b[:, q]
-    base = freqa[idx] - freqb[idx]
-    freq = base[:, None] - df[idx]
+    freq = (freqa - freqb)[:, None] - df
     mom = interval_moments(lo[:, None], hi[:, None], freq, pmax)
     acc = np.zeros(freq.shape, dtype=complex)
     for p in range(pmax + 1):
         acc += poly[:, p, None] * mom[p]
-    if not gather:
-        return acc
-    out = np.zeros((live.size, df.shape[1]), dtype=complex)
-    out[idx] = acc
-    return out
+    return acc
 
 
 def _live_degree(coef):
@@ -226,7 +211,13 @@ def _recenter(coef, shift):
 
 def _ranges(first, count):
     """Concatenated integer ranges [first_r, first_r + count_r).  Returns
-    the range index r of every element and its value, ranges in order."""
+    the range index r of every element and its value, ranges in order.
+    Float counts (of shifts) must sum below 2^62, so that their int64 form
+    and running sum cannot overflow; else this raises DomainError."""
+    total = np.sum(count, dtype=float)
+    if not total < 2.0 ** 62:
+        raise DomainError(f"cannot enumerate {total:.3g} shifts: the "
+                          "lattice step is out of scale with the cells")
     count = np.asarray(count, dtype=np.int64)
     rep = np.repeat(np.arange(count.size), count)
     rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]

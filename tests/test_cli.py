@@ -212,7 +212,7 @@ def test_sinc_random_csv_bytes_pinned(capsys):
      "98be26f9161c47235c05eba8049386770df835d88b856cf90474bbed5904d92e"),
     ("verify-canonical",
      "407c642c92580c06153ae56042c6c96791c3f5e2b883169ca3adcfbcab02d74b"),
-])
+], ids=["sample", "verify-canonical"])
 def test_report_bytes_pinned(capsys, tmp_path, command, digest):
     # the JSON report of a seeded run is part of the output contract; its
     # bytes do not depend on the --out path
@@ -221,6 +221,21 @@ def test_report_bytes_pinned(capsys, tmp_path, command, digest):
                      "--out", str(out_path))
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_sample_reconstructs_with_the_sampling_constant(capsys, tmp_path):
+    # r = (1/c) sum phi(gamma) T_gamma e with c = 1/(alpha beta), the value
+    # the isometry ratio converges to; with c = alpha beta the errors read
+    # 2.9 at (1, 0.5) and the doubling row failed
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "sample", "--alpha", "1", "--beta", "0.5",
+                     "--no-timestamp", "--out", str(out_path))
+    report = json.loads(out_path.read_text())
+    assert code == 1
+    assert [c["passed"] for c in report["checks"]] == [True, False, True]
+    assert [row["recon"] for row in report["table"]] == pytest.approx(
+        [0.14918936336511482, 0.13897018865657862, 0.23630234533002625,
+         0.09077868153391497], rel=1e-9)
 
 
 def test_sample_stdout_bytes_pinned(capsys):
@@ -320,6 +335,14 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, None, ["verify-canonical", "--lambda-nodes", "16", "--bounds",
                   "9,9,9"]),
     (None, None, ["verify-canonical", "--lambda-nodes", "1000000000000"]),
+    # lattice densities whose shift counts or constants leave float range
+    (None, None, ["verify-canonical", "--alpha", "1e-300"]),
+    (None, None, ["verify-canonical", "--beta", "1e300"]),
+    (None, None, ["verify-canonical", "--alpha", "1e160", "--beta",
+                  "1e160"]),
+    (None, None, ["sample", "--beta", "1e-200"]),
+    (None, None, ["sample", "--alpha", "1e160", "--beta", "1e160"]),
+    (None, None, ["density", "-1,1", "1e160", "1e160"]),
 ])
 def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
                            argv):

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from hgs.cli import main
 
-# small valid values only: no large node counts or bounds
+# small valid values only: no large node counts or bounds; the extreme
+# lattice densities must end in exit 1 or 2 without building anything large
 _VALID = {
-    "--alpha": ["1", "0.5", "2"],
-    "--beta": ["1", "0.5", "2"],
+    "--alpha": ["1", "0.5", "2", "1e-300", "1e300"],
+    "--beta": ["1", "0.5", "2", "1e-300", "1e300"],
     "--spectrum": ["-1,1", "-0.5,0.5", "0,1"],
     "--lambda-nodes": ["4", "8"],
     "--lambda-min": ["0.05", "0.2"],

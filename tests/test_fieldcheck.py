@@ -500,11 +500,16 @@ _scales = st.floats(0.2, 2.0).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(f1=_pl_windows(), g1=_pl_windows(), f2=_pl_windows(),
        g2=_pl_windows(), c1=_scales, c2=_scales,
-       shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+       step=st.floats(0.1, 2.0), kmax=st.integers(0, 2),
+       mods=st.lists(st.sampled_from([0.0, 0.5, -1.25]), min_size=4,
+                     max_size=4))
 def test_unfolded_sum_matches_reference_property(f1, g1, f2, g2, c1, c2,
-                                                 shifts):
+                                                 step, kmax, mods):
+    # modulated slices make every translation phase count
+    f1, g1, f2, g2 = (w.modulate(m) for w, m in zip((f1, g1, f2, g2), mods))
     got = _unfolded_sum(_two_points(f1, f2), _two_points(g1, g2),
-                        [c1, c2], shifts)[0]
+                        [c1, c2], step, kmax)[0]
+    shifts = step * np.arange(-kmax, kmax + 1, dtype=float)
     want, scale = _unfolded_reference(f1, g1, c1, f2, g2, c2, shifts)
     assert abs(got - want) <= 1e-12 * scale + 1e-300
 

@@ -1,17 +1,20 @@
-"""Property tests of the overlap join and the shift-expanded lattice sweep
-against the full same-node cross join, on generated piecewise-linear
-fields with touching cells, repeated intervals and empty slices."""
+"""Property tests of the overlap join, the translated-pair stage and the
+shift-expanded lattice sweep against the full same-node cross join, on
+generated piecewise-linear fields with touching cells, repeated intervals
+and empty slices."""
 
+import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgs import grids
 from hgs.fieldcheck import lattice_coefficients, translate_field
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, _cross_join,
-                       _overlap_join, field_inner_per_node)
+                       _overlap_join, _translated_pairs, field_inner_per_node)
 from hgs.group import QuasiLatticeSpec
 from hgs.windows import MAX_DEGREE, paired_inner_sweep
 
@@ -95,6 +98,52 @@ def test_overlap_join_yields_live_pairs_in_order(fields, block):
     got.append(np.concatenate([p[4] + p[0] for p in parts]))
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
+
+
+def _reference_translated(f, g, step, nmax):
+    """Every (pair, n) row of the full cross join expanded over every n
+    that can hold an overlap (|n| <= nmax), kept by the exact test."""
+    ia, ib, node = _cross_join(f._starts, g._starts)
+    if nmax == math.inf:
+        # the cells lie in [-2, 4), so no overlap lies further out
+        nmax = math.ceil(6.0 / step) + 2
+    ns = np.arange(-nmax, nmax + 1, dtype=float)
+    ia, ib, node = (np.repeat(x, ns.size) for x in (ia, ib, node))
+    n = np.tile(ns, ia.size // ns.size)
+    lo, hi = g.term_lo[ib] + step * n, g.term_hi[ib] + step * n
+    live = np.minimum(f.term_hi[ia], hi) > np.maximum(f.term_lo[ia], lo)
+    return tuple(x[live] for x in (ia, ib, node, n, lo, hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields=_field_pairs(), block=_block,
+       step=st.sampled_from([0.25, 1.0 / 3.0, 0.75, 1.0, 2.5]),
+       nmax=st.sampled_from([0, 1, 3, math.inf]))
+def test_translated_pairs_match_full_expansion(fields, block, step, nmax):
+    # rows and their (segment, ia, ib, n) order, whatever the block size
+    # of the callers
+    f, g = fields
+    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+        got = _translated_pairs(f._starts, f.term_lo, f.term_hi, g._starts,
+                                g.term_lo, g.term_hi, step, nmax)
+    want = _reference_translated(f, g, step, nmax)
+    for x, y in zip(got, want, strict=True):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("a, b, step, n", [
+    ((2.0, 2.57), (0.47, 0.5), 0.7, 3.0),
+    ((0.1, 0.2), (0.9, 1.0), 0.3, -3.0),
+])
+def test_translated_pairs_keep_overlaps_made_by_rounding(a, b, step, n):
+    # (2.57 - 0.47) / 0.7 rounds to 2.9999999999999996 and (0.1 - 1.0) / 0.3
+    # to -3.0, yet the b cell moved by n step overlaps the a cell by a
+    # rounding sliver; the guard row at each end of the shift range keeps it
+    one = np.array([0, 1])
+    rows = _translated_pairs(one, np.array([a[0]]), np.array([a[1]]), one,
+                             np.array([b[0]]), np.array([b[1]]), step,
+                             math.inf)
+    assert rows[3].tolist() == [n]
 
 
 @settings(max_examples=80, deadline=None)

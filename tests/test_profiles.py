@@ -160,16 +160,17 @@ _scales = st.floats(0.2, 2.0).flatmap(lambda c: st.sampled_from([c, -c]))
 @given(points=st.lists(st.tuples(_windows(), _windows(), _windows(),
                                  _windows(), _scales, _scales),
                        min_size=1, max_size=5),
-       shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
-def test_batched_unfolded_sum_matches_per_point_calls(points, shifts):
+       step=st.floats(0.1, 2.0), kmax=st.integers(0, 1))
+def test_batched_unfolded_sum_matches_per_point_calls(points, step, kmax):
     # points mix degrees and empty slices, so the one sweep over every
     # point's pairs runs at the largest degree present
     f1, g1, f2, g2, c1, c2 = (list(x) for x in zip(*points))
-    got = _unfolded_sum(_table(f1 + f2), _table(g1 + g2), c1 + c2, shifts)
+    got = _unfolded_sum(_table(f1 + f2), _table(g1 + g2), c1 + c2, step,
+                        kmax)
     assert got.shape == (len(points),)
     for p, (a, b, c, d, s1, s2) in enumerate(points):
         want = _unfolded_sum(_table([a, c]), _table([b, d]), [s1, s2],
-                             shifts)[0]
+                             step, kmax)[0]
         assert abs(got[p] - want) <= 1e-13 * (1.0 + abs(want))
 
 

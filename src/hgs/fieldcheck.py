@@ -22,15 +22,14 @@ from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
 from .grids import (FieldSample, SpectralSet, _concat, _node_table,
-                    _translated_pairs, field_inner, field_sum, point_grid)
+                    field_inner, field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
-from .windows import (_ranges, affine_terms, paired_inner_sweep,
-                      product_conj_terms)
-
-_TWO_PI = 2.0 * math.pi
+from .windows import (_TWO_PI, _ranges, _translated_pairs, affine_terms,
+                      paired_inner_sweep, product_conj_terms)
 
 SPEC_UNIT = QuasiLatticeSpec(1.0, 1.0)
+_NORM_TOL = 1e-12  # the Gabor-field verdict's bound on norm identity errors
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,6 @@ class SliceCheck:
 class GaborFieldReport:
     slices: tuple
     tol: float
-    norm_tol: float
     lattice_integer: bool
 
     @property
@@ -88,7 +86,7 @@ class GaborFieldReport:
 
     @property
     def passed(self):
-        return all(s.residual() <= self.tol and s.norm.within(self.norm_tol)
+        return all(s.residual() <= self.tol and s.norm.within(_NORM_TOL)
                    for s in self.slices)
 
     def as_dict(self):
@@ -107,7 +105,7 @@ class GaborFieldReport:
 
 
 def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
-                        tol: float = 1e-12, norm_tol: float = 1e-12,
+                        tol: float = 1e-12,
                         empirical_kw: dict | None = None) -> GaborFieldReport:
     """Scale each slice by |lam|^{1/2} and verify the per-slice Parseval
     property (painless criterion where applicable, empirical frame bounds
@@ -129,7 +127,7 @@ def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
         SliceCheck(lam=norm.lam, painless=None if i in why else p,
                    empirical=empirical.get(i), norm=norm)
         for i, (p, norm) in enumerate(zip(painless.tolist(), norms)))
-    return GaborFieldReport(slices=checks, tol=tol, norm_tol=norm_tol,
+    return GaborFieldReport(slices=checks, tol=tol,
                             lattice_integer=spec.is_integer)
 
 

@@ -27,9 +27,9 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .grids import FieldSample, SpectralSet, _node_table, point_grid
 from .group import QuasiLatticeSpec, _check_bounds
+from .testfields import DEFAULT_SEED
 from .windows import Window, _cover_sums, _modulus_cells, _ranges
 
-DEFAULT_SEED = 0x5EED
 _SUPPORT_SLACK = 1e-9
 
 

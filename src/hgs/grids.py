@@ -20,13 +20,13 @@ import numpy as np
 from .errors import (DomainError, EmptyGridError, FieldFormatError,
                      GridMismatchError, WindowStructureError)
 from .group import QuasiLatticeSpec
-from .windows import (MAX_DEGREE, Window, _cross_join, _ranges,
-                      paired_inner_sweep)
+# _cross_join stays importable as grids._cross_join, a layer perfbench traces
+from .windows import (_TWO_PI, MAX_DEGREE, Window, _cross_join,  # noqa: F401
+                      _ranges, _translated_pairs, paired_inner_sweep)
 
-_TWO_PI = 2.0 * math.pi
-# Term pairs per paired_inner_sweep call in field inner products and lattice
-# sweeps (a lattice row over L modulations counts as L pairs); bounds their
-# scratch memory.
+# Cross-joined term pairs per field-inner node block (bounding candidate
+# and live pairs) and rows times modulations per lattice-sweep block, unless
+# one node or slot alone has more; bounds their scratch memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -503,33 +503,6 @@ def _blocks(weights):
         start = stop
 
 
-def _overlap_shifts(lo1, hi1, lo2, hi2, step, nmax):
-    """Expand paired cells over the integers n, |n| <= nmax, at which
-    [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
-    each end whose exact-zero term guards against rounding.  Returns the
-    pair index and the n of every row: pairs in order, n ascending."""
-    n_lo = np.maximum(np.floor((lo1 - hi2) / step), -nmax)
-    n_hi = np.minimum(np.ceil((hi1 - lo2) / step), nmax)
-    return _ranges(n_lo, np.maximum(n_hi - n_lo + 1, 0))
-
-
-def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
-                      nmax):
-    """Same-segment term pairs of tables A and B, expanded over the n,
-    |n| <= nmax, at which the cells can meet (_overlap_shifts), with the B
-    cell moved to [lo_b', hi_b') = [lo_b, hi_b) + n step; keeps the rows
-    where min(hi_a, hi_b') > max(lo_a, lo_b').  Returns (ia, ib, seg, n,
-    lo_b', hi_b') in (segment, ia, ib, n) order."""
-    ia, ib, seg = _cross_join(starts_a, starts_b)
-    rep, n = _overlap_shifts(lo_a[ia], hi_a[ia], lo_b[ib], hi_b[ib], step,
-                             nmax)
-    ia, ib, seg = ia[rep], ib[rep], seg[rep]
-    shift = step * n
-    lo, hi = lo_b[ib] + shift, hi_b[ib] + shift
-    live = np.minimum(hi_a[ia], hi) > np.maximum(lo_a[ia], lo)
-    return tuple(x[live] for x in (ia, ib, seg, n, lo, hi))
-
-
 def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
                 kmax: int, lmax: int):
     """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
@@ -578,55 +551,11 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     return live_k, H.reshape(live_k.size, grid.n, ls.size)
 
 
-def _overlap_join(f: FieldSample, g: FieldSample):
-    """Same-node term pairs of f and g whose cells overlap, in the
-    (node, ia, ib) order of _cross_join, one block of nodes at a time.
-
-    Yields (start, stop, ia, ib, node) with node relative to start.  Each
-    term of f takes as candidates the g terms of its node with lo in
-    (lo_f - w, hi_f), w the widest g cell, found by binary search in g's
-    terms sorted by (node, lo); the same exact test as the full cross join
-    then keeps the overlapping ones.  Blocks hold at most _PAIR_BLOCK
-    candidates unless one node alone has more.
-    """
-    n = f.grid.n
-    if f.n_terms == 0 or g.n_terms == 0:
-        return
-    order = np.lexsort((g.term_lo, g.term_node))
-    # complex numbers compare lexicographically, so node + i lo sorts and
-    # searches as the pair (node, lo)
-    key = g.term_node[order] + 1j * g.term_lo[order]
-    # widen the reach by a few ulps of the largest endpoint so rounding in
-    # the widths cannot drop a pair
-    scale = max(np.abs(f.term_lo).max(), np.abs(f.term_hi).max(),
-                np.abs(g.term_lo).max(), np.abs(g.term_hi).max())
-    reach = (max(float(np.max(g.term_hi - g.term_lo)), 0.0)
-             + 8.0 * np.finfo(float).eps * scale)
-    first = np.searchsorted(key, f.term_node + 1j * (f.term_lo - reach),
-                            side="right")
-    count = np.maximum(
-        np.searchsorted(key, f.term_node + 1j * f.term_hi, side="left")
-        - first, 0)
-    per_node = np.bincount(f.term_node, weights=count, minlength=n)
-    for start, stop in _blocks(per_node):
-        a0, a1 = f._starts[start], f._starts[stop]
-        rep, pos = _ranges(first[a0:a1], count[a0:a1])
-        ia, ib = a0 + rep, order[pos]
-        live = (np.minimum(f.term_hi[ia], g.term_hi[ib])
-                > np.maximum(f.term_lo[ia], g.term_lo[ib]))
-        ia, ib = ia[live], ib[live]
-        # candidates come in lo order; restore ib order within each f term
-        if np.any((np.diff(ia) == 0) & (np.diff(ib) < 0)):
-            perm = np.argsort(ia * g.n_terms + ib, kind="stable")
-            ia, ib = ia[perm], ib[perm]
-        yield start, stop, ia, ib, f.term_node[ia] - start
-
-
 def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
     """Unweighted slice inner products <f(lam_i, .), g(lam_i, .)> as an
     array over nodes; exact, deterministic accumulation order.
 
-    Only term pairs whose cells overlap are evaluated (_overlap_join), in
+    The overlapping term pairs come from _translated_pairs at nmax = 0, in
     node blocks of bounded size, which keeps dense reconstructions
     tractable."""
     if not f.grid.same_as(g.grid):
@@ -635,7 +564,10 @@ def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
     f_mid = f.term_mid()
     g_mid = g.term_mid()
     zero = np.zeros(1)
-    for start, stop, ia, ib, node in _overlap_join(f, g):
+    for start, stop in _blocks(np.diff(f._starts) * np.diff(g._starts)):
+        ia, ib, node, *_ = _translated_pairs(
+            f._starts[start:stop + 1], f.term_lo, f.term_hi,
+            g._starts[start:stop + 1], g.term_lo, g.term_hi, 1.0, 0)
         if ia.size:
             vals = paired_inner_sweep(
                 f.term_lo[ia], f.term_hi[ia], f_mid[ia], f.term_coef[ia],

@@ -23,8 +23,8 @@ from .fieldcheck import lattice_coefficients
 from .grids import (FieldSample, SpectralSet, _node_table, field_inner,
                     plancherel_measure)
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec
+from .windows import _TWO_PI
 
-_TWO_PI = 2.0 * math.pi
 # largest lattice box SampleSet.load_csv allocates, in samples (512 MB)
 _MAX_BOX_SAMPLES = 1 << 25
 

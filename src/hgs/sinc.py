@@ -24,6 +24,8 @@ from .grids import FieldSample, LambdaGrid, field_inner_per_node
 from .windows import indicator_transform
 
 _SMALL = 0.25 / math.pi  # |2 pi w| < 0.5 switches psi to its series
+_DEV_EPS = 1e-3  # deviations are |closed - quad| / (|quad| + _DEV_EPS)
+_STRIP_X, _STRIP_YZ = (-0.95, 0.95), (-0.45, 0.45)  # seeded point ranges
 
 
 def _psi(w, p=0):
@@ -164,19 +166,18 @@ class SincComparison:
     s1_printed: complex
     s1_derived: complex
 
-    def deviation(self, which: str, eps: float = 1e-3) -> float:
+    def deviation(self, which: str) -> float:
         quad = self.s0_quad if which.startswith("s0") else self.s1_quad
         closed = getattr(self, which)
-        return abs(closed - quad) / (abs(quad) + eps)
+        return abs(closed - quad) / (abs(quad) + _DEV_EPS)
 
 
 @dataclass(frozen=True)
 class SincCompareReport:
     rows: tuple
-    eps: float
 
     def max_deviation(self, which: str) -> float:
-        return max((r.deviation(which, self.eps) for r in self.rows),
+        return max((r.deviation(which) for r in self.rows),
                    default=0.0)
 
     def _matching(self, part):
@@ -215,8 +216,8 @@ def _s1_numeric(x, y, z, grid, reading):
                           * w / np.abs(lam)))
 
 
-def sinc_compare(points, grid: LambdaGrid, fld: FieldSample,
-                 eps: float = 1e-3) -> SincCompareReport:
+def sinc_compare(points, grid: LambdaGrid,
+                 fld: FieldSample) -> SincCompareReport:
     """Cross-validate the closed forms against the quadrature oracle at the
     given (x, y, z) points, for both endpoint/sign readings."""
     rows = []
@@ -229,19 +230,18 @@ def sinc_compare(points, grid: LambdaGrid, fld: FieldSample,
             s0_derived=S0_closed(x, y, z, reading="derived"),
             s1_printed=_s1_numeric(x, y, z, grid, "printed"),
             s1_derived=S1_closed(x, y, z)))
-    return SincCompareReport(rows=tuple(rows), eps=eps)
+    return SincCompareReport(rows=tuple(rows))
 
 
-def seeded_strip_points(count: int, seed: int, x_range=(-0.95, 0.95),
-                        yz_range=(-0.45, 0.45)):
+def seeded_strip_points(count: int, seed: int):
     """Deterministic sample of points inside the strip |x| < 1, kept away
     from the exceptional lines by rejection."""
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < count:
-        x = rng.uniform(*x_range)
-        y = rng.uniform(*yz_range)
-        z = rng.uniform(*yz_range)
+        x = rng.uniform(*_STRIP_X)
+        y = rng.uniform(*_STRIP_YZ)
+        z = rng.uniform(*_STRIP_YZ)
         denoms = [y, z, z - x * y, z + y, z + y * (1 - x), z + y * (1 + x)]
         if min(abs(d) for d in denoms) < 5e-3:
             continue

@@ -20,6 +20,7 @@ from .group import LatticeIndex, QuasiLatticeSpec
 from .windows import Window
 
 DEFAULT_SEED = 0x5EED
+_SLICE_MARGIN = 1.5  # how far two_slice_field's slices reach past g's
 
 
 @dataclass(frozen=True)
@@ -70,22 +71,20 @@ def atom_suite(base: FieldSample, spec: QuasiLatticeSpec, n_functions: int,
                      coeffs=coeffs)
 
 
-def random_pl_window(rng, interval, n_breaks: int = 8,
-                     zero_ends: bool = True) -> Window:
-    """Seeded continuous piecewise-linear window on the interval."""
+def random_pl_window(rng, interval, n_breaks: int = 8) -> Window:
+    """Seeded continuous piecewise-linear window on the interval, zero at
+    its ends."""
     a, b = interval
     inner = np.sort(rng.uniform(a, b, max(0, n_breaks - 2)))
     breaks = np.concatenate([[a], inner, [b]])
     keep = np.concatenate([[True], np.diff(breaks) > 1e-9])
     breaks = breaks[keep]
     vals = rng.normal(size=breaks.size) + 1j * rng.normal(size=breaks.size)
-    if zero_ends:
-        vals[0] = vals[-1] = 0.0
+    vals[0] = vals[-1] = 0.0
     return Window.piecewise_linear(breaks, vals)
 
 
-def two_slice_field(g: FieldSample, lam: float, seed: int,
-                    margin: float = 1.5) -> FieldSample:
+def two_slice_field(g: FieldSample, lam: float, seed: int) -> FieldSample:
     """Field with seeded piecewise-linear slices at lam and lam - 1 only,
     each spanning the corresponding slice support of g plus a margin.
 
@@ -103,7 +102,7 @@ def two_slice_field(g: FieldSample, lam: float, seed: int,
         if sup is None:
             sup = (0.0, 1.0)
         windows.append(random_pl_window(
-            rng, (sup[0] - margin, sup[1] + margin), n_breaks=9))
+            rng, (sup[0] - _SLICE_MARGIN, sup[1] + _SLICE_MARGIN), n_breaks=9))
     return FieldSample.from_windows(grid, windows)
 
 

@@ -23,7 +23,9 @@ bit for bit those of the complex series and recurrence that serve the
 higher degrees, and interval_moments(..., 0)[0] equals row 0 at any larger
 degree.  interval_moments computes each cell's half-width, midpoint and
 live mask once per row of a pair sweep, and paired_inner_sweep uses its
-rows in place: a disjoint pair comes out as exact zeros.
+rows in place.  Every term pairing in the package, from Window.inner to
+the lattice sweeps, comes from one stage, _translated_pairs, whose exact
+overlap test keeps disjoint pairs out of paired_inner_sweep.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _TWO_PI = 2.0 * np.pi
 # the boundary recurrence.  0.5 keeps both branches at ~1e-16 relative error.
 _SERIES_CUT = 0.5
 _SERIES_TERMS = 18
+_ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 
 MAX_DEGREE = 2
 
@@ -155,11 +158,10 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
     arrays (same length R) and modulations df of shape (D,) or (R, D).
 
     Returns a complex (R, D) array, one row per pair, evaluated in place;
-    the moment depth adapts to the polynomial degrees present.  The table
-    callers pass only pairs whose cells overlap.  A pair with empty overlap
-    (Window.inner_freq_sweep pairs every term with every term) comes out
-    as exact zeros through the live mask of interval_moments.  Shared by
-    Window.inner_freq_sweep and the batched field inner products.
+    the moment depth adapts to the polynomial degrees present.  Every
+    caller takes its pairs from _translated_pairs, so the cells of each
+    pair overlap; a pair with empty overlap would come out as exact zeros
+    through the live mask of interval_moments.
     """
     df = np.asarray(df, dtype=float)
     lo = np.maximum(loa, lob)
@@ -214,13 +216,14 @@ def _ranges(first, count):
     the range index r of every element and its value, ranges in order.
     Float counts (of shifts) must sum below 2^62, so that their int64 form
     and running sum cannot overflow; else this raises DomainError."""
-    total = np.sum(count, dtype=float)
+    count = np.asarray(count)
+    total = count.sum(dtype=float)
     if not total < 2.0 ** 62:
         raise DomainError(f"cannot enumerate {total:.3g} shifts: the "
                           "lattice step is out of scale with the cells")
-    count = np.asarray(count, dtype=np.int64)
-    rep = np.repeat(np.arange(count.size), count)
-    rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
+    count = count.astype(np.int64)
+    rep = np.arange(count.size).repeat(count)
+    rank = np.arange(rep.size) - (count.cumsum() - count)[rep]
     return rep, first[rep] + rank
 
 
@@ -229,7 +232,8 @@ def _cross_join(starts_a, starts_b):
     given as the segment starts of each.
 
     Returns (ia, ib, node) index arrays covering, per node, every pair of a
-    term from table A and a term from table B, A-major.
+    term from table A and a term from table B, A-major; the tests' brute-
+    force reference for _translated_pairs.
     """
     starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
     counts_a = np.diff(starts_a)
@@ -238,6 +242,67 @@ def _cross_join(starts_a, starts_b):
                          counts_a * counts_b)
     cb = counts_b[node]
     return starts_a[node] + rank // cb, starts_b[node] + rank % cb, node
+
+
+def _overlap_shifts(lo1, hi1, lo2, hi2, step, nmax):
+    """Expand paired cells over the integers n, |n| <= nmax, at which
+    [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
+    each end whose exact-zero term guards against rounding.  Returns the
+    pair index and the n of every row: pairs in order, n ascending."""
+    n_lo = np.maximum(np.floor((lo1 - hi2) / step), -nmax)
+    n_hi = np.minimum(np.ceil((hi1 - lo2) / step), nmax)
+    return _ranges(n_lo, np.maximum(n_hi - n_lo + 1, 0))
+
+
+def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
+                      nmax):
+    """Same-segment term pairs of tables A and B, expanded over the n,
+    |n| <= nmax, at which the cells can meet (_overlap_shifts), with the B
+    cell moved to [lo_b', hi_b') = [lo_b, hi_b) + n step; keeps the rows
+    where min(hi_a, hi_b') > max(lo_a, lo_b').  Returns (ia, ib, seg, n,
+    lo_b', hi_b') in (segment, ia, ib, n) order.
+
+    Table A is terms starts_a[0] to starts_a[-1], segment s from
+    starts_a[s]; likewise B.  Each A term takes the B terms of its segment
+    with lo in (lo_a - w - nmax step, hi_a + nmax step), w the widest B
+    cell, by binary search in B sorted by (segment, lo), the reach widened
+    by a few ulps so that rounding in the moved cells drops no row.
+    """
+    starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
+    a0, a1, b0, b1 = starts_a[0], starts_a[-1], starts_b[0], starts_b[-1]
+    la, ha, lb, hb = lo_a[a0:a1], hi_a[a0:a1], lo_b[b0:b1], hi_b[b0:b1]
+    segs = np.arange(starts_a.size - 1)
+    seg_a = segs.repeat(starts_a[1:] - starts_a[:-1])
+    # complex numbers compare lexicographically, so seg + i lo sorts and
+    # searches as the pair (seg, lo)
+    key = segs.repeat(starts_b[1:] - starts_b[:-1]) + 1j * lb
+    order = key.argsort(kind="stable")
+    key = key[order]
+    scale = np.abs(np.concatenate((la, ha, lb, hb))).max(initial=0.0)
+    # a reach past every cell finds what an infinite one would, and keeps
+    # the search keys finite
+    pad = min(nmax * step, 4.0 * scale)
+    slack = _ULPS * (scale + pad)
+    reach = (hb - lb).max(initial=0.0) + pad + slack
+    first = key.searchsorted(seg_a + 1j * (la - reach), side="right")
+    stop = key.searchsorted(seg_a + 1j * (ha + (pad + slack)), side="left")
+    rep, pos = _ranges(first, np.maximum(stop - first, 0))
+    ia, ib = a0 + rep, b0 + order[pos]
+    if nmax:    # at nmax = 0 each candidate has the one row n = 0
+        rep, n = _overlap_shifts(lo_a[ia], hi_a[ia], lo_b[ib], hi_b[ib],
+                                 step, nmax)
+        ia, ib = ia[rep], ib[rep]
+    else:
+        n = np.zeros(ia.size)
+    shift = step * n
+    lo, hi = lo_b[ib] + shift, hi_b[ib] + shift
+    live = np.minimum(hi_a[ia], hi) > np.maximum(lo_a[ia], lo)
+    ia, ib, n, lo, hi = ia[live], ib[live], n[live], lo[live], hi[live]
+    # candidates come in lo order; restore ib order within each A term
+    if ((ia[1:] == ia[:-1]) & (ib[1:] < ib[:-1])).any():
+        perm = (ia * lo_b.size + ib).argsort(kind="stable")
+        ia, ib, n, lo, hi = ia[perm], ib[perm], n[perm], lo[perm], hi[perm]
+    return ia, ib, seg_a[ia - a0], n, lo, hi
 
 
 def _cover_sums(seg, lo, hi, mid, coef, cuts=None, sliver=0.0):
@@ -450,7 +515,9 @@ class Window:
 
         Requires deg(w1) + deg(w2) <= MAX_DEGREE.
         """
-        i, j, _ = _cross_join([0, self.n_terms], [0, other.n_terms])
+        i, j, *_ = _translated_pairs([0, self.n_terms], self.lo, self.hi,
+                                     [0, other.n_terms], other.lo, other.hi,
+                                     1.0, 0)
         return Window(*product_conj_terms(
             self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
             other.lo[j], other.hi[j], other.mid[j], other.coef[j],
@@ -482,7 +549,9 @@ class Window:
         df = np.asarray(df, dtype=float)
         if self.n_terms == 0 or other.n_terms == 0:
             return np.zeros(df.shape, dtype=complex)
-        i, j, _ = _cross_join([0, self.n_terms], [0, other.n_terms])
+        i, j, *_ = _translated_pairs([0, self.n_terms], self.lo, self.hi,
+                                     [0, other.n_terms], other.lo, other.hi,
+                                     1.0, 0)
         vals = paired_inner_sweep(
             self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
             other.lo[j], other.hi[j], other.mid[j], other.coef[j],

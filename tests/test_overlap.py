@@ -1,7 +1,7 @@
-"""Property tests of the overlap join, the translated-pair stage and the
-shift-expanded lattice sweep against the full same-node cross join, on
-generated piecewise-linear fields with touching cells, repeated intervals
-and empty slices."""
+"""Property tests of the translated-pair stage, the field inner products
+and the shift-expanded lattice sweep against the full same-node cross
+join, on generated piecewise-linear fields with touching cells, repeated
+intervals and empty slices."""
 
 import math
 from unittest import mock
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgs import grids
-from hgs.fieldcheck import lattice_coefficients, translate_field
+from hgs import fieldcheck, grids, windows
+from hgs.fieldcheck import _unfolded_sum, lattice_coefficients, translate_field
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, _cross_join,
-                       _overlap_join, _translated_pairs, field_inner_per_node)
+                       _translated_pairs, field_inner_per_node)
 from hgs.group import QuasiLatticeSpec
 from hgs.windows import MAX_DEGREE, paired_inner_sweep
 
@@ -81,25 +81,6 @@ def _reference_per_node(f, g):
 _block = st.sampled_from([1, 2, 5, 17, grids._PAIR_BLOCK])
 
 
-@settings(max_examples=80, deadline=None)
-@given(fields=_field_pairs(), block=_block)
-def test_overlap_join_yields_live_pairs_in_order(fields, block):
-    f, g = fields
-    with mock.patch.object(grids, "_PAIR_BLOCK", block):
-        parts = list(_overlap_join(f, g))
-    want = _reference_pairs(f, g)
-    if not parts:
-        assert want[0].size == 0
-        return
-    # blocks tile the nodes in order
-    assert parts[0][0] == 0 and parts[-1][1] == f.grid.n
-    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
-    got = [np.concatenate([p[i] for p in parts]) for i in (2, 3)]
-    got.append(np.concatenate([p[4] + p[0] for p in parts]))
-    for x, y in zip(got, want):
-        assert np.array_equal(x, y)
-
-
 def _reference_translated(f, g, step, nmax):
     """Every (pair, n) row of the full cross join expanded over every n
     that can hold an overlap (|n| <= nmax), kept by the exact test."""
@@ -134,16 +115,23 @@ def test_translated_pairs_match_full_expansion(fields, block, step, nmax):
 @pytest.mark.parametrize("a, b, step, n", [
     ((2.0, 2.57), (0.47, 0.5), 0.7, 3.0),
     ((0.1, 0.2), (0.9, 1.0), 0.3, -3.0),
+    ((0.2, 0.25), (0.35, 0.38), 0.1, -1.0),
+    ((0.41, 0.45), (0.28, 0.31), 0.1, 1.0),
 ])
 def test_translated_pairs_keep_overlaps_made_by_rounding(a, b, step, n):
     # (2.57 - 0.47) / 0.7 rounds to 2.9999999999999996 and (0.1 - 1.0) / 0.3
     # to -3.0, yet the b cell moved by n step overlaps the a cell by a
-    # rounding sliver; the guard row at each end of the shift range keeps it
+    # rounding sliver; the guard row at each end of the shift range keeps
+    # it.  0.35 - 0.1 rounds below 0.25 and 0.31 + 0.1 above 0.41: at
+    # nmax = |n| those b cells lie just outside the exact search reach
+    # (lo_b < hi_a + nmax step, lo_b > lo_a - w - nmax step), which only
+    # its ulp widening covers
     one = np.array([0, 1])
-    rows = _translated_pairs(one, np.array([a[0]]), np.array([a[1]]), one,
-                             np.array([b[0]]), np.array([b[1]]), step,
-                             math.inf)
-    assert rows[3].tolist() == [n]
+    for nmax in (math.inf, abs(n)):
+        rows = _translated_pairs(one, np.array([a[0]]), np.array([a[1]]),
+                                 one, np.array([b[0]]), np.array([b[1]]),
+                                 step, nmax)
+        assert rows[3].tolist() == [n]
 
 
 @settings(max_examples=80, deadline=None)
@@ -174,3 +162,32 @@ def test_lattice_coefficients_match_reference_inner(fields, block, spec):
                         h, translate_field(g, k, l, m, spec)))
                     c = got[fi, k + kmax, l + lmax, m + mmax]
                     assert abs(c - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=_field_pairs(), block=_block)
+def test_no_caller_sweeps_a_disjoint_pair(fields, block):
+    # every pair reaches paired_inner_sweep through _translated_pairs and
+    # its exact overlap test, in the field inner products, the lattice
+    # table, both unfolding joins and Window.inner_freq_sweep
+    f, g = fields
+    calls = []
+
+    def spy(loa, hia, mida, coefa, freqa, lob, hib, *rest):
+        calls.append(loa.size)
+        assert np.all(np.minimum(hia, hib) > np.maximum(loa, lob))
+        return paired_inner_sweep(loa, hia, mida, coefa, freqa, lob, hib,
+                                  *rest)
+
+    with mock.patch.object(grids, "_PAIR_BLOCK", block), \
+            mock.patch.object(grids, "paired_inner_sweep", spy), \
+            mock.patch.object(fieldcheck, "paired_inner_sweep", spy), \
+            mock.patch.object(windows, "paired_inner_sweep", spy):
+        field_inner_per_node(f, g)
+        grids._node_table(f, g, QuasiLatticeSpec(0.75, 1.25), 3, 2)
+        if f.grid.n % 2 == 0:
+            _unfolded_sum(f, g, f.grid.nodes, 0.75, 2)
+        for i in range(f.grid.n):
+            f.slice(i).inner_freq_sweep(g.slice(i), np.array([0.0, 0.5]))
+    if _reference_pairs(f, g)[0].size:
+        assert calls

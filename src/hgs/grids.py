@@ -22,11 +22,13 @@ from .errors import (DomainError, EmptyGridError, FieldFormatError,
 from .group import QuasiLatticeSpec
 # _cross_join stays importable as grids._cross_join, a layer perfbench traces
 from .windows import (_TWO_PI, MAX_DEGREE, Window, _cross_join,  # noqa: F401
-                      _ranges, _translated_pairs, paired_inner_sweep)
+                      _ranges, _self_pairs, _translated_pairs,
+                      paired_inner_sweep)
 
-# Cross-joined term pairs per field-inner node block (bounding candidate
-# and live pairs) and rows times modulations per lattice-sweep block, unless
-# one node or slot alone has more; bounds their scratch memory.
+# Cross-joined term pairs per field-inner node block, unordered pairs per
+# squared-norm node block (each bounding candidate and live pairs), and
+# rows times modulations per lattice-sweep block, unless one node or slot
+# alone has more; bounds their scratch memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -446,11 +448,15 @@ class FieldSample:
     # -- analysis ----------------------------------------------------------
 
     def slice_norm2(self):
-        """Exact per-node squared norms as an array."""
-        return np.maximum(field_inner_per_node(self, self).real, 0.0)
+        """Exact per-node squared norms as an array, from each unordered
+        pair of overlapping terms once (_self_inner_per_node)."""
+        return np.maximum(_self_inner_per_node(self), 0.0)
 
     def norm2(self):
-        return max(field_inner(self, self).real, 0.0)
+        """||f||^2 = sum_i w_i ||f(lam_i, .)||^2, the slice norms as in
+        slice_norm2 before the clip at zero."""
+        return max(float(np.sum(self.grid.weights
+                                * _self_inner_per_node(self))), 0.0)
 
 
 def _concat(grid, fields, nodes=None):
@@ -557,7 +563,8 @@ def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
 
     The overlapping term pairs come from _translated_pairs at nmax = 0, in
     node blocks of bounded size, which keeps dense reconstructions
-    tractable."""
+    tractable.  Squared norms take half the pairs through
+    _self_inner_per_node instead."""
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("fields live on different grids")
     out = np.zeros(f.grid.n, dtype=complex)
@@ -578,6 +585,32 @@ def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
                 np.bincount(node, weights=vals.real, minlength=stop - start)
                 + 1j * np.bincount(node, weights=vals.imag,
                                    minlength=stop - start))
+    return out
+
+
+def _self_inner_per_node(f: FieldSample) -> np.ndarray:
+    """Real slice squared norms ||f(lam_i, .)||^2 over nodes, unclipped.
+
+    Each unordered pair of overlapping terms comes once from _self_pairs,
+    in node blocks as in field_inner_per_node; the diagonal adds the real
+    part of its inner product and every other pair twice it, since
+    <a, b> + <b, a> = 2 Re <a, b>."""
+    out = np.zeros(f.grid.n)
+    mid = f.term_mid()
+    zero = np.zeros(1)
+    counts = np.diff(f._starts)
+    for start, stop in _blocks(counts * (counts + 1) // 2):
+        ia, ib, node = _self_pairs(f._starts[start:stop + 1], f.term_lo,
+                                   f.term_hi)
+        if ia.size:
+            vals = paired_inner_sweep(
+                f.term_lo[ia], f.term_hi[ia], mid[ia], f.term_coef[ia],
+                f.term_freq[ia],
+                f.term_lo[ib], f.term_hi[ib], mid[ib], f.term_coef[ib],
+                f.term_freq[ib], zero)[:, 0]
+            out[start:stop] += np.bincount(
+                node, weights=np.where(ia == ib, 1.0, 2.0) * vals.real,
+                minlength=stop - start)
     return out
 
 

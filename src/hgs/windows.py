@@ -23,9 +23,12 @@ bit for bit those of the complex series and recurrence that serve the
 higher degrees, and interval_moments(..., 0)[0] equals row 0 at any larger
 degree.  interval_moments computes each cell's half-width, midpoint and
 live mask once per row of a pair sweep, and paired_inner_sweep uses its
-rows in place.  Every term pairing in the package, from Window.inner to
-the lattice sweeps, comes from one stage, _translated_pairs, whose exact
-overlap test keeps disjoint pairs out of paired_inner_sweep.
+rows in place.  Every term pairing in the package comes from one of two
+pair searches, each ending in the exact overlap test min(hi) > max(lo)
+that keeps disjoint pairs out of paired_inner_sweep.  _translated_pairs
+pairs two tables, from Window.inner to the lattice sweeps.  _self_pairs
+pairs one table with itself for the squared norms, each unordered pair
+once: a norm is a Hermitian form, <a, b> + <b, a> = 2 Re <a, b>.
 """
 
 from __future__ import annotations
@@ -159,9 +162,9 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
 
     Returns a complex (R, D) array, one row per pair, evaluated in place;
     the moment depth adapts to the polynomial degrees present.  Every
-    caller takes its pairs from _translated_pairs, so the cells of each
-    pair overlap; a pair with empty overlap would come out as exact zeros
-    through the live mask of interval_moments.
+    caller takes its pairs from _translated_pairs or _self_pairs, so the
+    cells of each pair overlap; a pair with empty overlap would come out
+    as exact zeros through the live mask of interval_moments.
     """
     df = np.asarray(df, dtype=float)
     lo = np.maximum(loa, lob)
@@ -244,6 +247,37 @@ def _cross_join(starts_a, starts_b):
     return starts_a[node] + rank // cb, starts_b[node] + rank % cb, node
 
 
+def _seg_key(seg, x):
+    """seg + i x.  Complex numbers compare lexicographically, so the key
+    sorts and searches as the pair (seg, x)."""
+    return seg + 1j * x
+
+
+def _self_pairs(starts, lo, hi):
+    """Every unordered pair of overlapping terms within each segment of
+    one table, the diagonal included, once: (ia, ib, seg) with ia at or
+    before ib in (segment, lo) order, rows in that order of ia.
+
+    The table is terms starts[0] to starts[-1], segment s from starts[s].
+    The term at sorted rank r takes ranks r up to the first whose key
+    reaches (segment, hi) of its own cell; the exact test min(hi) > max(lo)
+    then drops the empty cells.  Nothing is moved, so the search is exact.
+    """
+    starts = np.asarray(starts)
+    t0, t1 = starts[0], starts[-1]
+    lo, hi = lo[t0:t1], hi[t0:t1]
+    seg = np.arange(starts.size - 1).repeat(starts[1:] - starts[:-1])
+    key = _seg_key(seg, lo)
+    order = key.argsort(kind="stable")
+    rank = np.arange(order.size)
+    stop = key[order].searchsorted(_seg_key(seg, hi)[order], side="left")
+    rep, pos = _ranges(rank, np.maximum(stop - rank, 0))
+    ia, ib = order[rep], order[pos]
+    live = np.minimum(hi[ia], hi[ib]) > np.maximum(lo[ia], lo[ib])
+    ia, ib = ia[live], ib[live]
+    return t0 + ia, t0 + ib, seg[ia]
+
+
 def _overlap_shifts(lo1, hi1, lo2, hi2, step, nmax):
     """Expand paired cells over the integers n, |n| <= nmax, at which
     [lo1, hi1) and [lo2 + n step, hi2 + n step) can overlap, plus one n at
@@ -273,9 +307,7 @@ def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
     la, ha, lb, hb = lo_a[a0:a1], hi_a[a0:a1], lo_b[b0:b1], hi_b[b0:b1]
     segs = np.arange(starts_a.size - 1)
     seg_a = segs.repeat(starts_a[1:] - starts_a[:-1])
-    # complex numbers compare lexicographically, so seg + i lo sorts and
-    # searches as the pair (seg, lo)
-    key = segs.repeat(starts_b[1:] - starts_b[:-1]) + 1j * lb
+    key = _seg_key(segs.repeat(starts_b[1:] - starts_b[:-1]), lb)
     order = key.argsort(kind="stable")
     key = key[order]
     scale = np.abs(np.concatenate((la, ha, lb, hb))).max(initial=0.0)
@@ -284,8 +316,9 @@ def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
     pad = min(nmax * step, 4.0 * scale)
     slack = _ULPS * (scale + pad)
     reach = (hb - lb).max(initial=0.0) + pad + slack
-    first = key.searchsorted(seg_a + 1j * (la - reach), side="right")
-    stop = key.searchsorted(seg_a + 1j * (ha + (pad + slack)), side="left")
+    first = key.searchsorted(_seg_key(seg_a, la - reach), side="right")
+    stop = key.searchsorted(_seg_key(seg_a, ha + (pad + slack)),
+                            side="left")
     rep, pos = _ranges(first, np.maximum(stop - first, 0))
     ia, ib = a0 + rep, b0 + order[pos]
     if nmax:    # at nmax = 0 each candidate has the one row n = 0
@@ -314,10 +347,9 @@ def _cover_sums(seg, lo, hi, mid, coef, cuts=None, sliver=0.0):
     in (segment, a) order, with sum the covering pieces' polynomials
     recentred at (a + b) / 2 and added in piece order.
     """
-    # complex numbers compare lexicographically, so seg + i x sorts and
-    # searches as the pair (seg, x); cell j lies between keys j and j + 1
-    klo, khi = seg + 1j * lo, seg + 1j * hi
-    extra = [] if cuts is None else [cuts[0] + 1j * cuts[1]]
+    # cell j lies between keys j and j + 1
+    klo, khi = _seg_key(seg, lo), _seg_key(seg, hi)
+    extra = [] if cuts is None else [_seg_key(*cuts)]
     key = np.unique(np.concatenate([klo, khi] + extra))
     a, b = key.imag[:-1], key.imag[1:]
     # piece r covers the cells from key lo_r up to key hi_r
@@ -559,8 +591,16 @@ class Window:
         return vals.sum(axis=0).reshape(df.shape)
 
     def norm2(self):
-        """Squared L2 norm, exact and nonnegative."""
-        return max(self.inner(self).real, 0.0)
+        """Squared L2 norm, exact and nonnegative: each unordered pair of
+        overlapping terms once (_self_pairs), the diagonal counted by its
+        real part and every other pair by twice it."""
+        i, j, _ = _self_pairs([0, self.n_terms], self.lo, self.hi)
+        vals = paired_inner_sweep(
+            self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
+            self.lo[j], self.hi[j], self.mid[j], self.coef[j], self.freq[j],
+            np.zeros(1))[:, 0]
+        return max(float(np.sum(np.where(i == j, 1.0, 2.0) * vals.real)),
+                   0.0)
 
     def __call__(self, t):
         """Pointwise values on half-open cells [lo, hi)."""

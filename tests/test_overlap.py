@@ -1,7 +1,7 @@
-"""Property tests of the translated-pair stage, the field inner products
-and the shift-expanded lattice sweep against the full same-node cross
-join, on generated piecewise-linear fields with touching cells, repeated
-intervals and empty slices."""
+"""Property tests of both pair searches, the field inner products, the
+squared norms and the shift-expanded lattice sweep against the full
+same-node cross join, on generated piecewise-linear fields with touching
+cells, repeated intervals and empty slices."""
 
 import math
 from unittest import mock
@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgs import fieldcheck, grids, windows
+from hgs.canonical import canonical_field
 from hgs.fieldcheck import _unfolded_sum, lattice_coefficients, translate_field
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, _cross_join,
-                       _translated_pairs, field_inner_per_node)
+                       _translated_pairs, field_inner_per_node, lambda_grid)
 from hgs.group import QuasiLatticeSpec
-from hgs.windows import MAX_DEGREE, paired_inner_sweep
+from hgs.sampling import reconstruct, sample_on_lattice
+from hgs.testfields import atom_suite, random_pl_field, two_slice_field
+from hgs.windows import MAX_DEGREE, _self_pairs, paired_inner_sweep
+
+E_FULL = SpectralSet([(-1.0, 1.0)])
 
 
 def _grid(n):
@@ -66,16 +71,29 @@ def _reference_pairs(f, g):
     return ia[live], ib[live], node[live]
 
 
-def _reference_per_node(f, g):
-    """Per-node inner products over the reference pairs in one sweep."""
+def _reference_values(f, g):
+    """Node and inner product of every reference pair, in one sweep."""
     ia, ib, node = _reference_pairs(f, g)
     fm, gm = f.term_mid(), g.term_mid()
-    vals = paired_inner_sweep(
+    return node, paired_inner_sweep(
         f.term_lo[ia], f.term_hi[ia], fm[ia], f.term_coef[ia],
         f.term_freq[ia], g.term_lo[ib], g.term_hi[ib], gm[ib],
         g.term_coef[ib], g.term_freq[ib], np.zeros(1))[:, 0]
+
+
+def _reference_per_node(f, g):
+    """Per-node inner products over the reference pairs in one sweep."""
+    node, vals = _reference_values(f, g)
     return (np.bincount(node, weights=vals.real, minlength=f.grid.n)
             + 1j * np.bincount(node, weights=vals.imag, minlength=f.grid.n))
+
+
+def _copy(f):
+    """f as a second table with its own arrays, so that a reference inner
+    product of f with itself takes no path of its own."""
+    return FieldSample(f.grid, f.term_node, f.term_lo.copy(),
+                       f.term_hi.copy(), f.term_coef.copy(),
+                       f.term_freq.copy())
 
 
 _block = st.sampled_from([1, 2, 5, 17, grids._PAIR_BLOCK])
@@ -134,6 +152,166 @@ def test_translated_pairs_keep_overlaps_made_by_rounding(a, b, step, n):
         assert rows[3].tolist() == [n]
 
 
+@st.composite
+def _one_table(draw):
+    """(starts, lo, hi) of one term table: up to 5 terms per segment, so
+    empty and one-term segments are common; lo on a quarter grid, so equal
+    lo and touching cells are common; widths of 0 (empty cells) to 6
+    quarters.  The table may begin past term 0, as a node block does."""
+    skip = draw(st.integers(0, 2))
+    counts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+    size = skip + sum(counts)
+    ints = st.lists(st.integers(-4, 4), min_size=size, max_size=size)
+    lo = 0.25 * np.array(draw(ints), dtype=float)
+    width = st.lists(st.integers(0, 6), min_size=size, max_size=size)
+    hi = lo + 0.25 * np.array(draw(width), dtype=float)
+    return skip + np.concatenate([[0], np.cumsum(counts)]), lo, hi
+
+
+def _ahead(lo, ia, ib):
+    """Whether term ia comes at or before term ib in (lo, index) order,
+    the order of a stable sort by lo; both lie in one segment."""
+    return (lo[ia] < lo[ib]) | ((lo[ia] == lo[ib]) & (ia <= ib))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_one_table())
+def test_self_pairs_are_the_unordered_overlaps(table):
+    # each overlapping pair of a segment once, the diagonal included, with
+    # the first of the two in (segment, lo) order as ia; rows come in
+    # that order of ia.  An empty cell has no row, not even the diagonal
+    starts, lo, hi = table
+    ia, ib, seg = _self_pairs(starts, lo, hi)
+    got = list(zip(ia.tolist(), ib.tolist(), seg.tolist()))
+    ra, rb, rseg = _cross_join(starts, starts)
+    keep = (_ahead(lo, ra, rb)
+            & (np.minimum(hi[ra], hi[rb]) > np.maximum(lo[ra], lo[rb])))
+    want = set(zip(ra[keep].tolist(), rb[keep].tolist(),
+                   rseg[keep].tolist()))
+    assert len(set(got)) == len(got)
+    assert set(got) == want
+    assert np.all(_ahead(lo, ia, ib))
+    rows = list(zip(seg.tolist(), lo[ia].tolist(), ia.tolist()))
+    assert rows == sorted(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_one_table())
+def test_self_pairs_search_stops_before_touching_cells(table):
+    # the candidates of a term are the terms at or after it in (segment,
+    # lo) order whose lo lies below its hi: a cell that only touches it,
+    # lo_b = hi_a, is never one
+    starts, lo, hi = table
+    counts = []
+    ranges = windows._ranges
+
+    def spy(first, count):
+        counts.append(int(np.sum(count)))
+        return ranges(first, count)
+
+    with mock.patch.object(windows, "_ranges", spy):
+        _self_pairs(starts, lo, hi)
+    ra, rb, _ = _cross_join(starts, starts)
+    assert counts == [np.count_nonzero(_ahead(lo, ra, rb)
+                                       & (lo[rb] < hi[ra]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields=_field_pairs(), block=_block)
+def test_self_inner_matches_ordered_reference(fields, block):
+    # the squared norms from unordered pairs against the sum over ordered
+    # pairs, to rounding in the sum of the pairs' magnitudes, per node, per
+    # field and per slice window
+    f = fields[0]
+    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+        got = grids._self_inner_per_node(f)
+        slice_norms, norm = f.slice_norm2(), f.norm2()
+    node, vals = _reference_values(f, _copy(f))
+    want = np.bincount(node, weights=vals.real, minlength=f.grid.n)
+    tol = 1e-14 * np.bincount(node, weights=np.abs(vals),
+                              minlength=f.grid.n)
+    assert np.all(np.abs(got - want) <= tol)
+    assert np.array_equal(slice_norms, np.maximum(got, 0.0))
+    assert norm == max(float(np.sum(f.grid.weights * got)), 0.0)
+    for i in range(f.grid.n):
+        assert abs(f.slice(i).norm2() - max(want[i], 0.0)) <= tol[i]
+
+
+def _degree2(f, seed):
+    """f with random quadratic coefficients added to every term."""
+    rng = np.random.default_rng(seed)
+    coef = f.term_coef.copy()
+    coef[:, 2] = rng.normal(size=f.n_terms) + 1j * rng.normal(size=f.n_terms)
+    return FieldSample(f.grid, f.term_node, f.term_lo, f.term_hi, coef,
+                       f.term_freq)
+
+
+@pytest.fixture(scope="module")
+def norm_fields():
+    e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
+    pl = random_pl_field(lambda_grid(E_FULL, 16, 0.05), 4)
+    pl = pl.heisenberg_translate(0.3, 0.7, 0.2)
+    return {
+        "atoms": atom_suite(e, QuasiLatticeSpec(1, 1), n_functions=1,
+                            n_atoms=12, box=(2, 8, 4), seed=3).fields()[0],
+        "atoms_0.75_1.25": atom_suite(
+            e, QuasiLatticeSpec(0.75, 1.25), n_functions=1, n_atoms=12,
+            box=(2, 8, 4), seed=3).fields()[0],
+        "pl_degree1": pl,
+        "pl_degree2": _degree2(pl, 5),
+        "two_slice": two_slice_field(e, 0.4, 6),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, grids._PAIR_BLOCK])
+@pytest.mark.parametrize("name", ["atoms", "atoms_0.75_1.25", "pl_degree1",
+                                  "pl_degree2", "two_slice"])
+def test_norms_match_ordered_reference(norm_fields, name, block):
+    f = norm_fields[name]
+    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+        got, norm = f.slice_norm2(), f.norm2()
+    want = _reference_per_node(f, _copy(f))
+    assert np.all(want.real > 0.0)
+    assert np.all(np.abs(got - want.real) <= 1e-14 * want.real)
+    full = np.sum(f.grid.weights * want).real
+    assert abs(norm - full) <= 1e-14 * full
+
+
+def test_canonical_norms_bit_identical():
+    # one term per node: only diagonal rows, each taken at weight 1, so
+    # the slice norms and the single-term windows keep the bits of the
+    # ordered sum
+    e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
+    want = _reference_per_node(e, _copy(e)).real
+    assert np.array_equal(e.slice_norm2(), np.maximum(want, 0.0))
+    assert e.norm2() == max(float(np.sum(e.grid.weights * want)), 0.0)
+    for i in range(e.grid.n):
+        u = e.slice(i)
+        assert u.norm2() == max(u.inner(u).real, 0.0) == max(want[i], 0.0)
+
+
+def test_dense_norm_sweeps_each_unordered_pair_once():
+    # (live + diagonal) / 2 rows: every live ordered pair counted once per
+    # unordered pair, the diagonal once
+    e = canonical_field(lambda_grid(E_FULL, 16, 1e-3))
+    spec = QuasiLatticeSpec(1, 1)
+    f = atom_suite(e, spec, n_functions=1, n_atoms=6, box=(1, 4, 2),
+                   seed=8).fields()[0]
+    d = f - reconstruct(sample_on_lattice(f, e, spec, (1, 6, 3)), e, 1.0)
+    rows = []
+
+    def spy(loa, *rest):
+        rows.append(loa.size)
+        return paired_inner_sweep(loa, *rest)
+
+    with mock.patch.object(grids, "paired_inner_sweep", spy):
+        d.slice_norm2()
+    live = _reference_pairs(d, d)[0].size
+    diagonal = np.count_nonzero(d.term_hi > d.term_lo)
+    assert diagonal < live
+    assert sum(rows) == (live + diagonal) // 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(fields=_field_pairs(), block=_block)
 def test_field_inner_per_node_bit_identical(fields, block):
@@ -167,9 +345,10 @@ def test_lattice_coefficients_match_reference_inner(fields, block, spec):
 @settings(max_examples=60, deadline=None)
 @given(fields=_field_pairs(), block=_block)
 def test_no_caller_sweeps_a_disjoint_pair(fields, block):
-    # every pair reaches paired_inner_sweep through _translated_pairs and
-    # its exact overlap test, in the field inner products, the lattice
-    # table, both unfolding joins and Window.inner_freq_sweep
+    # every pair reaches paired_inner_sweep through _translated_pairs or
+    # _self_pairs and their exact overlap test, in the field inner
+    # products and squared norms, the lattice table, both unfolding joins,
+    # Window.inner_freq_sweep and Window.norm2
     f, g = fields
     calls = []
 
@@ -184,10 +363,13 @@ def test_no_caller_sweeps_a_disjoint_pair(fields, block):
             mock.patch.object(fieldcheck, "paired_inner_sweep", spy), \
             mock.patch.object(windows, "paired_inner_sweep", spy):
         field_inner_per_node(f, g)
+        f.slice_norm2()
+        f.norm2()
         grids._node_table(f, g, QuasiLatticeSpec(0.75, 1.25), 3, 2)
         if f.grid.n % 2 == 0:
             _unfolded_sum(f, g, f.grid.nodes, 0.75, 2)
         for i in range(f.grid.n):
             f.slice(i).inner_freq_sweep(g.slice(i), np.array([0.0, 0.5]))
+            f.slice(i).norm2()
     if _reference_pairs(f, g)[0].size:
         assert calls

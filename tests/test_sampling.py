@@ -434,21 +434,22 @@ def test_reconstruction_norm_memory_streams():
 
 
 def test_dense_field_inner_memory_bounded():
-    # the pair stage runs on node blocks of at most _PAIR_BLOCK cross-joined
-    # pairs and keeps only the overlapping ones before the sweep; gathering
+    # both pair searches run on node blocks of at most _PAIR_BLOCK candidate
+    # pairs and keep only the overlapping ones before the sweep; gathering
     # the sweep's operands for every candidate pair peaked near 54 MB here
     e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
     f = atom_suite(e, SPEC, n_functions=1, n_atoms=16, box=(1, 8, 4),
                    seed=8).fields()[0]
     d = f - reconstruct(sample_on_lattice(f, e, SPEC, (3, 16, 8)), e, 1.0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        field_inner_per_node(d, d)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 24e6
+    for inner in (lambda: field_inner_per_node(d, d), d.slice_norm2):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            inner()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 def test_reconstruction_study_builds_no_field(generators, monkeypatch):

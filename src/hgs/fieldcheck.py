@@ -25,8 +25,8 @@ from .grids import (FieldSample, SpectralSet, _concat, _node_table,
                     field_inner, field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
-from .windows import (_TWO_PI, _ranges, _translated_pairs, affine_terms,
-                      paired_inner_sweep, product_conj_terms)
+from .windows import (_TWO_PI, _ranges, _rows, _translated_pairs,
+                      affine_terms, paired_inner_sweep, product_conj_terms)
 
 SPEC_UNIT = QuasiLatticeSpec(1.0, 1.0)
 _NORM_TOL = 1e-12  # the Gabor-field verdict's bound on norm identity errors
@@ -88,20 +88,6 @@ class GaborFieldReport:
     def passed(self):
         return all(s.residual() <= self.tol and s.norm.within(_NORM_TOL)
                    for s in self.slices)
-
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "tol": self.tol,
-            "worst_residual": self.worst_residual,
-            "worst_norm_error": self.worst_norm_error,
-            "lattice_integer": self.lattice_integer,
-            "slices": [{"lam": s.lam, "painless": s.painless,
-                        "empirical": s.empirical,
-                        "norm_error": s.norm.difference,
-                        "density_admissible": s.norm.density_admissible}
-                       for s in self.slices],
-        }
 
 
 def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
@@ -312,20 +298,17 @@ def _unfolded_sum(f: FieldSample, g: FieldSample, c, step: float,
     perm = np.argsort(seg, kind="stable")
     seg, ia, ib, k, lo, hi = (x[perm] for x in (seg, ia, ib, k, lo, hi))
     phase = np.exp(-1j * _TWO_PI * g.term_freq[ib] * (step * k))
-    _, *prod = product_conj_terms(
-        f.term_lo[ia], f.term_hi[ia], f.term_mid()[ia], f.term_coef[ia],
-        f.term_freq[ia], lo, hi, 0.5 * (lo + hi),
-        g.term_coef[ib] * phase[:, None], g.term_freq[ib])
-    terms = affine_terms(*prod, c[seg // S])
+    _, prod = product_conj_terms(
+        _rows(f.terms, ia),
+        (lo, hi, g.term_coef[ib] * phase[:, None], g.term_freq[ib]))
+    terms = affine_terms(prod, c[seg // S])
     starts = np.searchsorted(seg, np.arange(c.size * S + 1))
     ia, ib, seg, n, lo2, hi2 = _translated_pairs(
         starts[:P * S + 1], terms[0], terms[1], starts[P * S:], terms[0],
         terms[1], 1.0, math.inf)
-    lo1, hi1, coef1, freq1 = (x[ia] for x in terms)
     freq2 = terms[3][ib]
     coef2 = terms[2][ib] * np.exp(-1j * _TWO_PI * freq2 * n)[:, None]
-    vals = paired_inner_sweep(lo1, hi1, 0.5 * (lo1 + hi1), coef1, freq1,
-                              lo2, hi2, 0.5 * (lo2 + hi2), coef2, freq2,
+    vals = paired_inner_sweep(_rows(terms, ia), (lo2, hi2, coef2, freq2),
                               np.zeros(1))
     # rows come point by point; one np.sum per point keeps numpy's pairwise
     # order, so every value equals that of a one-point call bit for bit
@@ -489,11 +472,6 @@ class ThetaReport:
         object.__setattr__(self, "dev_nonzero",
                            float(max(others, default=0.0)))
 
-    def as_dict(self):
-        return {"kmax": self.kmax, "n_lam": int(self.lams.size),
-                "n_t": int(self.ts.size), "dev_zero": self.dev_zero,
-                "dev_nonzero": self.dev_nonzero}
-
 
 def jittered_unit_grid(n: int) -> np.ndarray:
     """n points of (0, 1) offset by the cell-scaled irrational 1/sqrt(2),
@@ -561,7 +539,7 @@ def theta_gram_duality(g: FieldSample, spec: QuasiLatticeSpec,
         raise NotApplicableError(
             f"theta duality is not applicable off the unit lattice: "
             f"(alpha, beta) = ({spec.alpha}, {spec.beta})")
-    pts = (np.arange(n_quad) + 0.5 ** 0.5) / n_quad
+    pts = jittered_unit_grid(n_quad)
     rep = theta_delta_report(g, spec, (pts, pts), kmax=abs(gamma.k),
                              lmax=lmax)
     vals = rep.values[gamma.k]

@@ -22,14 +22,8 @@ from .errors import (DomainError, EmptyGridError, FieldFormatError,
 from .group import QuasiLatticeSpec
 # _cross_join stays importable as grids._cross_join, a layer perfbench traces
 from .windows import (_TWO_PI, MAX_DEGREE, Window, _cross_join,  # noqa: F401
-                      _ranges, _self_pairs, _translated_pairs,
-                      paired_inner_sweep)
-
-# Cross-joined term pairs per field-inner node block, unordered pairs per
-# squared-norm node block (each bounding candidate and live pairs), and
-# rows times modulations per lattice-sweep block, unless one node or slot
-# alone has more; bounds their scratch memory.
-_PAIR_BLOCK = 250_000
+                      _blocks, _ranges, _rows, _segment_inner, _segment_norm2,
+                      _translated_pairs, paired_inner_sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +249,9 @@ def point_grid(lams, spectral_set: SpectralSet) -> LambdaGrid:
 def _node_hits(nodes, lams, tol):
     """Index of the first node within tol of each lam, or -1."""
     out = np.full(lams.size, -1, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // max(nodes.size, 1))
-    for s in range(0, lams.size, rows):
-        near = np.abs(nodes[None, :] - lams[s:s + rows, None]) <= tol
-        out[s:s + rows] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+    for s, e in _blocks(np.full(lams.size, nodes.size)):
+        near = np.abs(nodes[None, :] - lams[s:e, None]) <= tol
+        out[s:e] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
     return out
 
 
@@ -348,8 +341,10 @@ class FieldSample:
     def n_terms(self):
         return self.term_node.size
 
-    def term_mid(self):
-        return 0.5 * (self.term_lo + self.term_hi)
+    @property
+    def terms(self):
+        """The term row (term_lo, term_hi, term_coef, term_freq)."""
+        return self.term_lo, self.term_hi, self.term_coef, self.term_freq
 
     def slice(self, i) -> Window:
         a, b = self._starts[i], self._starts[i + 1]
@@ -371,35 +366,31 @@ class FieldSample:
                            self.term_freq[term])
 
     def slice_at(self, lam, tol=1e-12) -> Window:
-        """Window at spectral value lam: exact node match, else the profile,
-        else linear interpolation between bracketing node slices."""
+        """Window at spectral value lam: the profile's if the field has one,
+        else the slice of a node within tol, else linear interpolation
+        between the bracketing node slices."""
         return self.slices_at([lam], tol).slice(0)
 
     def slices_at(self, lams, tol=1e-12) -> FieldSample:
         """The windows at an array of spectral values, as slice_at finds
         each one, in one term table on point_grid(lams)."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        if self.profile is not None:
+            return self.profile(lams)
         nodes = self.grid.nodes
         hit = _node_hits(nodes, lams, tol)
         on, off = np.flatnonzero(hit >= 0), np.flatnonzero(hit < 0)
         if not off.size:
             return self.take(hit, at=lams)
-        if not on.size and self.profile is not None:
-            return self.profile(lams)
-        pieces = [(on, self.take(hit[on]))]
-        if self.profile is not None:
-            pieces.append((off, self.profile(lams[off])))
-        else:
-            j = np.searchsorted(nodes, lams[off])
-            outside = (j == 0) | (j == nodes.size)
-            if outside.any():
-                raise DomainError(
-                    f"no slice data at lambda={float(lams[off][outside][0])}")
-            t = (lams[off] - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
-            pieces += [(off, self.take(j - 1, 1 - t)),
-                       (off, self.take(j, t))]
+        j = np.searchsorted(nodes, lams[off])
+        outside = (j == 0) | (j == nodes.size)
+        if outside.any():
+            raise DomainError(
+                f"no slice data at lambda={float(lams[off][outside][0])}")
+        t = (lams[off] - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
         return _concat(point_grid(lams, self.grid.spectral_set),
-                       [s for _, s in pieces], [p for p, _ in pieces])
+                       [self.take(hit[on]), self.take(j - 1, 1 - t),
+                        self.take(j, t)], [on, off, off])
 
     def windows(self):
         return [self.slice(i) for i in range(self.grid.n)]
@@ -448,15 +439,15 @@ class FieldSample:
     # -- analysis ----------------------------------------------------------
 
     def slice_norm2(self):
-        """Exact per-node squared norms as an array, from each unordered
-        pair of overlapping terms once (_self_inner_per_node)."""
-        return np.maximum(_self_inner_per_node(self), 0.0)
+        """Exact per-node squared norms as an array (_segment_norm2)."""
+        return np.maximum(_segment_norm2(self._starts, self.terms), 0.0)
 
     def norm2(self):
         """||f||^2 = sum_i w_i ||f(lam_i, .)||^2, the slice norms as in
         slice_norm2 before the clip at zero."""
         return max(float(np.sum(self.grid.weights
-                                * _self_inner_per_node(self))), 0.0)
+                                * _segment_norm2(self._starts, self.terms))),
+                   0.0)
 
 
 def _concat(grid, fields, nodes=None):
@@ -495,20 +486,6 @@ def field_sum(fields, coeffs):
     return out
 
 
-def _blocks(weights):
-    """Split range(len(weights)) into consecutive runs [start, stop) whose
-    weights sum to at most _PAIR_BLOCK; a single heavier item is a run of
-    its own."""
-    cum = np.cumsum(weights)
-    start = 0
-    while start < cum.size:
-        base = cum[start - 1] if start else 0
-        stop = int(np.searchsorted(cum, base + _PAIR_BLOCK, side="right"))
-        stop = max(stop, start + 1)
-        yield start, stop
-        start = stop
-
-
 def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
                 kmax: int, lmax: int):
     """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
@@ -539,18 +516,15 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     # blocks end at slot boundaries, so each slot sums in one segment
     per_slot = np.bincount(slot, minlength=H.shape[0])
     bounds = np.concatenate([[0], np.cumsum(per_slot)])
-    f_mid = f.term_mid()
     for j0, j1 in _blocks(per_slot * ls.size):
         s, e = bounds[j0], bounds[j1]
-        a, b = ia[s:e], ib[s:e]
-        lo, hi = g_lo[s:e], g_hi[s:e]
+        b = ib[s:e]
         coef = g.term_coef[b] * np.exp(
             -1j * _TWO_PI * g.term_freq[b] * (spec.alpha * k[s:e]))[:, None]
         df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
         vals = paired_inner_sweep(
-            f.term_lo[a], f.term_hi[a], f_mid[a], f.term_coef[a],
-            f.term_freq[a], lo, hi, 0.5 * (lo + hi), coef,
-            g.term_freq[b], df)
+            _rows(f.terms, ia[s:e]),
+            (g_lo[s:e], g_hi[s:e], coef, g.term_freq[b]), df)
         sl = slot[s:e]
         seg = np.flatnonzero(np.diff(sl, prepend=-1))
         H[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
@@ -559,66 +533,21 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
 
 def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
     """Unweighted slice inner products <f(lam_i, .), g(lam_i, .)> as an
-    array over nodes; exact, deterministic accumulation order.
-
-    The overlapping term pairs come from _translated_pairs at nmax = 0, in
-    node blocks of bounded size, which keeps dense reconstructions
-    tractable.  Squared norms take half the pairs through
-    _self_inner_per_node instead."""
+    array over nodes; exact, deterministic accumulation order
+    (_segment_inner on the node segments, in blocks of bounded size, which
+    keeps dense reconstructions tractable).  Squared norms take half the
+    pairs through _segment_norm2 instead."""
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("fields live on different grids")
-    out = np.zeros(f.grid.n, dtype=complex)
-    f_mid = f.term_mid()
-    g_mid = g.term_mid()
-    zero = np.zeros(1)
-    for start, stop in _blocks(np.diff(f._starts) * np.diff(g._starts)):
-        ia, ib, node, *_ = _translated_pairs(
-            f._starts[start:stop + 1], f.term_lo, f.term_hi,
-            g._starts[start:stop + 1], g.term_lo, g.term_hi, 1.0, 0)
-        if ia.size:
-            vals = paired_inner_sweep(
-                f.term_lo[ia], f.term_hi[ia], f_mid[ia], f.term_coef[ia],
-                f.term_freq[ia],
-                g.term_lo[ib], g.term_hi[ib], g_mid[ib], g.term_coef[ib],
-                g.term_freq[ib], zero)[:, 0]
-            out[start:stop] += (
-                np.bincount(node, weights=vals.real, minlength=stop - start)
-                + 1j * np.bincount(node, weights=vals.imag,
-                                   minlength=stop - start))
-    return out
-
-
-def _self_inner_per_node(f: FieldSample) -> np.ndarray:
-    """Real slice squared norms ||f(lam_i, .)||^2 over nodes, unclipped.
-
-    Each unordered pair of overlapping terms comes once from _self_pairs,
-    in node blocks as in field_inner_per_node; the diagonal adds the real
-    part of its inner product and every other pair twice it, since
-    <a, b> + <b, a> = 2 Re <a, b>."""
-    out = np.zeros(f.grid.n)
-    mid = f.term_mid()
-    zero = np.zeros(1)
-    counts = np.diff(f._starts)
-    for start, stop in _blocks(counts * (counts + 1) // 2):
-        ia, ib, node = _self_pairs(f._starts[start:stop + 1], f.term_lo,
-                                   f.term_hi)
-        if ia.size:
-            vals = paired_inner_sweep(
-                f.term_lo[ia], f.term_hi[ia], mid[ia], f.term_coef[ia],
-                f.term_freq[ia],
-                f.term_lo[ib], f.term_hi[ib], mid[ib], f.term_coef[ib],
-                f.term_freq[ib], zero)[:, 0]
-            out[start:stop] += np.bincount(
-                node, weights=np.where(ia == ib, 1.0, 2.0) * vals.real,
-                minlength=stop - start)
-    return out
+    return _segment_inner(f._starts, f.terms, g._starts, g.terms,
+                          np.zeros(1))[:, 0]
 
 
 def field_inner(f: FieldSample, g: FieldSample):
     """<f, g> = sum_i w_i <f(lam_i, .), g(lam_i, .)>, slice inners exact.
 
     Fails on mismatched grids.  Deterministic: fixed pair order, per-node
-    accumulation via bincount, then a single weighted sum over nodes.
+    accumulation in pair order, then a single weighted sum over nodes.
     """
     return complex(np.sum(f.grid.weights * field_inner_per_node(f, g)))
 

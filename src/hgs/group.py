@@ -37,9 +37,6 @@ class GroupPoint:
         _check_finite(self.x1, self.x2, self.x3)
 
 
-IDENTITY = GroupPoint(0, 0, 0)
-
-
 def group_mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     """Group product; the cocycle term is x1*y2 on the central coordinate."""
     return GroupPoint(a.x1 + b.x1, a.x2 + b.x2, a.x3 + b.x3 + a.x1 * b.x2)

@@ -142,14 +142,13 @@ def S_quadrature(x: float, y: float, z: float, grid: LambdaGrid,
     vals = grid.weights * field_inner_per_node(fld, moved)
     neg = grid.nodes < 0
     return SincValue(s0=complex(vals[neg].sum()),
-                     s1=complex(vals[~neg].sum()), method="quadrature")
+                     s1=complex(vals[~neg].sum()))
 
 
 @dataclass(frozen=True)
 class SincValue:
     s0: complex
     s1: complex
-    method: str
 
     @property
     def s(self):

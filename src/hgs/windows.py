@@ -23,12 +23,20 @@ bit for bit those of the complex series and recurrence that serve the
 higher degrees, and interval_moments(..., 0)[0] equals row 0 at any larger
 degree.  interval_moments computes each cell's half-width, midpoint and
 live mask once per row of a pair sweep, and paired_inner_sweep uses its
-rows in place.  Every term pairing in the package comes from one of two
-pair searches, each ending in the exact overlap test min(hi) > max(lo)
-that keeps disjoint pairs out of paired_inner_sweep.  _translated_pairs
-pairs two tables, from Window.inner to the lattice sweeps.  _self_pairs
-pairs one table with itself for the squared norms, each unordered pair
-once: a norm is a Hermitian form, <a, b> + <b, a> = 2 Re <a, b>.
+rows in place.  The pair kernels take each side as a term row (lo, hi,
+coef, freq), the layout of Window.terms and FieldSample.terms, and derive
+the term midpoints themselves.
+
+Every term pairing in the package comes from one of two pair searches,
+each ending in the exact overlap test min(hi) > max(lo) that keeps
+disjoint pairs out of paired_inner_sweep.  _translated_pairs pairs two
+tables, from Window.inner to the lattice sweeps.  _self_pairs pairs one
+table with itself for the squared norms, each unordered pair once: a norm
+is a Hermitian form, <a, b> + <b, a> = 2 Re <a, b>.  _segment_inner and
+_segment_norm2 are the one inner product and the one squared norm of the
+windows of a segmented table, a Window being one segment and a
+FieldSample one per node; both run in segment blocks of at most
+_PAIR_BLOCK pairs and add each segment's values in pair order.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ _SERIES_TERMS = 18
 _ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 
 MAX_DEGREE = 2
+
+# Candidate term pairs per segment block of _segment_inner and
+# _segment_norm2, and rows times modulations per lattice-sweep block, unless
+# one segment or slot alone has more; bounds their scratch memory.
+_PAIR_BLOCK = 250_000
 
 
 def centered_moments(theta, pmax):
@@ -155,10 +168,10 @@ def indicator_transform(lo, hi, s):
     return interval_moments(lo, hi, s, 0)[0]
 
 
-def paired_inner_sweep(loa, hia, mida, coefa, freqa,
-                       lob, hib, midb, coefb, freqb, df):
+def paired_inner_sweep(a, b, df):
     """Per-pair inner products <a_r, exp(2*pi*i*df*t) * b_r> for paired term
-    arrays (same length R) and modulations df of shape (D,) or (R, D).
+    rows a and b, each (lo, hi, coef, freq) of the same length R, and
+    modulations df of shape (D,) or (R, D).
 
     Returns a complex (R, D) array, one row per pair, evaluated in place;
     the moment depth adapts to the polynomial degrees present.  Every
@@ -166,6 +179,8 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
     cells of each pair overlap; a pair with empty overlap would come out
     as exact zeros through the live mask of interval_moments.
     """
+    loa, hia, coefa, freqa = a
+    lob, hib, coefb, freqb = b
     df = np.asarray(df, dtype=float)
     lo = np.maximum(loa, lob)
     hi = np.minimum(hia, hib)
@@ -173,8 +188,8 @@ def paired_inner_sweep(loa, hia, mida, coefa, freqa,
     # recentering preserves the degree and leaves constants unchanged
     dega = _live_degree(coefa)
     degb = _live_degree(coefb)
-    a = _recenter(coefa, mid - mida) if dega else coefa
-    b = np.conj(_recenter(coefb, mid - midb) if degb else coefb)
+    a = _recenter(coefa, mid - 0.5 * (loa + hia)) if dega else coefa
+    b = np.conj(_recenter(coefb, mid - 0.5 * (lob + hib)) if degb else coefb)
     pmax = dega + degb
     poly = np.zeros((lo.size, pmax + 1), dtype=complex)
     for p in range(dega + 1):
@@ -385,13 +400,14 @@ def _modulus_cells(seg, lo, hi, coef, freq):
     return cseg[ok], a[ok], b[ok], quad, why
 
 
-def product_conj_terms(loa, hia, mida, coefa, freqa,
-                       lob, hib, midb, coefb, freqb):
-    """Terms of a_r(t) * conj(b_r(t)) for paired term arrays, laid out as
-    for paired_inner_sweep.  Returns (live, lo, hi, coef, freq) with live
-    the indices of the pairs whose cells overlap, one product term each.
+def product_conj_terms(a, b):
+    """Terms of a_r(t) * conj(b_r(t)) for paired term rows, laid out as for
+    paired_inner_sweep.  Returns (live, row) with live the indices of the
+    pairs whose cells overlap and row their product terms, one each.
     Requires deg(a_r) + deg(b_r) <= MAX_DEGREE for every such pair.
     """
+    loa, hia, coefa, freqa = a
+    lob, hib, coefb, freqb = b
     lo = np.maximum(loa, lob)
     hi = np.minimum(hia, hib)
     live = np.nonzero(hi > lo)[0]
@@ -400,18 +416,19 @@ def product_conj_terms(loa, hia, mida, coefa, freqa,
         raise WindowStructureError("product would exceed max degree")
     lo, hi = lo[live], hi[live]
     mid = 0.5 * (lo + hi)
-    a = _recenter(a, mid - mida[live])
-    b = np.conj(_recenter(b, mid - midb[live]))
+    a = _recenter(a, mid - 0.5 * (loa + hia)[live])
+    b = np.conj(_recenter(b, mid - 0.5 * (lob + hib)[live]))
     coef = np.zeros((lo.size, MAX_DEGREE + 1), dtype=complex)
     coef[:, 0] = a[:, 0] * b[:, 0]
     coef[:, 1] = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
     coef[:, 2] = a[:, 0] * b[:, 2] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 0]
-    return live, lo, hi, coef, freqa[live] - freqb[live]
+    return live, (lo, hi, coef, freqa[live] - freqb[live])
 
 
-def affine_terms(lo, hi, coef, freq, c):
-    """Terms of w(t / c) for real c != 0, one c for all terms or one per
-    term; returns (lo, hi, coef, freq)."""
+def affine_terms(t, c):
+    """Term row of w(t / c) for the term row t of w and real c != 0, one c
+    for all terms or one per term."""
+    lo, hi, coef, freq = t
     c = np.asarray(c, dtype=float)
     if np.any(c == 0):
         raise WindowStructureError("affine substitution needs c != 0")
@@ -420,6 +437,71 @@ def affine_terms(lo, hi, coef, freq, c):
     lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
     coef = coef / c[..., None] ** np.arange(MAX_DEGREE + 1)
     return lo, hi, coef, freq / c
+
+
+def _rows(t, i):
+    """The rows i of the term row t."""
+    return tuple(x[i] for x in t)
+
+
+def _blocks(weights):
+    """Split range(len(weights)) into consecutive runs [start, stop) whose
+    weights sum to at most _PAIR_BLOCK; a single heavier item is a run of
+    its own."""
+    cum = np.cumsum(weights)
+    start = 0
+    while start < cum.size:
+        base = cum[start - 1] if start else 0
+        stop = int(np.searchsorted(cum, base + _PAIR_BLOCK, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _segment_inner(starts_a, a, starts_b, b, df):
+    """Inner products <a_s, exp(2*pi*i*df*t) * b_s> of the windows a_s and
+    b_s of every segment s of two term tables, for modulations df of shape
+    (D,); a complex (segments, D) array.
+
+    Tables are given as segment starts and term row, segment s of A being
+    its terms starts_a[s] to starts_a[s + 1].  The overlapping pairs come
+    from _translated_pairs at nmax = 0, in segment blocks of at most
+    _PAIR_BLOCK candidates, and each segment adds its pair values in pair
+    order, so the result does not depend on the blocking.
+    """
+    starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
+    out = np.zeros((df.size, starts_a.size - 1), dtype=complex)
+    for start, stop in _blocks(np.diff(starts_a) * np.diff(starts_b)):
+        ia, ib, seg, *_ = _translated_pairs(
+            starts_a[start:stop + 1], a[0], a[1],
+            starts_b[start:stop + 1], b[0], b[1], 1.0, 0)
+        if ia.size:
+            vals = paired_inner_sweep(_rows(a, ia), _rows(b, ib), df)
+            for d in range(df.size):
+                np.add.at(out[d], start + seg, vals[:, d])
+    return out.T
+
+
+def _segment_norm2(starts, t):
+    """Real squared norms of the window of every segment of one term table,
+    laid out as for _segment_inner, unclipped.
+
+    Each unordered pair of overlapping terms comes once from _self_pairs,
+    in segment blocks bounded by the candidate count n(n+1)/2 per segment;
+    the diagonal adds the real part of its inner product and every other
+    pair twice it, since <a, b> + <b, a> = 2 Re <a, b>, in pair order.
+    """
+    starts = np.asarray(starts)
+    out = np.zeros(starts.size - 1)
+    counts = np.diff(starts)
+    for start, stop in _blocks(counts * (counts + 1) // 2):
+        ia, ib, seg = _self_pairs(starts[start:stop + 1], t[0], t[1])
+        if ia.size:
+            vals = paired_inner_sweep(_rows(t, ia), _rows(t, ib),
+                                      np.zeros(1))[:, 0]
+            np.add.at(out, start + seg,
+                      np.where(ia == ib, 1.0, 2.0) * vals.real)
+    return out
 
 
 class Window:
@@ -488,6 +570,11 @@ class Window:
         return self.lo.size
 
     @property
+    def terms(self):
+        """The term row (lo, hi, coef, freq)."""
+        return self.lo, self.hi, self.coef, self.freq
+
+    @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
 
@@ -534,13 +621,9 @@ class Window:
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
-    def conjugate(self):
-        return Window(self.lo, self.hi, np.conj(self.coef), -self.freq)
-
     def affine_substitute(self, c):
         """w(t / c) for real c != 0.  Stays in the family."""
-        return Window(*affine_terms(self.lo, self.hi, self.coef, self.freq,
-                                    c))
+        return Window(*affine_terms(self.terms, c))
 
     def product_conj(self, other):
         """Pointwise product w1(t) * conj(w2(t)) as a window.
@@ -550,10 +633,8 @@ class Window:
         i, j, *_ = _translated_pairs([0, self.n_terms], self.lo, self.hi,
                                      [0, other.n_terms], other.lo, other.hi,
                                      1.0, 0)
-        return Window(*product_conj_terms(
-            self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
-            other.lo[j], other.hi[j], other.mid[j], other.coef[j],
-            other.freq[j])[1:])
+        return Window(*product_conj_terms(_rows(self.terms, i),
+                                          _rows(other.terms, j))[1])
 
     # -- analysis ----------------------------------------------------------
 
@@ -569,7 +650,7 @@ class Window:
 
     def inner(self, other):
         """<w1, w2> = int w1(t) conj(w2(t)) dt, exact."""
-        return complex(np.sum(self.inner_freq_sweep(other, np.zeros(1))))
+        return complex(self.inner_freq_sweep(other, 0.0))
 
     def inner_freq_sweep(self, other, df):
         """<w1, exp(2*pi*i*df*t) * w2> for an array of modulations df.
@@ -579,27 +660,13 @@ class Window:
         frequency difference, so all df values share the overlap structure.
         """
         df = np.asarray(df, dtype=float)
-        if self.n_terms == 0 or other.n_terms == 0:
-            return np.zeros(df.shape, dtype=complex)
-        i, j, *_ = _translated_pairs([0, self.n_terms], self.lo, self.hi,
-                                     [0, other.n_terms], other.lo, other.hi,
-                                     1.0, 0)
-        vals = paired_inner_sweep(
-            self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
-            other.lo[j], other.hi[j], other.mid[j], other.coef[j],
-            other.freq[j], df.ravel())
-        return vals.sum(axis=0).reshape(df.shape)
+        return _segment_inner([0, self.n_terms], self.terms,
+                              [0, other.n_terms], other.terms,
+                              df.ravel())[0].reshape(df.shape)
 
     def norm2(self):
-        """Squared L2 norm, exact and nonnegative: each unordered pair of
-        overlapping terms once (_self_pairs), the diagonal counted by its
-        real part and every other pair by twice it."""
-        i, j, _ = _self_pairs([0, self.n_terms], self.lo, self.hi)
-        vals = paired_inner_sweep(
-            self.lo[i], self.hi[i], self.mid[i], self.coef[i], self.freq[i],
-            self.lo[j], self.hi[j], self.mid[j], self.coef[j], self.freq[j],
-            np.zeros(1))[:, 0]
-        return max(float(np.sum(np.where(i == j, 1.0, 2.0) * vals.real)),
+        """Squared L2 norm, exact and nonnegative (_segment_norm2)."""
+        return max(float(_segment_norm2([0, self.n_terms], self.terms)[0]),
                    0.0)
 
     def __call__(self, t):

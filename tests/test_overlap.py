@@ -74,11 +74,9 @@ def _reference_pairs(f, g):
 def _reference_values(f, g):
     """Node and inner product of every reference pair, in one sweep."""
     ia, ib, node = _reference_pairs(f, g)
-    fm, gm = f.term_mid(), g.term_mid()
     return node, paired_inner_sweep(
-        f.term_lo[ia], f.term_hi[ia], fm[ia], f.term_coef[ia],
-        f.term_freq[ia], g.term_lo[ib], g.term_hi[ib], gm[ib],
-        g.term_coef[ib], g.term_freq[ib], np.zeros(1))[:, 0]
+        tuple(x[ia] for x in f.terms), tuple(x[ib] for x in g.terms),
+        np.zeros(1))[:, 0]
 
 
 def _reference_per_node(f, g):
@@ -96,7 +94,7 @@ def _copy(f):
                        f.term_freq.copy())
 
 
-_block = st.sampled_from([1, 2, 5, 17, grids._PAIR_BLOCK])
+_block = st.sampled_from([1, 2, 5, 17, windows._PAIR_BLOCK])
 
 
 def _reference_translated(f, g, step, nmax):
@@ -122,7 +120,7 @@ def test_translated_pairs_match_full_expansion(fields, block, step, nmax):
     # rows and their (segment, ia, ib, n) order, whatever the block size
     # of the callers
     f, g = fields
-    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+    with mock.patch.object(windows, "_PAIR_BLOCK", block):
         got = _translated_pairs(f._starts, f.term_lo, f.term_hi, g._starts,
                                 g.term_lo, g.term_hi, step, nmax)
     want = _reference_translated(f, g, step, nmax)
@@ -223,8 +221,8 @@ def test_self_inner_matches_ordered_reference(fields, block):
     # pairs, to rounding in the sum of the pairs' magnitudes, per node, per
     # field and per slice window
     f = fields[0]
-    with mock.patch.object(grids, "_PAIR_BLOCK", block):
-        got = grids._self_inner_per_node(f)
+    with mock.patch.object(windows, "_PAIR_BLOCK", block):
+        got = windows._segment_norm2(f._starts, f.terms)
         slice_norms, norm = f.slice_norm2(), f.norm2()
     node, vals = _reference_values(f, _copy(f))
     want = np.bincount(node, weights=vals.real, minlength=f.grid.n)
@@ -263,12 +261,12 @@ def norm_fields():
     }
 
 
-@pytest.mark.parametrize("block", [1, 7, grids._PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, windows._PAIR_BLOCK])
 @pytest.mark.parametrize("name", ["atoms", "atoms_0.75_1.25", "pl_degree1",
                                   "pl_degree2", "two_slice"])
 def test_norms_match_ordered_reference(norm_fields, name, block):
     f = norm_fields[name]
-    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+    with mock.patch.object(windows, "_PAIR_BLOCK", block):
         got, norm = f.slice_norm2(), f.norm2()
     want = _reference_per_node(f, _copy(f))
     assert np.all(want.real > 0.0)
@@ -300,11 +298,11 @@ def test_dense_norm_sweeps_each_unordered_pair_once():
     d = f - reconstruct(sample_on_lattice(f, e, spec, (1, 6, 3)), e, 1.0)
     rows = []
 
-    def spy(loa, *rest):
-        rows.append(loa.size)
-        return paired_inner_sweep(loa, *rest)
+    def spy(a, *rest):
+        rows.append(a[0].size)
+        return paired_inner_sweep(a, *rest)
 
-    with mock.patch.object(grids, "paired_inner_sweep", spy):
+    with mock.patch.object(windows, "paired_inner_sweep", spy):
         d.slice_norm2()
     live = _reference_pairs(d, d)[0].size
     diagonal = np.count_nonzero(d.term_hi > d.term_lo)
@@ -312,11 +310,36 @@ def test_dense_norm_sweeps_each_unordered_pair_once():
     assert sum(rows) == (live + diagonal) // 2
 
 
+def test_block_size_splits_every_pair_sweep():
+    # windows._PAIR_BLOCK bounds the blocks of the field inner products,
+    # the squared norms and the lattice table: at 1, a 3-node field with
+    # live pairs on every node takes more than one sweep in each
+    grid = _grid(3)
+    f = FieldSample(grid, [0, 0, 1, 2, 2], [0.0, 0.5, 0.0, 0.0, 0.25],
+                    [1.0, 1.5, 1.0, 1.0, 0.75], np.ones((5, MAX_DEGREE + 1)),
+                    np.zeros(5))
+    calls = []
+
+    def spy(a, b, df):
+        calls.append(a[0].size)
+        return paired_inner_sweep(a, b, df)
+
+    with mock.patch.object(windows, "_PAIR_BLOCK", 1), \
+            mock.patch.object(windows, "paired_inner_sweep", spy), \
+            mock.patch.object(grids, "paired_inner_sweep", spy):
+        for run in (lambda: field_inner_per_node(f, f), f.slice_norm2,
+                    lambda: grids._node_table(f, f, QuasiLatticeSpec(1, 1),
+                                              0, 1)):
+            calls.clear()
+            run()
+            assert len(calls) > 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(fields=_field_pairs(), block=_block)
 def test_field_inner_per_node_bit_identical(fields, block):
     f, g = fields
-    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+    with mock.patch.object(windows, "_PAIR_BLOCK", block):
         got = field_inner_per_node(f, g)
     assert np.array_equal(got, _reference_per_node(f, g))
 
@@ -329,7 +352,7 @@ def test_field_inner_per_node_bit_identical(fields, block):
 def test_lattice_coefficients_match_reference_inner(fields, block, spec):
     f, g = fields
     kmax, lmax, mmax = 3, 2, 1
-    with mock.patch.object(grids, "_PAIR_BLOCK", block):
+    with mock.patch.object(windows, "_PAIR_BLOCK", block):
         got = lattice_coefficients([f, g], g, spec, kmax, lmax, mmax)
     w = f.grid.weights
     for fi, h in enumerate((f, g)):
@@ -352,13 +375,12 @@ def test_no_caller_sweeps_a_disjoint_pair(fields, block):
     f, g = fields
     calls = []
 
-    def spy(loa, hia, mida, coefa, freqa, lob, hib, *rest):
-        calls.append(loa.size)
-        assert np.all(np.minimum(hia, hib) > np.maximum(loa, lob))
-        return paired_inner_sweep(loa, hia, mida, coefa, freqa, lob, hib,
-                                  *rest)
+    def spy(a, b, df):
+        calls.append(a[0].size)
+        assert np.all(np.minimum(a[1], b[1]) > np.maximum(a[0], b[0]))
+        return paired_inner_sweep(a, b, df)
 
-    with mock.patch.object(grids, "_PAIR_BLOCK", block), \
+    with mock.patch.object(windows, "_PAIR_BLOCK", block), \
             mock.patch.object(grids, "paired_inner_sweep", spy), \
             mock.patch.object(fieldcheck, "paired_inner_sweep", spy), \
             mock.patch.object(windows, "paired_inner_sweep", spy):

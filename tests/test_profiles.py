@@ -2,11 +2,14 @@
 transforms, slices_at against per-point windows, and the batched unfolding
 kernel against one call per point."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hgs import grids
 from hgs.canonical import canonical_field, canonical_profile
 from hgs.errors import DomainError
 from hgs.fieldcheck import _unfolded_sum, coefficient_cross_orthogonality
@@ -117,6 +120,24 @@ def test_slices_at_nodes_and_interpolation():
         assert np.array_equal(got.freq, want.freq)
     with pytest.raises(DomainError, match="no slice data"):
         f.slices_at([0.5, 0.95])
+
+
+def test_profile_field_takes_every_slice_from_its_profile():
+    # a point 1e-13 off a node is within the node tolerance, yet a field
+    # with a profile reads its exact slice there, and no node search runs
+    f = FieldSample.from_profile(GRID, _pl_ref)
+    lams = np.array([GRID.nodes[3] + 1e-13, GRID.nodes[7], 0.123])
+
+    def no_hits(*args):
+        raise AssertionError("_node_hits called on a profile field")
+
+    with mock.patch.object(grids, "_node_hits", no_hits):
+        table = f.slices_at(lams)
+        near = f.slice_at(lams[0])
+    for k, lam in enumerate(lams):
+        _assert_same_window(table.slice(k), _pl_ref(lam))
+    _assert_same_window(near, _pl_ref(lams[0]))
+    assert not np.array_equal(near.coef, f.slice(3).coef)
 
 
 def test_canonical_profile_matches_window():

@@ -230,8 +230,7 @@ def _pair_table(rng, rows, deg):
         coef[..., p] = (rng.normal(size=(2, rows))
                         + 1j * rng.normal(size=(2, rows)))
     freq = rng.choice([0.0, 0.5, -1.25], size=(2, rows))
-    return [loa, hia, 0.5 * (loa + hia), coef[0], freq[0],
-            lob, hib, 0.5 * (lob + hib), coef[1], freq[1]]
+    return [loa, hia, coef[0], freq[0], lob, hib, coef[1], freq[1]]
 
 
 @pytest.mark.parametrize("deg", [0, 1])
@@ -243,19 +242,19 @@ def test_paired_inner_sweep_dead_rows(deg, per_row_df):
     df = np.linspace(-2.0, 2.0, 5)
     if per_row_df:
         df = df + rng.uniform(-0.3, 0.3, (rows, 1))
-    live = paired_inner_sweep(*table, df)
+    live = paired_inner_sweep(tuple(table[:4]), tuple(table[4:]), df)
     assert live.shape == (rows, 5)
     # a pair of disjoint cells, of higher degree, at row `at`
     dead = [np.insert(x, at, v, axis=0) for x, v in zip(table, [
-        0.0, 1.0, 0.5, [[1.0, 2.0, 3.0]], 0.5,
-        1.0, 2.0, 1.5, [[1.0, -1.0, 1j]], 0.0])]
+        0.0, 1.0, [[1.0, 2.0, 3.0]], 0.5,
+        1.0, 2.0, [[1.0, -1.0, 1j]], 0.0])]
     ddf = np.insert(df, at, 0.0, axis=0) if per_row_df else df
-    got = paired_inner_sweep(*dead, ddf)
+    got = paired_inner_sweep(tuple(dead[:4]), tuple(dead[4:]), ddf)
     assert np.array_equal(np.delete(got, at, axis=0), live)
     assert np.array_equal(got[at], np.zeros(5))
     # no live pair at all
-    none = table[:5] + [table[0] + 10.0, table[1] + 10.0] + table[7:]
-    assert np.array_equal(paired_inner_sweep(*none, df),
+    none = (table[0] + 10.0, table[1] + 10.0) + tuple(table[6:])
+    assert np.array_equal(paired_inner_sweep(tuple(table[:4]), none, df),
                           np.zeros((rows, 5), dtype=complex))
 
 

@@ -22,7 +22,7 @@ from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
 from .grids import (FieldSample, SpectralSet, _concat, _node_table,
-                    field_inner, field_sum, point_grid)
+                    _table_slice, field_inner, field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
 from .windows import (_TWO_PI, _ranges, _rows, _translated_pairs,
@@ -164,7 +164,7 @@ def _table_rows(table, kmax: int, lmax: int, k, l) -> np.ndarray:
 
 def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                         spec: QuasiLatticeSpec, kmax: int, lmax: int,
-                        mmax: int):
+                        mmax: int, table=None):
     """Lattice coefficients (n_functions, K, L, M) and squared norms of the
     test fields of an AtomSuite whose atoms T_{gamma_j} b are translates
     under spec, without building the fields.
@@ -181,7 +181,12 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
     atoms with the same k_j share one (l, m) table per translation.  The
     Gram matrix G_ij = <T_{gamma_i} b, T_{gamma_j} b> comes the same way
     from a b-vs-b table (the first one when b is g and it covers the
-    offsets), and ||f_s||^2 = c_s^T G conj(c_s).
+    offsets), and ||f_s||^2 = c_s^T G conj(c_s); only atom pairs whose
+    offset in k is a live translation of that table are formed, the other
+    entries being exact zeros.
+
+    table, if given, is (reach, _node_table(b, g, spec, *reach)) with reach
+    at least the widened box; both tables are then read off it.
     """
     b, c = suite.base, suite.coeffs
     if not suite.indices or not c.shape[0]:
@@ -191,8 +196,10 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
     lam = g.grid.nodes
     ab = spec.alpha * spec.beta
     L, M = 2 * lmax + 1, 2 * mmax + 1
-    table = _node_table(b, g, spec, kmax + dk, lmax + dl)
-    live_k, H = table
+    if table is None:
+        reach = (kmax + dk, lmax + dl)
+        table = (reach, _node_table(b, g, spec, *reach))
+    live_k, H = _table_slice(table, kmax + dk, lmax + dl)
     wphase = _m_phase(g.grid, mmax + dm)
     out = np.zeros((c.shape[0], 2 * kmax + 1, L, M), dtype=complex)
     for kappa in np.unique(kj):
@@ -209,17 +216,21 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                                      * Y[None, l0:l0 + L, m0:m0 + M])
     # G_ij from the offsets k_j - k_i, l_j - l_i, m_j - m_i, with the
     # cocycle of gamma_i
+    reach, bb = table
+    if not (b is g and reach[0] >= 2 * dk and reach[1] >= 2 * dl):
+        reach = (2 * dk, 2 * dl)
+        bb = _node_table(b, b, spec, *reach)
     i, j = (x.ravel() for x in np.meshgrid(np.arange(kj.size),
                                             np.arange(kj.size),
                                             indexing="ij"))
-    if b is g and kmax >= dk and lmax >= dl:
-        bb, reach = table, (kmax + dk, lmax + dl)
-    else:
-        bb, reach = _node_table(b, b, spec, 2 * dk, 2 * dl), (2 * dk, 2 * dl)
+    live = np.isin(kj[j] - kj[i] + reach[0], bb[0])
+    i, j = i[live], j[live]
     rows = _table_rows(bb, *reach, kj[j] - kj[i], lj[j] - lj[i])
     phase = np.exp(-1j * _TWO_PI * np.outer(
         mj[j] - mj[i] - ab * kj[i] * (lj[j] - lj[i]), lam))
-    gram = ((rows * phase) @ g.grid.weights).reshape(kj.size, kj.size)
+    gram = np.zeros(kj.size * kj.size, dtype=complex)
+    gram[live] = (rows * phase) @ g.grid.weights
+    gram = gram.reshape(kj.size, kj.size)
     norms = np.einsum("si,ij,sj->s", c, gram, np.conj(c)).real
     return out, np.maximum(norms, 0.0).tolist()
 

@@ -273,6 +273,12 @@ class FieldSample:
     as one term table, a FieldSample on point_grid(points) whose node k is
     the slice at points[k].  The transforms rewrite that table with the
     same code as the on-grid terms.
+
+    A field made by AtomSuite.fields also carries its lattice expansion:
+    expansion is then the one-row AtomSuite whose field it is, so sampling
+    can pair it with its base by the group law instead of sweeping its
+    terms.  Every other field, a transform of one included, has expansion
+    None.
     """
 
     def __init__(self, grid: LambdaGrid, term_node, term_lo, term_hi,
@@ -295,6 +301,7 @@ class FieldSample:
         self._starts = np.concatenate([[0], np.cumsum(counts)])
         self.profile = profile
         self.kinds = kinds
+        self.expansion = None
 
     # -- constructors ------------------------------------------------------
 
@@ -529,6 +536,18 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
         seg = np.flatnonzero(np.diff(sl, prepend=-1))
         H[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
     return live_k, H.reshape(live_k.size, grid.n, ls.size)
+
+
+def _table_slice(table, kmax: int, lmax: int):
+    """The _node_table(f, g, spec, kmax, lmax) result read off table =
+    (reach, _node_table(f, g, spec, *reach)) for reach >= (kmax, lmax).
+    Every entry depends only on its own (pair, k, l) rows, so the slice
+    equals a fresh build bit for bit."""
+    (K, L), (live_k, H) = table
+    if (K, L) == (kmax, lmax):
+        return live_k, H
+    keep = np.abs(live_k - K) <= kmax
+    return live_k[keep] - K + kmax, H[keep][..., L - lmax:L + lmax + 1]
 
 
 def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:

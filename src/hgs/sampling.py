@@ -8,6 +8,14 @@ the isometry ratio estimates it empirically, while the density verdict
 reports the closed-form target separately.  The reconstruction study takes
 the norm of the reconstruction from the group law, for any generator, and
 never builds it; reconstruct is the reference it is tested against.
+
+A field made by AtomSuite.fields carries its lattice expansion f = sum_j
+a_j T_{gamma_j} e.  When that expansion is over the generator itself, the
+samples, ||f||^2 and ||f - r||^2 all come from one relative-offset table of
+e against its own translates: f - r is again a combination of translates of
+e, so its norm is taken directly instead of as a difference that cancels.
+Fields without an expansion, or with one over another base, take the field
+route: one sweep of their terms against e.
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FieldFormatError
-from .fieldcheck import lattice_coefficients
-from .grids import (FieldSample, SpectralSet, _node_table, field_inner,
-                    plancherel_measure)
-from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec
+from .fieldcheck import _suite_coefficients, lattice_coefficients
+from .grids import (FieldSample, SpectralSet, _node_table, _table_slice,
+                    field_inner, plancherel_measure)
+from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .windows import _TWO_PI
 
 # largest lattice box SampleSet.load_csv allocates, in samples (512 MB)
@@ -138,11 +146,26 @@ class SampleSet:
         return cls(spec, arr)
 
 
+def _expansion(f: FieldSample, e: FieldSample, spec: QuasiLatticeSpec):
+    """f's lattice expansion (a one-row AtomSuite) if it is one over e
+    itself under spec, else None."""
+    x = f.expansion
+    return x if x is not None and x.base is e and x.spec == spec else None
+
+
 def sample_on_lattice(f: FieldSample, e: FieldSample,
                       spec: QuasiLatticeSpec, bounds) -> SampleSet:
-    """Evaluate phi at every lattice point of the box, sharing one
-    modulation sweep across the whole box."""
-    return SampleSet(spec, lattice_coefficients([f], e, spec, *bounds)[0])
+    """Evaluate phi at every lattice point of the box.
+
+    A field that carries its lattice expansion over e is sampled by the
+    group law from one e-vs-e table (_suite_coefficients); any other field
+    by one modulation sweep of its terms against e across the whole box
+    (lattice_coefficients)."""
+    suite = _expansion(f, e, spec)
+    if suite is None:
+        return SampleSet(spec, lattice_coefficients([f], e, spec, *bounds)[0])
+    _check_bounds(*bounds)
+    return SampleSet(spec, _suite_coefficients(suite, e, spec, *bounds)[0][0])
 
 
 def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
@@ -204,7 +227,7 @@ def _fft_size(n: int) -> int:
 
 
 def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
-                               c: float):
+                               c: float, table=None):
     """||r||^2 for r = (1/c) sum_gamma s_gamma T_gamma e, for any e.
 
     By the group law two translates of e pair through their offset (kappa,
@@ -226,12 +249,17 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     contribute, and the -kappa part is the conjugate of the kappa part, so
     kappa runs over kappa >= 0 with kappa > 0 counted twice.  The rows
     stream: one row spectrum, and one partner spectrum, is held at a time.
+    H is read off table, if given, as (reach, _node_table(e, e, spec,
+    *reach)) with reach at least the doubled box.
     """
     grid, spec = e.grid, samples.spec
     kmax, lmax, _ = samples.bounds()
     L = 2 * lmax + 1
     M = _fft_size(2 * L - 1)
-    live_k, H = _node_table(e, e, spec, 2 * kmax, 2 * lmax)
+    reach = (2 * kmax, 2 * lmax)
+    if table is None:
+        table = (reach, _node_table(e, e, spec, *reach))
+    live_k, H = _table_slice(table, *reach)
     kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
     # Hhat with lag d at d mod M; sum_n w_n / M enters the weights below
     Hc = np.zeros(H.shape[:2] + (M,), dtype=complex)
@@ -273,24 +301,58 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     return float(total) / (c * c)
 
 
+def _suite_study(suite, e: FieldSample, spec: QuasiLatticeSpec, bounds,
+                 c: float):
+    """(samples, ||f||^2, ||f - r||^2) for the field f = sum_j a_j
+    T_{gamma_j} e of a one-row suite over e, from one e-vs-e table over the
+    doubled union of the box and the atom indices.
+
+    The samples and ||f||^2 = a^H G a come from _suite_coefficients, and
+    f - r = sum_gamma d_gamma T_gamma e with d = a - s/c on that union, so
+    ||f - r||^2 is one _reconstruction_norm2_fast call with nothing to
+    cancel."""
+    _check_bounds(*bounds)
+    idx = np.array([g.astuple() for g in suite.indices])
+    union = np.maximum(bounds, np.abs(idx).max(axis=0))
+    reach = (2 * int(union[0]), 2 * int(union[1]))
+    table = (reach, _node_table(e, e, spec, *reach))
+    coeffs, norms = _suite_coefficients(suite, e, spec, *bounds, table=table)
+    samples = SampleSet(spec, coeffs[0])
+    d = np.zeros(tuple(2 * union + 1), dtype=complex)
+    d[tuple(slice(u - b, u + b + 1) for u, b in zip(union, bounds))] = \
+        -samples.array / c
+    # atoms may repeat an index, so their coefficients add up
+    np.add.at(d, tuple((idx + union).T), suite.coeffs[0])
+    return samples, norms[0], _reconstruction_norm2_fast(
+        SampleSet(spec, d), e, 1.0, table=table)
+
+
 def reconstruction_study(f: FieldSample, e: FieldSample,
                          spec: QuasiLatticeSpec, bounds, c: float) -> dict:
     """Sample f on the lattice box and report the isometry ratio and the
     relative L2 error of the reconstruction r from those samples.
 
-    r is never built: ||f - r||^2 = ||f||^2 - 2 <f, r> + ||r||^2, with
-    <f, r> = (1/c) sum |phi(gamma)|^2 exactly (the samples are r's own
-    coefficients) and ||r||^2 from _reconstruction_norm2_fast."""
+    r is never built.  A field that carries its lattice expansion over e
+    is scored by the group law (_suite_study), with no sweep of its terms
+    and no cancellation.  Any other field reads ||f - r||^2 = ||f||^2 -
+    2 <f, r> + ||r||^2, with <f, r> = (1/c) sum |phi(gamma)|^2 exactly (the
+    samples are r's own coefficients) and ||r||^2 from
+    _reconstruction_norm2_fast; that sum cancels about ten digits when the
+    error is small."""
     if not (c > 0 and 0 < c * c < math.inf):
         raise DomainError(f"sampling constant c = {c:g}: c and c*c must be "
                           "positive and finite")
-    samples = sample_on_lattice(f, e, spec, bounds)
-    norm_sq = f.norm2()
+    suite = _expansion(f, e, spec)
+    if suite is not None:
+        samples, norm_sq, err_sq = _suite_study(suite, e, spec, bounds, c)
+    else:
+        samples = sample_on_lattice(f, e, spec, bounds)
+        norm_sq = f.norm2()
+        err_sq = (norm_sq - 2.0 * samples.energy() / c
+                  + _reconstruction_norm2_fast(samples, e, c))
     ratio = isometry_ratio(samples, norm_sq)
-    err_sq = max(norm_sq - 2.0 * samples.energy() / c
-                 + _reconstruction_norm2_fast(samples, e, c), 0.0)
     return {"bounds": tuple(bounds), "ratio": ratio,
-            "recon_error": math.sqrt(err_sq / norm_sq),
+            "recon_error": math.sqrt(max(err_sq, 0.0) / norm_sq),
             "samples": samples}
 
 

@@ -10,7 +10,7 @@ generators are deterministic in their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +43,17 @@ class AtomSuite:
                 for g in self.indices]
 
     def fields(self):
+        """The test fields as term tables.  Field s carries its lattice
+        expansion, the one-row suite of coefficient row s, so sampling
+        against the base pairs atoms by the group law instead of sweeping
+        the field's terms; every transform of a field drops it."""
         atoms = self.atoms()
-        return [field_sum(atoms, self.coeffs[s])
-                for s in range(self.n_functions)]
+        out = []
+        for s in range(self.n_functions):
+            f = field_sum(atoms, self.coeffs[s])
+            f.expansion = replace(self, coeffs=self.coeffs[s:s + 1])
+            out.append(f)
+        return out
 
 
 def atom_suite(base: FieldSample, spec: QuasiLatticeSpec, n_functions: int,

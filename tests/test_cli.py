@@ -209,7 +209,7 @@ def test_sinc_random_csv_bytes_pinned(capsys):
 
 @pytest.mark.parametrize("command, digest", [
     ("sample",
-     "8cb9bbdf7130cf96471410c0cb994e90a2acf2e463503cce45a527dd2f0dcc30"),
+     "759074d200ce83c5657accc8411acce7274c06f66c41c71550accfc58bc89d08"),
     ("verify-canonical",
      "407c642c92580c06153ae56042c6c96791c3f5e2b883169ca3adcfbcab02d74b"),
 ], ids=["sample", "verify-canonical"])

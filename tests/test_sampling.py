@@ -1,23 +1,24 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgs import cli, fieldcheck, grids, sampling, windows
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, FieldFormatError
 from hgs.fieldcheck import translate_field
-from hgs.grids import (FieldSample, SpectralSet, _node_table,
-                       field_inner_per_node, field_sum, lambda_grid,
-                       plancherel_measure)
+from hgs.grids import (FieldSample, SpectralSet, _node_table, _table_slice,
+                       field_inner_per_node, field_load, field_save,
+                       field_sum, lambda_grid, plancherel_measure)
 from hgs.group import GroupPoint, LatticeIndex, QuasiLatticeSpec
-from hgs import sampling
 from hgs.sampling import (SampleSet, _fft_size, _reconstruction_norm2_fast,
                           evaluate_phi, interpolation_verdict,
                           isometry_ratio, onb_gram_check, reconstruct,
                           reconstruction_study, sample_on_lattice)
-from hgs.testfields import atom_suite, random_pl_field
+from hgs.testfields import AtomSuite, atom_suite, random_pl_field
 from hgs.windows import Window
 
 SPEC = QuasiLatticeSpec(1, 1)
@@ -467,3 +468,147 @@ def test_reconstruction_study_builds_no_field(generators, monkeypatch):
     monkeypatch.setattr(sampling, "reconstruct", no_reconstruct)
     got = reconstruction_study(f, gens["split"], spec, (2, 5, 3), 1.0)
     assert got["recon_error"] == pytest.approx(want, rel=1e-10)
+
+
+# -- sampling and scoring through the lattice expansion -----------------------
+
+@pytest.mark.parametrize("name", ["canonical", "split", "random_pl",
+                                  "transported"])
+@pytest.mark.parametrize("ab", [(1.0, 1.0), (0.75, 1.25), (0.5, 2.0)])
+def test_table_slice_equals_fresh_build(generators, name, ab):
+    _, gens = generators
+    e, spec = gens[name], QuasiLatticeSpec(*ab)
+    table = ((6, 20), _node_table(e, e, spec, 6, 20))
+    for kmax, lmax in [(6, 20), (6, 3), (2, 20), (3, 8), (1, 5), (0, 0)]:
+        live_k, H = _table_slice(table, kmax, lmax)
+        want_k, want_H = _node_table(e, e, spec, kmax, lmax)
+        assert np.array_equal(live_k, want_k)
+        assert np.array_equal(H, want_H)
+
+
+def test_expansion_dropped_by_every_transform(generators, tmp_path):
+    # a stale expansion would give wrong samples without any error
+    grid, gens = generators
+    e = gens["canonical"]
+    suite = atom_suite(e, SPEC, n_functions=2, n_atoms=4, box=(1, 2, 1),
+                       seed=3)
+    f, g = suite.fields()
+    assert f.expansion.base is e and f.expansion.spec == SPEC
+    assert f.expansion.indices == suite.indices
+    assert np.array_equal(f.expansion.coeffs, suite.coeffs[:1])
+    assert np.array_equal(g.expansion.coeffs, suite.coeffs[1:])
+    derived = {
+        "scaled": f.scaled(2.0),
+        "heisenberg_translate": f.heisenberg_translate(1.0, 0.5, 0.25),
+        "restrict": f.restrict(SpectralSet([(0.0, 1.0)])),
+        "take": f.take(np.arange(grid.n)),
+        "slices_at": f.slices_at(grid.nodes),
+        "add": f + g,
+        "sub": f - g,
+        "field_sum": field_sum([f, g], [1.0, 1.0]),
+    }
+    for name, h in derived.items():
+        assert h.expansion is None, name
+    # one atom at a central offset has plain indicator slices, so its field
+    # can be written and read back
+    one = AtomSuite(e, SPEC, (LatticeIndex(0, 0, 2),),
+                    np.array([[0.6 - 0.8j]])).fields()[0]
+    assert one.expansion is not None
+    field_save(one, tmp_path / "one.field")
+    assert field_load(tmp_path / "one.field").expansion is None
+
+
+@st.composite
+def _suite_cases(draw):
+    """(spec, box, atom indices, seed, c, own base): the indices repeat one
+    atom in the box and may reach past it."""
+    ab = draw(st.sampled_from([(1.0, 1.0), (0.75, 1.25), (2.0, 0.5),
+                               (0.5, 2.0)]))
+    box = draw(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                         st.integers(0, 2)))
+    index = st.tuples(*(st.integers(-b, b) for b in box))
+    indices = draw(st.lists(index, min_size=1, max_size=6))
+    indices.append(draw(st.sampled_from(indices)))
+    if draw(st.booleans()):
+        indices.append((0, box[1] + draw(st.integers(1, 3)), 0))
+    return (QuasiLatticeSpec(*ab), box, indices,
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(0.5, 2.0)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=30)
+@given(case=_suite_cases())
+def test_suite_route_matches_field_route(generators, case):
+    spec, box, indices, seed, c, own_base = case
+    _, gens = generators
+    e = gens["canonical"]
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(1, len(indices))) \
+        + 1j * rng.normal(size=(1, len(indices)))
+    base = e if own_base else gens["random_pl"]
+    f = AtomSuite(base, spec, tuple(LatticeIndex(*i) for i in indices),
+                  coeffs).fields()[0]
+    plain = f.scaled(1.0)           # the same terms, without the expansion
+    got = reconstruction_study(f, e, spec, box, c)
+    want = reconstruction_study(plain, e, spec, box, c)
+    s, s_want = got["samples"].array, want["samples"].array
+    if not own_base:
+        # an expansion over another base takes the field route
+        assert np.array_equal(s, s_want)
+        assert got["ratio"] == want["ratio"]
+        assert got["recon_error"] == want["recon_error"]
+        return
+    assert np.max(np.abs(s - s_want)) <= 1e-13 * np.max(np.abs(s_want))
+    assert abs(got["ratio"] - want["ratio"]) <= 1e-14 * want["ratio"]
+    # the dense oracle cancels: its bound is eps (||f||^2 + ||r||^2) / err^2
+    r = reconstruct(want["samples"], e, c)
+    err2, nf = (plain - r).norm2(), plain.norm2()
+    dense = np.sqrt(err2 / nf)
+    bound = np.finfo(float).eps * (nf + r.norm2()) / err2
+    assert abs(got["recon_error"] - dense) <= bound * dense
+    # summation order moves the direct error at rounding level only
+    with mock.patch.object(windows, "_PAIR_BLOCK", 7):
+        again = reconstruction_study(f, e, spec, box, c)["recon_error"]
+    assert again == pytest.approx(got["recon_error"], rel=1e-9)
+
+
+def test_suite_study_reads_one_e_table(generators, monkeypatch):
+    # one _node_table(e, e) call serves the samples, the norm and the
+    # error; f's terms are never swept and r is never built
+    _, gens = generators
+    e, spec = gens["random_pl"], QuasiLatticeSpec(0.75, 1.25)
+    f = atom_suite(e, spec, n_functions=1, n_atoms=6, box=(1, 3, 2), seed=7,
+                   extra_indices=[(0, 6, 0)]).fields()[0]
+    calls = []
+
+    def spy(a, b, *args):
+        calls.append((a, b))
+        return _node_table(a, b, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("field route taken")
+
+    for module in (grids, fieldcheck, sampling):
+        monkeypatch.setattr(module, "_node_table", spy)
+    for module in (fieldcheck, sampling):
+        monkeypatch.setattr(module, "lattice_coefficients", forbidden)
+    monkeypatch.setattr(FieldSample, "norm2", forbidden)
+    monkeypatch.setattr(sampling, "reconstruct", forbidden)
+    row = reconstruction_study(f, e, spec, (2, 4, 2), 1.0)
+    assert len(calls) == 1 and calls[0][0] is e and calls[0][1] is e
+    assert row["recon_error"] > 0
+
+
+def test_cmd_sample_sweeps_no_field(capsys, monkeypatch):
+    calls = []
+    sweep = fieldcheck.lattice_coefficients
+
+    def spy(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    for module in (fieldcheck, sampling):
+        monkeypatch.setattr(module, "lattice_coefficients", spy)
+    assert cli.main(["sample", "--no-timestamp", "--bounds", "2,4,2"]) == 0
+    capsys.readouterr()
+    assert calls == []

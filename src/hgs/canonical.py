@@ -49,11 +49,7 @@ def canonical_window(lam) -> Window:
 def canonical_field(grid: LambdaGrid) -> FieldSample:
     """Indicator field sampled on the grid, with the analytic profile kept
     attached so off-grid slices evaluate exactly."""
-    f = FieldSample.from_array_profile(grid, canonical_profile)
-    if f.n_terms == grid.n:     # one live cell per node
-        f.kinds = [("indicator", a, b, 1 + 0j) for a, b
-                   in zip(f.term_lo.tolist(), f.term_hi.tolist())]
-    return f
+    return FieldSample.from_array_profile(grid, canonical_profile)
 
 
 @dataclass(frozen=True)

@@ -118,15 +118,20 @@ def gabor_field_verdict(g: FieldSample, spec: QuasiLatticeSpec = SPEC_UNIT,
 
 
 # ---------------------------------------------------------------------------
-# lattice coefficient sweeps (shared by Parseval residual and sampling)
+# the lattice coefficient sweep (shared by Parseval residual and sampling)
 
 
-def _m_phase(grid, mmax: int) -> np.ndarray:
-    """w_n e^{-2 pi i lam_n m} for |m| <= mmax, shape (N, M): the central
-    phase sum that turns a per-node table into lattice coefficients."""
-    ms = np.arange(-mmax, mmax + 1)
-    return grid.weights[:, None] * np.exp(
-        -1j * _TWO_PI * np.outer(grid.nodes, ms))
+def _one_atom(f: FieldSample, spec: QuasiLatticeSpec) -> AtomSuite:
+    """f as its one-atom suite f = 1 * T_(0,0,0) f."""
+    return AtomSuite(f, spec, (LatticeIndex(0, 0, 0),), np.ones((1, 1)))
+
+
+def _own_suite(suite, g: FieldSample, spec: QuasiLatticeSpec):
+    """suite if it is an AtomSuite of translates of g itself under spec,
+    else None: only such a suite reads its norms off its own samples."""
+    own = (isinstance(suite, AtomSuite) and suite.base is g
+           and suite.spec == spec)
+    return suite if own else None
 
 
 def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
@@ -134,40 +139,26 @@ def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
     """Coefficients <f, T_{k,l,m} g> for every field f and every index in
     the truncation box, as an array of shape (n_fields, K, L, M).
 
-    Each field's per-node table (_node_table) holds the translation and
-    modulation sweep; the phase sum over m is a dense matrix product per
-    translation with a live pair.
+    Each field is swept as its one-atom suite f = 1 * T_(0,0,0) f by
+    _suite_coefficients, whose cocycle at kappa = 0 is exactly 1.
     """
     _check_bounds(kmax, lmax, mmax)
-    wphase = _m_phase(g.grid, mmax)
     out = np.zeros((len(fields), 2 * kmax + 1, 2 * lmax + 1, 2 * mmax + 1),
                    dtype=complex)
     for fi, f in enumerate(fields):
-        live_k, H = _node_table(f, g, spec, kmax, lmax)
-        for j, ki in enumerate(live_k):
-            out[fi, ki] = H[j].T @ wphase
-    return out
-
-
-def _table_rows(table, kmax: int, lmax: int, k, l) -> np.ndarray:
-    """Rows H_n(k, l) of a _node_table(..., kmax, lmax) result for index
-    arrays k, l of shape (P,), as a (P, N) array; translations without a
-    live pair give zero rows."""
-    live_k, H = table
-    out = np.zeros((k.size, H.shape[1]), dtype=complex)
-    pos = np.searchsorted(live_k, k + kmax)
-    hit = pos < live_k.size
-    hit[hit] = live_k[pos[hit]] == k[hit] + kmax
-    out[hit] = H[pos[hit], :, l[hit] + lmax]
+        out[fi] = _suite_coefficients(_one_atom(f, spec), g, spec,
+                                      kmax, lmax, mmax)[0]
     return out
 
 
 def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                         spec: QuasiLatticeSpec, kmax: int, lmax: int,
-                        mmax: int, table=None):
-    """Lattice coefficients (n_functions, K, L, M) and squared norms of the
-    test fields of an AtomSuite whose atoms T_{gamma_j} b are translates
-    under spec, without building the fields.
+                        mmax: int, table=None) -> np.ndarray:
+    """Lattice coefficients <f_s, T_{k,l,m} g>, shape (n_functions, K, L,
+    M), of the test fields f_s = sum_j c_sj T_{gamma_j} b of an AtomSuite
+    whose atoms are translates under spec, without building the fields.
+    This is the package's one lattice-coefficient sweep: a plain field is
+    swept as its one-atom suite (lattice_coefficients).
 
     The group law reduces every pairing to one relative-offset table of the
     base b: with H = _node_table(b, g) over the box widened by the atoms'
@@ -178,16 +169,12 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                            H_n(k, l),
 
     where the alpha beta kappa l part is the central cocycle phase.  So all
-    atoms with the same k_j share one (l, m) table per translation.  The
-    Gram matrix G_ij = <T_{gamma_i} b, T_{gamma_j} b> comes the same way
-    from a b-vs-b table (the first one when b is g and it covers the
-    offsets), and ||f_s||^2 = c_s^T G conj(c_s); only atom pairs whose
-    offset in k is a live translation of that table are formed, the other
-    entries being exact zeros.
+    atoms with the same k_j share one (l, m) table per translation.
 
     table, if given, is (reach, _node_table(b, g, spec, *reach)) with reach
-    at least the widened box; both tables are then read off it.
+    at least the widened box; the table is then read off it.
     """
+    _check_bounds(kmax, lmax, mmax)
     b, c = suite.base, suite.coeffs
     if not suite.indices or not c.shape[0]:
         raise DomainError("need at least one test field")
@@ -200,7 +187,9 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
         reach = (kmax + dk, lmax + dl)
         table = (reach, _node_table(b, g, spec, *reach))
     live_k, H = _table_slice(table, kmax + dk, lmax + dl)
-    wphase = _m_phase(g.grid, mmax + dm)
+    # w_n e^{-2 pi i lam_n m}: the central phase sum over the nodes
+    wphase = g.grid.weights[:, None] * np.exp(-1j * _TWO_PI * np.outer(
+        lam, np.arange(-(mmax + dm), mmax + dm + 1)))
     out = np.zeros((c.shape[0], 2 * kmax + 1, L, M), dtype=complex)
     for kappa in np.unique(kj):
         cocycle = np.exp(1j * _TWO_PI * ab * kappa * np.outer(
@@ -214,25 +203,30 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                 l0, m0 = dl - lj[a], dm - mj[a]
                 out[:, k + kmax] += (c[:, a, None, None]
                                      * Y[None, l0:l0 + L, m0:m0 + M])
-    # G_ij from the offsets k_j - k_i, l_j - l_i, m_j - m_i, with the
-    # cocycle of gamma_i
-    reach, bb = table
-    if not (b is g and reach[0] >= 2 * dk and reach[1] >= 2 * dl):
-        reach = (2 * dk, 2 * dl)
-        bb = _node_table(b, b, spec, *reach)
-    i, j = (x.ravel() for x in np.meshgrid(np.arange(kj.size),
-                                            np.arange(kj.size),
-                                            indexing="ij"))
-    live = np.isin(kj[j] - kj[i] + reach[0], bb[0])
-    i, j = i[live], j[live]
-    rows = _table_rows(bb, *reach, kj[j] - kj[i], lj[j] - lj[i])
-    phase = np.exp(-1j * _TWO_PI * np.outer(
-        mj[j] - mj[i] - ab * kj[i] * (lj[j] - lj[i]), lam))
-    gram = np.zeros(kj.size * kj.size, dtype=complex)
-    gram[live] = (rows * phase) @ g.grid.weights
-    gram = gram.reshape(kj.size, kj.size)
-    norms = np.einsum("si,ij,sj->s", c, gram, np.conj(c)).real
-    return out, np.maximum(norms, 0.0).tolist()
+    return out
+
+
+def _suite_union(suite: AtomSuite, bounds):
+    """(union, at, box) for a suite and a lattice box: the smallest box
+    holding the box and every atom index, the atoms' positions in an array
+    over it, and the slices of such an array that hold the box."""
+    idx = np.array([gam.astuple() for gam in suite.indices])
+    union = tuple(int(u) for u in np.maximum(bounds, np.abs(idx).max(axis=0)))
+    return (union, tuple((idx + union).T),
+            tuple(slice(u - b, u + b + 1) for u, b in zip(union, bounds)))
+
+
+def _suite_norms(suite: AtomSuite, phi: np.ndarray, at) -> np.ndarray:
+    """Squared norms of the test fields of a suite over g itself, read off
+    their own samples phi_s(gamma) = <f_s, T_gamma g> on a box that holds
+    every atom (at from _suite_union):
+
+        ||f_s||^2 = <f_s, f_s> = Re sum_j conj(c_sj) phi_s(gamma_j).
+
+    An elementwise product and np.sum, so no BLAS kernel sets the
+    rounding."""
+    vals = np.conj(suite.coeffs) * phi[(slice(None),) + at]
+    return np.maximum(np.sum(vals, axis=1).real, 0.0)
 
 
 def _test_fields(testfns) -> list:
@@ -249,16 +243,21 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
     """max over test fields f of |sum_box |<f, T_gamma g>|^2 - ||f||^2| / ||f||^2.
 
     testfns is a nonempty list of fields on g's grid, or an AtomSuite.  A
-    suite whose atoms are translates under spec is evaluated from one
-    relative-offset table of its base against g (_suite_coefficients),
-    without building its fields.  For a Parseval system and test fields
-    concentrated in the box the residual is bounded by quadrature noise
-    plus the energy the box misses.
+    suite of translates of g itself under spec is evaluated without
+    building its fields: its coefficients come from one relative-offset
+    table of g against g (_suite_coefficients) on the union of the box and
+    its atom indices, and its norms are read off them (_suite_norms).  Any
+    other suite takes the fields route.  For a Parseval system and test
+    fields concentrated in the box the residual is bounded by quadrature
+    noise plus the energy the box misses.
     """
     _check_bounds(kmax, lmax, mmax)
-    if isinstance(testfns, AtomSuite) and testfns.spec == spec:
-        coeffs, norms = _suite_coefficients(testfns, g, spec,
-                                            kmax, lmax, mmax)
+    suite = _own_suite(testfns, g, spec)
+    if suite is not None:
+        union, at, box = _suite_union(suite, (kmax, lmax, mmax))
+        phi = _suite_coefficients(suite, g, spec, *union)
+        norms = _suite_norms(suite, phi, at).tolist()
+        coeffs = phi[(slice(None),) + box]
     else:
         fields = _test_fields(testfns)
         coeffs = lattice_coefficients(fields, g, spec, kmax, lmax, mmax)

@@ -12,10 +12,11 @@ never builds it; reconstruct is the reference it is tested against.
 A field made by AtomSuite.fields carries its lattice expansion f = sum_j
 a_j T_{gamma_j} e.  When that expansion is over the generator itself, the
 samples, ||f||^2 and ||f - r||^2 all come from one relative-offset table of
-e against its own translates: f - r is again a combination of translates of
-e, so its norm is taken directly instead of as a difference that cancels.
-Fields without an expansion, or with one over another base, take the field
-route: one sweep of their terms against e.
+e against its own translates: ||f||^2 is read off the samples at the atoms,
+and f - r is again a combination of translates of e, so its norm is taken
+directly instead of as a difference that cancels.  Fields without an
+expansion, or with one over another base, take the field route: their
+terms are swept against e as a one-atom suite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FieldFormatError
-from .fieldcheck import _suite_coefficients, lattice_coefficients
+from .fieldcheck import (_one_atom, _own_suite, _suite_coefficients,
+                         _suite_norms, _suite_union, lattice_coefficients)
 from .grids import (FieldSample, SpectralSet, _node_table, _table_slice,
                     field_inner, plancherel_measure)
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec, _check_bounds
@@ -149,23 +151,19 @@ class SampleSet:
 def _expansion(f: FieldSample, e: FieldSample, spec: QuasiLatticeSpec):
     """f's lattice expansion (a one-row AtomSuite) if it is one over e
     itself under spec, else None."""
-    x = f.expansion
-    return x if x is not None and x.base is e and x.spec == spec else None
+    return _own_suite(f.expansion, e, spec)
 
 
 def sample_on_lattice(f: FieldSample, e: FieldSample,
                       spec: QuasiLatticeSpec, bounds) -> SampleSet:
-    """Evaluate phi at every lattice point of the box.
-
-    A field that carries its lattice expansion over e is sampled by the
-    group law from one e-vs-e table (_suite_coefficients); any other field
-    by one modulation sweep of its terms against e across the whole box
-    (lattice_coefficients)."""
+    """Evaluate phi at every lattice point of the box by one
+    _suite_coefficients sweep: of f's lattice expansion if it is one over
+    e, by the group law from one e-vs-e table, else of f's one-atom suite,
+    its terms swept against e across the whole box."""
     suite = _expansion(f, e, spec)
     if suite is None:
-        return SampleSet(spec, lattice_coefficients([f], e, spec, *bounds)[0])
-    _check_bounds(*bounds)
-    return SampleSet(spec, _suite_coefficients(suite, e, spec, *bounds)[0][0])
+        suite = _one_atom(f, spec)
+    return SampleSet(spec, _suite_coefficients(suite, e, spec, *bounds)[0])
 
 
 def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
@@ -307,24 +305,23 @@ def _suite_study(suite, e: FieldSample, spec: QuasiLatticeSpec, bounds,
     T_{gamma_j} e of a one-row suite over e, from one e-vs-e table over the
     doubled union of the box and the atom indices.
 
-    The samples and ||f||^2 = a^H G a come from _suite_coefficients, and
-    f - r = sum_gamma d_gamma T_gamma e with d = a - s/c on that union, so
-    ||f - r||^2 is one _reconstruction_norm2_fast call with nothing to
-    cancel."""
+    _suite_coefficients samples f on that union, and ||f||^2 = Re sum_j
+    conj(a_j) phi(gamma_j) is read off the samples at the atoms
+    (_suite_norms).  f - r = sum_gamma d_gamma T_gamma e with d = a - s/c
+    on the union, so ||f - r||^2 is one _reconstruction_norm2_fast call
+    with nothing to cancel."""
     _check_bounds(*bounds)
-    idx = np.array([g.astuple() for g in suite.indices])
-    union = np.maximum(bounds, np.abs(idx).max(axis=0))
-    reach = (2 * int(union[0]), 2 * int(union[1]))
+    union, at, box = _suite_union(suite, bounds)
+    reach = (2 * union[0], 2 * union[1])
     table = (reach, _node_table(e, e, spec, *reach))
-    coeffs, norms = _suite_coefficients(suite, e, spec, *bounds, table=table)
-    samples = SampleSet(spec, coeffs[0])
-    d = np.zeros(tuple(2 * union + 1), dtype=complex)
-    d[tuple(slice(u - b, u + b + 1) for u, b in zip(union, bounds))] = \
-        -samples.array / c
+    phi = _suite_coefficients(suite, e, spec, *union, table=table)
+    samples = SampleSet(spec, phi[0][box])
+    d = np.zeros(phi.shape[1:], dtype=complex)
+    d[box] = -samples.array / c
     # atoms may repeat an index, so their coefficients add up
-    np.add.at(d, tuple((idx + union).T), suite.coeffs[0])
-    return samples, norms[0], _reconstruction_norm2_fast(
-        SampleSet(spec, d), e, 1.0, table=table)
+    np.add.at(d, at, suite.coeffs[0])
+    return samples, float(_suite_norms(suite, phi, at)[0]), \
+        _reconstruction_norm2_fast(SampleSet(spec, d), e, 1.0, table=table)
 
 
 def reconstruction_study(f: FieldSample, e: FieldSample,
@@ -409,8 +406,11 @@ def onb_gram_check(e: FieldSample, spec: QuasiLatticeSpec, bounds,
     coeffs = np.conj(lattice_coefficients([e], e, spec, kmax, lmax, mmax)[0])
     coeffs[kmax, lmax, mmax] -= 1.0
     dev = np.abs(coeffs)
-    flat = int(np.argmax(dev))
+    top = dev.max()
+    # symmetric entries tie up to rounding, which the BLAS kernel decides:
+    # take the first index in C order within a relative 1e-9 of the maximum
+    flat = int(np.argmax(dev >= (1.0 - 1e-9) * top))
     ki, li, mi = np.unravel_index(flat, dev.shape)
     worst = LatticeIndex(int(ki - kmax), int(li - lmax), int(mi - mmax))
     return GramCheckReport(bounds=tuple(bounds), tol=tol,
-                           max_deviation=float(dev.max()), worst_index=worst)
+                           max_deviation=float(top), worst_index=worst)

@@ -7,7 +7,8 @@ from hgs.canonical import (IntervalPair, canonical_field, canonical_window,
                            intervals_Ik, sinc_intervals, tiling_check)
 from hgs.errors import DomainError
 from hgs.gabor import painless_residual
-from hgs.grids import SpectralSet, field_inner, lambda_grid
+from hgs.grids import (FieldSample, SpectralSet, field_inner, field_load,
+                       field_save, lambda_grid)
 from hgs.group import QuasiLatticeSpec
 
 
@@ -35,6 +36,26 @@ def test_canonical_field_rejects_bad_grid():
     grid = lambda_grid(SpectralSet([(0.5, 2.0)]), 8, 0.05)
     with pytest.raises(DomainError):
         canonical_field(grid)
+
+
+def test_canonical_field_saves_as_plain_indicators(tmp_path):
+    # every slice is one plain indicator, so field_save derives its record
+    # from the terms: the bytes equal those of the same windows without a
+    # profile, and the file reads back to the same terms
+    grid = lambda_grid(SpectralSet([(-1, 1)]), 64, 0.05)
+    e = canonical_field(grid)
+    field_save(e, tmp_path / "e.hgs")
+    field_save(FieldSample.from_windows(grid, e.windows()),
+               tmp_path / "windows.hgs")
+    saved = (tmp_path / "e.hgs").read_bytes()
+    assert saved == (tmp_path / "windows.hgs").read_bytes()
+    back = field_load(tmp_path / "e.hgs")
+    assert back.grid.same_as(grid)
+    for name in ("term_node", "term_lo", "term_hi", "term_coef",
+                 "term_freq"):
+        assert np.array_equal(getattr(back, name), getattr(e, name)), name
+    field_save(back, tmp_path / "back.hgs")
+    assert (tmp_path / "back.hgs").read_bytes() == saved
 
 
 def test_canonical_field_profile_off_grid():

@@ -1,11 +1,27 @@
 import hashlib
 import json
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hgs
 from hgs.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:     # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+VERIFY_CANONICAL_DIGEST = (
+    "407c642c92580c06153ae56042c6c96791c3f5e2b883169ca3adcfbcab02d74b")
+# the instruction set each forced OpenBLAS kernel needs
+CORE_TYPE_FEATURE = {"Prescott": "SSE3", "Sandybridge": "AVX",
+                     "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
 
 
 def run(capsys, *argv):
@@ -209,9 +225,8 @@ def test_sinc_random_csv_bytes_pinned(capsys):
 
 @pytest.mark.parametrize("command, digest", [
     ("sample",
-     "759074d200ce83c5657accc8411acce7274c06f66c41c71550accfc58bc89d08"),
-    ("verify-canonical",
-     "407c642c92580c06153ae56042c6c96791c3f5e2b883169ca3adcfbcab02d74b"),
+     "d1c83f9fed95ec96fb754cfe508df7803ab657adfa0ae2f4c5b8d1eb9972aa48"),
+    ("verify-canonical", VERIFY_CANONICAL_DIGEST),
 ], ids=["sample", "verify-canonical"])
 def test_report_bytes_pinned(capsys, tmp_path, command, digest):
     # the JSON report of a seeded run is part of the output contract; its
@@ -221,6 +236,31 @@ def test_report_bytes_pinned(capsys, tmp_path, command, digest):
                      "--out", str(out_path))
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("core", list(CORE_TYPE_FEATURE))
+def test_verify_canonical_bytes_independent_of_blas_kernel(tmp_path, core):
+    # the Gram row's two worst entries tie up to rounding, and the OpenBLAS
+    # kernel decides the rounding; the report must not depend on it.  A
+    # kernel whose instructions the host lacks would crash the process.
+    # The sample report still depends on the kernel through its BLAS-backed
+    # reductions, so it is not checked here.
+    if not __cpu_features__.get(CORE_TYPE_FEATURE[core], False):
+        pytest.skip(f"host lacks {CORE_TYPE_FEATURE[core]}")
+    src = str(Path(hgs.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out_path = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from hgs.cli import main; sys.exit(main(sys.argv[1:]))",
+         "verify-canonical", "--seed", "5", "--no-timestamp",
+         "--out", str(out_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == VERIFY_CANONICAL_DIGEST
 
 
 def test_sample_reconstructs_with_the_sampling_constant(capsys, tmp_path):

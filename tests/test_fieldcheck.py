@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hgs import fieldcheck
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, NotApplicableError
-from hgs.fieldcheck import (_suite_coefficients, _unfolded_sum,
+from hgs.fieldcheck import (_suite_coefficients, _suite_norms, _suite_union,
+                            _unfolded_sum,
                             coefficient_cross_orthogonality,
                             gabor_field_verdict, gram_entry,
                             jittered_unit_grid, lattice_coefficients,
@@ -168,8 +169,8 @@ def test_parseval_suite_matches_field_path(coarse, spec, pair, trunc):
     # every atom with k != 0 is not trivial; piecewise-linear fields have
     # degree-1 terms, so recentering matters, and unlike the canonical
     # field their modulations are not orthogonal per node; the (1, 2, 2)
-    # box is smaller than the atoms' offsets, so the norms need their own
-    # b-vs-b table even when the base is g
+    # box is smaller than the atoms' offsets, so the norms are read on the
+    # union of the box and the atom indices
     grid, e = coarse
     pl = random_pl_field(grid, seed=21, interval=(-1.0, 1.5))
     g, base = {"canonical": (e, e), "pl_base": (e, pl),
@@ -177,15 +178,18 @@ def test_parseval_suite_matches_field_path(coarse, spec, pair, trunc):
     suite = atom_suite(base, spec, n_functions=3, n_atoms=9, box=(2, 4, 2),
                        seed=17, extra_indices=[(0, 6, -3)])
     assert any(gam.k != 0 for gam in suite.indices)
-    coeffs, norms = _suite_coefficients(suite, g, spec, *trunc)
+    coeffs = _suite_coefficients(suite, g, spec, *trunc)
     atoms = lattice_coefficients(suite.atoms(), g, spec, *trunc)
     want = np.einsum("sj,jklm->sklm", suite.coeffs, atoms)
     assert np.max(np.abs(want)) > 1e-2
     assert np.max(np.abs(coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+    # the norms come from the samples against the suite's own base
+    union, at, _ = _suite_union(suite, trunc)
+    norms = _suite_norms(suite, _suite_coefficients(suite, base, spec,
+                                                    *union), at)
     fields = suite.fields()
     want_norms = np.array([f.norm2() for f in fields])
-    assert np.all(np.abs(np.array(norms) - want_norms)
-                  <= 1e-13 * want_norms)
+    assert np.all(np.abs(norms - want_norms) <= 1e-13 * want_norms)
     # residuals are already relative to ||f||^2
     assert parseval_residual(g, spec, suite, *trunc) == pytest.approx(
         parseval_residual(g, spec, fields, *trunc), rel=0, abs=1e-13)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hgs import cli, fieldcheck, grids, sampling, windows
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, FieldFormatError
-from hgs.fieldcheck import translate_field
+from hgs.fieldcheck import (_suite_coefficients, _suite_norms, _suite_union,
+                            parseval_residual, translate_field)
 from hgs.grids import (FieldSample, SpectralSet, _node_table, _table_slice,
                        field_inner_per_node, field_load, field_save,
                        field_sum, lambda_grid, plancherel_measure)
@@ -572,6 +573,54 @@ def test_suite_route_matches_field_route(generators, case):
     assert again == pytest.approx(got["recon_error"], rel=1e-9)
 
 
+@st.composite
+def _norm_cases(draw):
+    """(generator, spec, box, atom indices, seed): one atom index repeats
+    and one lies outside the box."""
+    name = draw(st.sampled_from(["canonical", "random_pl"]))
+    ab = draw(st.sampled_from([(1.0, 1.0), (2.0, 0.5), (0.75, 1.25),
+                               (1.0, 0.5)]))
+    box = draw(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                         st.integers(0, 2)))
+    index = st.tuples(*(st.integers(-b, b) for b in box))
+    indices = draw(st.lists(index, min_size=1, max_size=5))
+    indices.append(draw(st.sampled_from(indices)))
+    outside = list(draw(index))
+    axis = draw(st.integers(0, 2))
+    outside[axis] = draw(st.sampled_from([-1, 1])) * (
+        box[axis] + draw(st.integers(1, 3)))
+    indices.append(tuple(outside))
+    return (name, QuasiLatticeSpec(*ab), box, indices,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=25)
+@given(case=_norm_cases())
+def test_suite_norms_read_off_samples(generators, case):
+    # ||f_s||^2 = Re sum_j conj(c_sj) phi_s(gamma_j) on the union of the box
+    # and the atom indices, for a suite over the generator itself
+    name, spec, box, indices, seed = case
+    _, gens = generators
+    g = gens[name]
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(2, len(indices))) \
+        + 1j * rng.normal(size=(2, len(indices)))
+    suite = AtomSuite(g, spec, tuple(LatticeIndex(*i) for i in indices),
+                      coeffs)
+    fields = suite.fields()
+    union, at, _ = _suite_union(suite, box)
+    norms = _suite_norms(suite, _suite_coefficients(suite, g, spec, *union),
+                         at)
+    want = np.array([f.norm2() for f in fields])
+    assert np.all(np.abs(norms - want) <= 1e-13 * want)
+    assert parseval_residual(g, spec, suite, *box) == pytest.approx(
+        parseval_residual(g, spec, fields, *box), rel=0, abs=1e-13)
+    got = reconstruction_study(fields[0], g, spec, box, 1.0)["ratio"]
+    plain = reconstruction_study(fields[0].scaled(1.0), g, spec, box,
+                                 1.0)["ratio"]
+    assert abs(got - plain) <= 1e-14
+
+
 def test_suite_study_reads_one_e_table(generators, monkeypatch):
     # one _node_table(e, e) call serves the samples, the norm and the
     # error; f's terms are never swept and r is never built
@@ -600,15 +649,22 @@ def test_suite_study_reads_one_e_table(generators, monkeypatch):
 
 
 def test_cmd_sample_sweeps_no_field(capsys, monkeypatch):
-    calls = []
-    sweep = fieldcheck.lattice_coefficients
+    # every table hgs sample builds pairs its generator e with itself; a
+    # sweep of a field's terms would pair the field with e
+    made, calls = [], []
 
-    def spy(*args):
-        calls.append(args)
-        return sweep(*args)
+    def make_e(grid):
+        made.append(canonical_field(grid))
+        return made[-1]
 
-    for module in (fieldcheck, sampling):
-        monkeypatch.setattr(module, "lattice_coefficients", spy)
+    def spy(a, b, *args):
+        calls.append((a, b))
+        return _node_table(a, b, *args)
+
+    monkeypatch.setattr(cli, "canonical_field", make_e)
+    for module in (grids, fieldcheck, sampling):
+        monkeypatch.setattr(module, "_node_table", spy)
     assert cli.main(["sample", "--no-timestamp", "--bounds", "2,4,2"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert len(made) == 1 and calls
+    assert all(a is made[0] and b is made[0] for a, b in calls)

@@ -44,11 +44,19 @@ DEFAULTS = {
     "tol": 1e-10,
 }
 
+# largest --lambda-nodes, per spectral interval: at about 1 KB a node in
+# verify-canonical, one interval stays near 1 GB
+_MAX_LAMBDA_NODES = 1 << 20
+# largest hgs sample study, in bytes: 16 per node for each of the
+# (2K+1)(2L+1) samples and 2M+1 phases of the larger of box and doubling
+_MAX_STUDY_BYTES = 1 << 29
+
 # accepted range of each numeric setting, checked whatever its source
 _RANGES = {
     "alpha": (lambda v: 0 < v < math.inf, "a positive finite number"),
     "beta": (lambda v: 0 < v < math.inf, "a positive finite number"),
-    "lambda_nodes": (lambda v: v >= 1, "a positive integer"),
+    "lambda_nodes": (lambda v: 1 <= v <= _MAX_LAMBDA_NODES,
+                     f"a positive integer up to {_MAX_LAMBDA_NODES}"),
     "lambda_min": (lambda v: 0 < v < math.inf, "a positive finite number"),
     "seed": (lambda v: v >= 0, "a nonnegative integer"),
     "tol": (lambda v: 0 <= v < math.inf, "a nonnegative finite number"),
@@ -310,14 +318,25 @@ def cmd_sample(args):
     cfg = _resolve(args, _load_config(args.config) if args.config else {})
     spec = QuasiLatticeSpec(cfg["alpha"], cfg["beta"])
     E = SpectralSet.parse(cfg["spectrum"])
-    grid = lambda_grid(E, max(cfg["lambda_nodes"], 512), 1e-3)
-    e = canonical_field(grid)
+    nodes = max(cfg["lambda_nodes"], 512)
     bounds = _parse_triple(cfg["bounds"], int, "bounds")
-    if min(bounds) < 0 or math.prod(2 * b + 1 for b in bounds) \
-            > _MAX_BOX_SAMPLES:
+    # the doubled box always holds the straddling atom
+    doubled = (min(2 * bounds[0], 128),
+               max(min(2 * bounds[1], 128), bounds[1] + 2),
+               min(2 * bounds[2], 128))
+    k, l, m = (max(b, d) for b, d in zip(bounds, doubled))
+    # no interval gets more than `nodes` nodes
+    study = 16 * len(E.intervals) * nodes * ((2 * k + 1) * (2 * l + 1)
+                                             + 2 * m + 1)
+    if min(bounds) < 0 or study > _MAX_STUDY_BYTES or math.prod(
+            2 * b + 1 for b in bounds) > _MAX_BOX_SAMPLES:
         raise HgsError(f"bad bounds {cfg['bounds']!r}; expected three "
                        "nonnegative int values spanning at most "
-                       f"{_MAX_BOX_SAMPLES} samples")
+                       f"{_MAX_BOX_SAMPLES} samples, with study arrays of "
+                       f"at most {_MAX_STUDY_BYTES} bytes at {nodes} nodes "
+                       "per interval")
+    grid = lambda_grid(E, nodes, 1e-3)
+    e = canonical_field(grid)
     inner = tuple(min(b, max(1, b // 2)) for b in bounds)
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,
                        seed=cfg["seed"])
@@ -346,11 +365,7 @@ def cmd_sample(args):
            f"max |ratio-1| {dev0:.3e}, max recon err {err0:.3e}")
     fs = straddle.fields()[0]
     errs = []
-    for scale in (1, 2):
-        b = tuple(min(s * scale, 128) for s in bounds)
-        if scale == 2:
-            # the doubled box always holds the straddling atom
-            b = (b[0], max(b[1], bounds[1] + 2), b[2])
+    for b in (tuple(min(s, 128) for s in bounds), doubled):
         row = reconstruction_study(fs, e, spec, b, c)
         errs.append(row["recon_error"])
         table.append({"bounds": list(b), "ratio": row["ratio"],

@@ -355,8 +355,8 @@ def orthogonality_residual(g: FieldSample, f: FieldSample, lam: float,
 
 
 def _fold_map(E: SpectralSet):
-    """For a set translation-congruent into a unit interval, the pieces of
-    its image in [0, 1) as (x_lo, x_hi, n) with lam = x + n."""
+    """For a set translation-congruent into a unit interval, the sorted
+    pieces of its image in [0, 1) as arrays (x_lo, x_hi, n), lam = x + n."""
     pieces = []
     for a, b in E.intervals:
         for n in range(math.floor(a), math.floor(b) + 2):
@@ -368,7 +368,7 @@ def _fold_map(E: SpectralSet):
         if l2 < h1 - 1e-12:
             raise DomainError(
                 "set is not translation-congruent to a subset of [0, 1]")
-    return pieces
+    return np.array(pieces, dtype=float).reshape(-1, 3).T
 
 
 def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
@@ -393,26 +393,20 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
         raise DomainError("quad_cells and quad_order must be at least 1")
     if Ej.intersect(Ej2).intervals:
         raise DomainError("spectral pieces overlap")
-    fold1 = _fold_map(Ej)
-    fold2 = _fold_map(Ej2)
-    # overlap cells of the two folded images, split at every breakpoint
-    breaks = sorted({p for lo, hi, _ in fold1 for p in (lo, hi)}
-                    | {p for lo, hi, _ in fold2 for p in (lo, hi)})
-    cells = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (a + b)
-        n1 = next((n for lo, hi, n in fold1 if lo <= mid <= hi), None)
-        n2 = next((n for lo, hi, n in fold2 if lo <= mid <= hi), None)
-        if n1 is not None and n2 is not None and b > a:
-            cells.append((a, b, n1, n2))
+    # overlap cells of the two folded images: the pieces of one fold are
+    # disjoint and sorted, so each pair of pieces meets in at most one
+    # interval and the nonempty meets come in [0, 1) order
+    (lo1, hi1, n1), (lo2, hi2, n2) = _fold_map(Ej), _fold_map(Ej2)
+    a, b = np.maximum.outer(lo1, lo2), np.minimum.outer(hi1, hi2)
+    k1, k2 = np.nonzero(b > a)
+    # quad_cells Gauss cells per overlap cell, raveled cell by cell
+    edges = np.linspace(a[k1, k2], b[k1, k2], quad_cells + 1, axis=1)
+    ca, cb = edges[:, :-1, None], edges[:, 1:, None]
     xg, wg = np.polynomial.legendre.leggauss(quad_order)
-    points = []
-    for a, b, n1, n2 in cells:
-        edges = np.linspace(a, b, quad_cells + 1)
-        for ca, cb in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
-            points.extend(zip(0.5 * (cb - ca) * wg, x + n1, x + n2))
-    wq, lam1, lam2 = np.array(points, dtype=float).reshape(-1, 3).T
+    x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
+    wq = (0.5 * (cb - ca) * wg).ravel()
+    lam1 = (x + n1[k1, None, None]).ravel()
+    lam2 = (x + n2[k2, None, None]).ravel()
     # one kernel point per (quadrature point p, field i, field j): the
     # slices at lam1 and at lam2 sit at point p and point P + p of one table
     both = np.concatenate([lam1, lam2])
@@ -427,14 +421,15 @@ def coefficient_cross_orthogonality(g: FieldSample, Ej: SpectralSet,
     else:
         fs = [f.slices_at(both) for f in _test_fields(testfns)]
     P, F = lam1.size, len(fs)
+    # field k's slices at rows 2 P k to 2 P (k + 1) of one table
+    table = _concat(point_grid(np.tile(both, F), g.grid.spectral_set), fs,
+                    np.arange(2 * P * F).reshape(F, 2 * P))
     p, i, j = (x.ravel() for x in np.meshgrid(
         np.arange(P), np.arange(F), np.arange(F), indexing="ij"))
     # kernel point r < P F^2 holds the f_i slice at lam1_p and its partner
     # P F^2 + r the f_j slice at lam2_p
-    row, field_of = np.concatenate([p, P + p]), np.concatenate([i, j])
-    picks = [np.flatnonzero(field_of == k) for k in range(F)]
-    f_all = _concat(point_grid(both[row], g.grid.spectral_set),
-                    [fk.take(row[pk]) for fk, pk in zip(fs, picks)], picks)
+    row = np.concatenate([p, P + p])
+    f_all = table.take(np.concatenate([2 * P * i + p, 2 * P * j + P + p]))
     vals = _unfolded_sum(f_all, gs.take(row), -spec.beta * both[row],
                          spec.alpha, trunc[0]).reshape(P, F, F)
     # the coefficients pair T g with f, so the products are the conjugates

@@ -245,12 +245,14 @@ def point_grid(lams, spectral_set: SpectralSet) -> LambdaGrid:
 # ---------------------------------------------------------------------------
 # field samples
 
+_NODE_TOL = 1e-12  # slice_at takes a node's slice within this distance
 
-def _node_hits(nodes, lams, tol):
-    """Index of the first node within tol of each lam, or -1."""
+
+def _node_hits(nodes, lams):
+    """Index of the first node within _NODE_TOL of each lam, or -1."""
     out = np.full(lams.size, -1, dtype=np.int64)
     for s, e in _blocks(np.full(lams.size, nodes.size)):
-        near = np.abs(nodes[None, :] - lams[s:e, None]) <= tol
+        near = np.abs(nodes[None, :] - lams[s:e, None]) <= _NODE_TOL
         out[s:e] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
     return out
 
@@ -372,20 +374,20 @@ class FieldSample:
                            self.term_lo[term], self.term_hi[term], coef,
                            self.term_freq[term])
 
-    def slice_at(self, lam, tol=1e-12) -> Window:
-        """Window at spectral value lam: the profile's if the field has one,
-        else the slice of a node within tol, else linear interpolation
+    def slice_at(self, lam) -> Window:
+        """Window at lam: the profile's if the field has one, else the
+        slice of a node within _NODE_TOL, else the linear interpolation
         between the bracketing node slices."""
-        return self.slices_at([lam], tol).slice(0)
+        return self.slices_at([lam]).slice(0)
 
-    def slices_at(self, lams, tol=1e-12) -> FieldSample:
+    def slices_at(self, lams) -> FieldSample:
         """The windows at an array of spectral values, as slice_at finds
         each one, in one term table on point_grid(lams)."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if self.profile is not None:
             return self.profile(lams)
         nodes = self.grid.nodes
-        hit = _node_hits(nodes, lams, tol)
+        hit = _node_hits(nodes, lams)
         on, off = np.flatnonzero(hit >= 0), np.flatnonzero(hit < 0)
         if not off.size:
             return self.take(hit, at=lams)

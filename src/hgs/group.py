@@ -69,10 +69,6 @@ class QuasiLatticeSpec:
     def is_integer(self) -> bool:
         return float(self.alpha).is_integer() and float(self.beta).is_integer()
 
-    @property
-    def density(self) -> float:
-        return self.alpha * self.beta
-
 
 @dataclass(frozen=True)
 class LatticeIndex:

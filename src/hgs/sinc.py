@@ -9,6 +9,9 @@ zero-frequency limit gives -(1-|x|)/2 where the defining integral gives
 +(1-|x|)/2), so both readings are exposed and the quadrature oracle
 arbitrates.  The positive-side overlap interval likewise has two endpoint
 readings (see canonical.sinc_intervals); all combinations are compared.
+Both closed forms are one divided difference, _psi_quotient =
+(psi(w + c y) - psi(w)) / (2 pi i y): s1 takes it at c = 1 - |x|, s0 at
+the negated c of its case.
 """
 
 from __future__ import annotations
@@ -70,24 +73,14 @@ def G_xy(lam: float, x: float, y: float,
     return complex(lam * indicator_transform(a, b, lam * y)[()])
 
 
-def _s0_bracket(x, y, z, sign):
-    """sign * (1/(2 pi i y)) [psi(w1) - psi(w1 + c y)] with the two cases
-    of the piecewise formula; stable for every zero denominator."""
-    if abs(x) >= 1.0:
-        return 0.0 + 0.0j
-    if x >= 0.0:
-        w2 = z + y * (1.0 - x)
-        c = 1.0 - x
-    else:
-        w2 = z + y
-        c = 1.0 + x
-    d = c * y  # w1 = w2 - d
+def _psi_quotient(w, c, y):
+    """(psi(w + d) - psi(w)) / (2 pi i y) for d = c y, the one divided
+    difference of both closed forms; for |d| < 1e-6 it is taken from the
+    psi derivatives at w, so it stays finite as y -> 0."""
+    d = c * y
     if abs(d) < 1e-6:
-        # difference quotient via derivatives at w2
-        val = (c / (2j * math.pi)) * (_psi(w2, 1) - 0.5 * d * _psi(w2, 2))
-        return sign * val
-    w1 = w2 - d
-    return sign * (-(1.0 / (2j * math.pi * y))) * (_psi(w1) - _psi(w2))
+        return (c / (2j * math.pi)) * (_psi(w, 1) + 0.5 * d * _psi(w, 2))
+    return (1.0 / (2j * math.pi * y)) * (_psi(w + d) - _psi(w))
 
 
 def S0_closed(x: float, y: float, z: float,
@@ -100,11 +93,15 @@ def S0_closed(x: float, y: float, z: float,
     exceptional lines (y = 0, z = 0, vanishing case denominators) are
     handled by the analytic limit of (e^{i theta} - 1)/(i theta).
     """
-    if reading == "printed":
-        return _s0_bracket(x, y, z, -1.0)
-    if reading == "derived":
-        return _s0_bracket(x, y, z, +1.0)
-    raise DomainError(f"unknown reading {reading!r}")
+    if reading not in ("printed", "derived"):
+        raise DomainError(f"unknown reading {reading!r}")
+    if abs(x) >= 1.0:
+        return 0.0 + 0.0j
+    w2, c = (z + y * (1.0 - x), 1.0 - x) if x >= 0.0 else (z + y, 1.0 + x)
+    sign = -1.0 if reading == "printed" else 1.0
+    # sign * (psi(w2) - psi(w2 - c y)) / (2 pi i y), negated before the
+    # sign so that its signed zeros are the two-case formula's
+    return sign * -_psi_quotient(w2, -c, y)
 
 
 def S1_closed(x: float, y: float, z: float) -> complex:
@@ -123,13 +120,7 @@ def S1_closed(x: float, y: float, z: float) -> complex:
         return 0.0 + 0.0j
     c = 1.0 - abs(x)
     w2 = -(z + y * c) if x >= 0.0 else -(z + y)
-    d = y * c  # the other argument is w2 + d
-    phase = np.exp(2j * math.pi * y)
-    if abs(d) < 1e-6:
-        val = (c / (2j * math.pi)) * (_psi(w2, 1) + 0.5 * d * _psi(w2, 2))
-        return complex(phase * val)
-    val = (1.0 / (2j * math.pi * y)) * (_psi(w2 + d) - _psi(w2))
-    return complex(phase * val)
+    return complex(np.exp(2j * math.pi * y) * _psi_quotient(w2, c, y))
 
 
 def S_quadrature(x: float, y: float, z: float, grid: LambdaGrid,

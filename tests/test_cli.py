@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hgs
+from hgs import cli
 from hgs.cli import main
 
 try:
@@ -406,6 +407,30 @@ def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     assert code == 2 and err.startswith("error:")
+
+
+def test_oversized_settings_exit_2_before_building(capsys, tmp_path,
+                                                    monkeypatch):
+    # a node count above the cap, from a flag or a config file, and a box
+    # whose study arrays exceed the byte budget are rejected before any
+    # grid is laid out, so nothing oversized is allocated
+    def boom(*args):
+        raise AssertionError("grid built for an oversized setting")
+    monkeypatch.setattr(cli, "lambda_grid", boom)
+    monkeypatch.setattr(cli, "gauss_lambda_grid", boom)
+    over = str(cli._MAX_LAMBDA_NODES + 1)
+    cfg = tmp_path / "hgs.cfg"
+    cfg.write_text(f"lambda_nodes {over}\n")
+    # 512 nodes, doubled box (128, 128, 0): 257 * 257 samples and 1 phase
+    # of 16 bytes per node, over the bound
+    assert 16 * 512 * (257 * 257 + 1) > cli._MAX_STUDY_BYTES
+    for argv, why in ((["verify-canonical", "--lambda-nodes", over],
+                       "lambda_nodes"),
+                      (["sinc", "--lambda-nodes", over], "lambda_nodes"),
+                      (["sample", "--config", str(cfg)], "lambda_nodes"),
+                      (["sample", "--bounds", "64,64,0"], "bad bounds")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and why in err
 
 
 def test_ignored_keys_accepted_from_config(capsys, tmp_path):

@@ -446,38 +446,135 @@ def _pl_profile2(lam):
     return Window.piecewise_linear([-1.0, 0.2, 0.9], [0, 1.0 - lam, 0])
 
 
+def _breakpoint_quadrature(Ej, Ej2, quad_cells, quad_order):
+    """The cross-orthogonality quadrature by a breakpoint scan: the folded
+    images split at every piece endpoint of either fold, a cell kept where
+    both folds cover its midpoint, and quad_cells Gauss cells per cell.
+    Returns (wq, lam1, lam2)."""
+    fold1, fold2 = (list(zip(*fieldcheck._fold_map(E))) for E in (Ej, Ej2))
+    breaks = sorted({p for lo, hi, _ in fold1 + fold2 for p in (lo, hi)})
+    xg, wg = np.polynomial.legendre.leggauss(quad_order)
+    points = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (a + b)
+        n1 = next((n for lo, hi, n in fold1 if lo <= mid <= hi), None)
+        n2 = next((n for lo, hi, n in fold2 if lo <= mid <= hi), None)
+        if n1 is None or n2 is None:
+            continue
+        edges = np.linspace(a, b, quad_cells + 1)
+        for ca, cb in zip(edges[:-1], edges[1:]):
+            x = 0.5 * (cb - ca) * xg + 0.5 * (ca + cb)
+            points.extend(zip(0.5 * (cb - ca) * wg, x + n1, x + n2))
+    return np.array(points, dtype=float).reshape(-1, 3).T
+
+
+def _cross_reference(g, fields, spec, kmax, quadrature):
+    """max over field pairs of |sum_p wq_p |lam1 lam2| <C f, C f'>_p| at
+    the given quadrature points, one point, pair, shift and n at a time
+    through Window methods."""
+    shifts = spec.alpha * np.arange(-kmax, kmax + 1)
+    worst = 0.0
+    for f in fields:
+        for f2 in fields:
+            total = 0j
+            for wq, lam1, lam2 in zip(*quadrature):
+                c1, c2 = -spec.beta * lam1, -spec.beta * lam2
+                gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
+                fw1, fw2 = f.slice_at(lam1), f2.slice_at(lam2)
+                acc, _ = _periodized_reference(
+                    [(gw1.translate(s).product_conj(fw1),
+                      gw2.translate(s).product_conj(fw2))
+                     for s in shifts], c1, c2)
+                total += wq * acc * abs(lam1 * lam2) / abs(c1 * c2)
+            worst = max(worst, abs(total))
+    return worst
+
+
+def _pl_fields(E):
+    grid = lambda_grid(E, 16, 0.05)
+    g = FieldSample.from_profile(grid, _pl_profile)
+    return g, [FieldSample.from_profile(grid, _pl_profile2), g]
+
+
 def test_cross_orthogonality_matches_reference_loop():
     # profile-backed piecewise-linear fields whose coefficient operators
     # are not orthogonal, with the fold [-1, 0] -> [0, 1] written out
-    grid = lambda_grid(E_FULL, 16, 0.05)
-    g = FieldSample.from_profile(grid, _pl_profile)
-    fields = [FieldSample.from_profile(grid, _pl_profile2), g]
-    xg, wg = np.polynomial.legendre.leggauss(4)
+    g, fields = _pl_fields(E_FULL)
+    Ej, Ej2 = SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)])
     for spec in (SPEC_075, QuasiLatticeSpec(0.75, 1.25)):
         got = coefficient_cross_orthogonality(
-            g, SpectralSet([(-1.0, 0.0)]), SpectralSet([(0.0, 1.0)]),
-            fields, trunc=(3, 0, 0), spec=spec, quad_cells=2, quad_order=4)
-        shifts = spec.alpha * np.arange(-3, 4)
-        worst = 0.0
-        for f in fields:
-            for f2 in fields:
-                total = 0j
-                for ca, cb in ((0.0, 0.5), (0.5, 1.0)):
-                    for x, wq in zip(0.5 * (cb - ca) * xg + 0.5 * (ca + cb),
-                                     0.5 * (cb - ca) * wg):
-                        lam1, lam2 = x - 1.0, x
-                        c1, c2 = -spec.beta * lam1, -spec.beta * lam2
-                        gw1, gw2 = g.slice_at(lam1), g.slice_at(lam2)
-                        fw1, fw2 = f.slice_at(lam1), f2.slice_at(lam2)
-                        acc, _ = _periodized_reference(
-                            [(gw1.translate(s).product_conj(fw1),
-                              gw2.translate(s).product_conj(fw2))
-                             for s in shifts], c1, c2)
-                        total += (wq * acc * abs(lam1 * lam2)
-                                  / abs(c1 * c2))
-                worst = max(worst, abs(total))
-        assert worst > 1e-2
-        assert abs(got - worst) <= 1e-13 * worst
+            g, Ej, Ej2, fields, trunc=(3, 0, 0), spec=spec, quad_cells=2,
+            quad_order=4)
+        want = _cross_reference(g, fields, spec, 3,
+                                _breakpoint_quadrature(Ej, Ej2, 2, 4))
+        assert want > 1e-2
+        assert abs(got - want) <= 1e-13 * want
+
+
+_FOLDS = [
+    ([(-1.0, 0.0)], [(0.0, 1.0)]),                           # one piece
+    ([(-0.7, 0.3)], [(0.45, 0.9)]),                          # two : one
+    ([(-1.0, -0.6), (-0.4, 0.0)], [(0.1, 0.5), (0.55, 0.9)]),  # two : two
+    ([(-1.0, -0.5), (-0.5, 0.0)], [(0.0, 0.5), (0.5, 1.0)]),  # touching
+    ([(-0.8, -0.2)], [(0.1, 0.3), (0.3, 0.95)]),  # touching on one side
+]
+
+
+@pytest.mark.parametrize("spec", [SPEC, QuasiLatticeSpec(0.5, 0.75),
+                                  QuasiLatticeSpec(0.8, 1.25)])
+@pytest.mark.parametrize("pieces", _FOLDS)
+def test_cross_orthogonality_quadrature_is_breakpoint_scan(pieces, spec,
+                                                           coarse,
+                                                           monkeypatch):
+    # the overlap cells come from intersecting fold pieces, yet the points
+    # g is sliced at and the weights that sum the kernel values are those
+    # of the breakpoint scan bit for bit, for fields and for suites
+    Ej, Ej2 = (SpectralSet(p) for p in pieces)
+    wq, lam1, lam2 = _breakpoint_quadrature(Ej, Ej2, 3, 4)
+    g, fields = _pl_fields(E_FULL)
+    _, e = coarse
+    suite = atom_suite(e, spec, n_functions=2, n_atoms=3, box=(1, 2, 1),
+                       seed=8)
+    for base, tests in ((g, fields), (e, suite)):
+        points, values = [], []
+        slices_at, kernel = base.slices_at, fieldcheck._unfolded_sum
+
+        def spy_slices(lams):
+            points.append(np.copy(lams))
+            return slices_at(lams)
+
+        def spy_kernel(*args):
+            values.append(kernel(*args))
+            return values[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(base, "slices_at", spy_slices)
+            m.setattr(fieldcheck, "_unfolded_sum", spy_kernel)
+            got = coefficient_cross_orthogonality(
+                base, Ej, Ej2, tests, trunc=(2, 0, 0), spec=spec,
+                quad_cells=3, quad_order=4)
+        assert points[0].tobytes() == np.concatenate([lam1, lam2]).tobytes()
+        vals = values[0].reshape(lam1.size, 2, 2)
+        terms = (wq * np.abs(lam1 * lam2))[:, None, None] * np.conj(vals)
+        assert got == float(np.max(np.abs(np.cumsum(terms, axis=0)[-1])))
+
+
+def test_cross_orthogonality_rounding_level_fold_overlap():
+    # the fold pieces of [0.1, 1.1] overlap by 1.1 - 1 - 0.1 ~ 9e-17, which
+    # _fold_map admits: the sliver is summed with both pieces here, and
+    # once by the breakpoint scan, so the two agree to rounding only
+    g, fields = _pl_fields(SpectralSet([(-1.5, 1.5)]))
+    Ej, Ej2 = SpectralSet([(0.1, 1.1)]), SpectralSet([(-1.0, -0.2)])
+    lo, hi, _ = fieldcheck._fold_map(Ej)
+    assert lo[1] < hi[0]
+    for spec in (SPEC, QuasiLatticeSpec(0.75, 1.25)):
+        got = coefficient_cross_orthogonality(
+            g, Ej, Ej2, fields, trunc=(3, 0, 0), spec=spec, quad_cells=2,
+            quad_order=4)
+        want = _cross_reference(g, fields, spec, 3,
+                                _breakpoint_quadrature(Ej, Ej2, 2, 4))
+        assert want > 1e-2
+        assert abs(got - want) <= 1e-13 * want
 
 
 @st.composite

@@ -91,17 +91,37 @@ def test_S0_derived_matches_profile_integral():
 
 
 def test_S0_exceptional_lines_finite_and_continuous():
+    # y -> 0 for both S0 readings and S1, x of both signs, on both sides of
+    # |c y| = 1e-6 where the divided difference switches to psi derivatives
+    forms = (lambda x, y: S0_closed(x, y, 0.3),
+             lambda x, y: S0_closed(x, y, 0.3, reading="derived"),
+             lambda x, y: S1_closed(x, y, 0.3))
+    for x in (-0.75, -0.4, 0.25, 0.6):
+        c = 1.0 - abs(x)
+        for form in forms:
+            base = form(x, 1e-9)
+            assert np.isfinite(base.real) and np.isfinite(base.imag)
+            assert base == pytest.approx(form(x, 1e-5), abs=1e-4)
+            assert base == pytest.approx(form(x, 0.0), abs=1e-8)
+            for side in (1.0, -1.0):
+                inner = form(x, side * (1.0 - 1e-6) * 1e-6 / c)
+                outer = form(x, side * (1.0 + 1e-6) * 1e-6 / c)
+                assert abs(inner - outer) <= 1e-8 * abs(inner)
     for x in (-0.4, 0.6):
-        base = S0_closed(x, 1e-9, 0.3, reading="derived")
-        near = S0_closed(x, 1e-5, 0.3, reading="derived")
-        assert np.isfinite(base.real) and np.isfinite(base.imag)
-        assert base == pytest.approx(near, abs=1e-4)
         for z in (0.0, -1e-9):
             v = S0_closed(x, 0.7, z, reading="derived")
             assert np.isfinite(v.real) and np.isfinite(v.imag)
     # vanishing case denominators z = xy and z = -y
     assert np.isfinite(S0_closed(-0.5, 0.8, -0.4, reading="derived").real)
     assert np.isfinite(S0_closed(-0.5, 0.8, -0.8, reading="derived").real)
+
+
+def test_S0_readings_are_negatives():
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        x, y, z = rng.uniform(-1.2, 1.2), *rng.uniform(-1.5, 1.5, 2)
+        assert S0_closed(x, y, z, "printed") == \
+            -S0_closed(x, y, z, "derived")
 
 
 def test_S1_matches_profile_integral():

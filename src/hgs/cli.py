@@ -44,8 +44,9 @@ DEFAULTS = {
     "tol": 1e-10,
 }
 
-# largest --lambda-nodes, per spectral interval: at about 1 KB a node in
-# verify-canonical, one interval stays near 1 GB
+# largest --lambda-nodes, per spectral interval and, in verify-canonical
+# and sinc, times the interval count: at about 1 KB a node in
+# verify-canonical, a grid stays near 1 GB
 _MAX_LAMBDA_NODES = 1 << 20
 # largest hgs sample study, in bytes: 16 per node for each of the
 # (2K+1)(2L+1) samples and 2M+1 phases of the larger of box and doubling
@@ -71,6 +72,17 @@ _IGNORED = {
     "sample": (("lambda_min", "tol"), "it uses the spectral cut-off 1e-3 "
                "and fixed acceptance bounds"),
 }
+
+
+def _spectral_set(cfg, nodes):
+    """The --spectrum set, refused before any grid is laid out when its
+    intervals at nodes nodes each would exceed _MAX_LAMBDA_NODES."""
+    E = SpectralSet.parse(cfg["spectrum"])
+    if len(E.intervals) * nodes > _MAX_LAMBDA_NODES:
+        raise HgsError(f"bad lambda_nodes {cfg['lambda_nodes']!r}; expected "
+                       f"at most {_MAX_LAMBDA_NODES} nodes over all "
+                       f"{len(E.intervals)} spectral intervals")
+    return E
 
 
 def _load_config(path):
@@ -197,7 +209,7 @@ def _overall(report):
 def cmd_verify_canonical(args):
     cfg = _resolve(args, _load_config(args.config) if args.config else {})
     spec = QuasiLatticeSpec(cfg["alpha"], cfg["beta"])
-    E = SpectralSet.parse(cfg["spectrum"])
+    E = _spectral_set(cfg, max(cfg["lambda_nodes"], 512))
     grid = lambda_grid(E, cfg["lambda_nodes"], cfg["lambda_min"])
     e = canonical_field(grid)
     tol = cfg["tol"]
@@ -258,8 +270,8 @@ def cmd_sinc(args):
     if args.random is not None and args.random < 0:
         raise HgsError(f"bad --random {args.random}; expected a "
                        "nonnegative point count")
-    E = SpectralSet.parse(cfg["spectrum"])
     n = max(cfg["lambda_nodes"], 256)
+    E = _spectral_set(cfg, n)
     grid = gauss_lambda_grid(E, n, lambda_min=1e-8, order=8)
     e = canonical_field(grid)
     points = [_parse_triple(text, float, "point")

@@ -35,8 +35,15 @@ table with itself for the squared norms, each unordered pair once: a norm
 is a Hermitian form, <a, b> + <b, a> = 2 Re <a, b>.  _segment_inner and
 _segment_norm2 are the one inner product and the one squared norm of the
 windows of a segmented table, a Window being one segment and a
-FieldSample one per node; both run in segment blocks of at most
-_PAIR_BLOCK pairs and add each segment's values in pair order.
+FieldSample one per node; both run in blocks of at most _PAIR_BLOCK pairs
+and add each segment's values in pair order.
+
+_segment_norm2 merges terms with bit-equal (segment, lo, hi, freq) and
+groups the merged terms by cell.  The modulations of one cell that are of
+degree 0 and one step delta apart, as in a reconstruction
+sum_gamma phi(gamma) T_gamma e, form a regular class, summed as one
+correlation of their coefficients against one moment per lag, K(d delta).
+_self_pairs then searches the cells, not the terms, for every other pair.
 """
 
 from __future__ import annotations
@@ -54,9 +61,10 @@ _ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 
 MAX_DEGREE = 2
 
-# Candidate term pairs per segment block of _segment_inner and
-# _segment_norm2, and rows times modulations per lattice-sweep block, unless
-# one segment or slot alone has more; bounds their scratch memory.
+# Candidate term pairs per segment block of _segment_inner, candidate cell
+# pairs per segment block and swept term pairs per block of _segment_norm2,
+# and rows times modulations per lattice-sweep block, unless one segment,
+# cell pair or slot alone has more; bounds their scratch memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -482,25 +490,140 @@ def _segment_inner(starts_a, a, starts_b, b, df):
     return out.T
 
 
+def _like_terms(starts, t):
+    """The terms of one table, segment s from starts[s], with bit-equal
+    (segment, lo, hi, freq) merged by adding their coefficient rows in
+    table order.  Returns the segment of every merged term and its term
+    row, in (segment, lo, hi, freq) order."""
+    lo, hi, coef, freq = (x[starts[0]:starts[-1]] for x in t)
+    seg = np.arange(starts.size - 1).repeat(np.diff(starts))
+    order = np.lexsort((freq, hi, lo, seg))
+    seg, lo, hi, freq = seg[order], lo[order], hi[order], freq[order]
+    new = np.ones(seg.size, dtype=bool)
+    new[1:] = ((seg[1:] != seg[:-1]) | (lo[1:] != lo[:-1])
+               | (hi[1:] != hi[:-1]) | (freq[1:] != freq[:-1]))
+    first = np.flatnonzero(new)
+    coef = np.add.reduceat(coef[order], first, axis=0)
+    return seg[first], (lo[first], hi[first], coef, freq[first])
+
+
+def _cell_classes(seg, t):
+    """Group the merged terms (seg, t) of _like_terms by bit-equal cell.
+    Returns the first term and size of every class, whether it is regular,
+    and for the terms of regular classes the slot l and for the classes the
+    step delta with freq = f0 + l delta, f0 the class's lowest frequency
+    (both None when no class has two terms).
+
+    A class is regular when it has n >= 2 terms, all of degree 0, whose
+    frequencies are f0 + l delta for distinct integers 0 <= l < 2n, each
+    within _ULPS of the class's largest |freq|.  delta is first the
+    smallest gap; l is cast to an integer only where the quotient
+    (freq - f0) / delta lies below 2n, so a spread that overflows it or a
+    gap far below the rest leaves the class irregular.
+    """
+    lo, hi, coef, freq = t
+    new = np.ones(seg.size, dtype=bool)
+    new[1:] = (seg[1:] != seg[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first = np.flatnonzero(new)
+    size = np.diff(np.append(first, seg.size))
+    regular = size >= 2
+    if not regular.any():
+        return first, size, regular, None, None
+    last = first + size - 1
+    cls = np.cumsum(new) - 1
+    f0, f1 = freq[first], freq[last]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = np.diff(freq, prepend=np.inf)
+        gap[first] = np.inf
+        quot = (freq - f0[cls]) / np.minimum.reduceat(gap, first)[cls]
+        fit = quot < 2.0 * size[cls] - 0.5
+        slot = np.rint(np.where(fit, quot, 0.0)).astype(np.int64)
+        step = (f1 - f0) / np.maximum(slot[last], 1)
+        fit &= (np.abs(f0[cls] + slot * step[cls] - freq)
+                <= _ULPS * np.maximum(np.abs(f0), np.abs(f1))[cls])
+    fit &= (coef[:, 1] == 0) & (coef[:, 2] == 0)
+    fit[1:] &= new[1:] | (slot[1:] > slot[:-1])
+    regular &= np.logical_and.reduceat(fit, first)
+    return first, size, regular, slot, step
+
+
+def _class_term_pairs(ca, cb, first, size):
+    """The term pairs of the class pairs (ca, cb): every term pair of two
+    distinct classes, and the pairs ia <= ib of a class paired with
+    itself, class pairs in order."""
+    nb = size[cb]
+    rep, rank = _ranges(np.zeros(ca.size, dtype=np.int64), size[ca] * nb)
+    ia = first[ca][rep] + rank // nb[rep]
+    ib = first[cb][rep] + rank % nb[rep]
+    keep = (ca[rep] != cb[rep]) | (ia <= ib)
+    return ia[keep], ib[keep]
+
+
+def _lag_sums(lo, hi, v, slot, step, first, size):
+    """Squared norms of the given regular classes (_cell_classes):
+    sum_d K(d delta) R(d) with K(x) the moment int exp(2 pi i x t) dt over
+    the cell and R(d) = sum_l V[l + d] conj(V[l]) the correlation of the
+    coefficients V by slot, the lag 0 once and every other lag twice its
+    real part.  Classes of one span share one (classes, span) array."""
+    span = slot[first + size - 1] + 1
+    out = np.empty(first.size)
+    for m in np.unique(span):
+        cls = np.flatnonzero(span == m)
+        rows, terms = _ranges(first[cls], size[cls])
+        table = np.zeros((cls.size, m), dtype=complex)
+        table[rows, slot[terms]] = v[terms]
+        conj = np.conj(table)
+        corr = np.empty_like(table)
+        for d in range(m):
+            corr[:, d] = np.einsum("ij,ij->i", table[:, d:], conj[:, :m - d])
+        at = first[cls, None]
+        k = interval_moments(lo[at], hi[at], step[cls, None] * np.arange(m),
+                             0)[0]
+        prod = (k * corr).real
+        out[cls] = prod[:, 0] + 2.0 * prod[:, 1:].sum(axis=1)
+    return out
+
+
 def _segment_norm2(starts, t):
     """Real squared norms of the window of every segment of one term table,
     laid out as for _segment_inner, unclipped.
 
-    Each unordered pair of overlapping terms comes once from _self_pairs,
-    in segment blocks bounded by the candidate count n(n+1)/2 per segment;
-    the diagonal adds the real part of its inner product and every other
-    pair twice it, since <a, b> + <b, a> = 2 Re <a, b>, in pair order.
+    Terms with bit-equal (segment, lo, hi, freq) are merged first
+    (_like_terms), and the merged terms are grouped by cell
+    (_cell_classes).  A regular class, modulations of degree 0 one step
+    apart, is summed as one coefficient correlation (_lag_sums).  Every
+    other overlapping pair is taken once: _self_pairs searches the class
+    cells, in segment blocks bounded by the class candidate count c(c+1)/2
+    per segment, leaving out a regular class paired with itself, and each
+    class pair expands to its term pairs (_class_term_pairs) in blocks of
+    at most _PAIR_BLOCK rows.  The diagonal adds the real part of its
+    inner product and every other pair twice it, since <a, b> + <b, a> =
+    2 Re <a, b>, in pair order; a one-term class keeps the bits of its
+    diagonal row.
     """
     starts = np.asarray(starts)
     out = np.zeros(starts.size - 1)
-    counts = np.diff(starts)
+    if starts[-1] == starts[0]:
+        return out
+    seg, merged = _like_terms(starts, t)
+    first, size, regular, slot, step = _cell_classes(seg, merged)
+    cstarts = np.searchsorted(seg[first], np.arange(starts.size))
+    counts = np.diff(cstarts)
     for start, stop in _blocks(counts * (counts + 1) // 2):
-        ia, ib, seg = _self_pairs(starts[start:stop + 1], t[0], t[1])
-        if ia.size:
-            vals = paired_inner_sweep(_rows(t, ia), _rows(t, ib),
+        ca, cb, _ = _self_pairs(cstarts[start:stop + 1],
+                                merged[0][first], merged[1][first])
+        keep = (ca != cb) | ~regular[ca]
+        ca, cb = ca[keep], cb[keep]
+        for i, j in _blocks(size[ca] * size[cb]):
+            ia, ib = _class_term_pairs(ca[i:j], cb[i:j], first, size)
+            vals = paired_inner_sweep(_rows(merged, ia), _rows(merged, ib),
                                       np.zeros(1))[:, 0]
-            np.add.at(out, start + seg,
-                      np.where(ia == ib, 1.0, 2.0) * vals.real)
+            np.add.at(out, seg[ia], np.where(ia == ib, 1.0, 2.0) * vals.real)
+    reg = np.flatnonzero(regular)
+    if reg.size:
+        np.add.at(out, seg[first[reg]],
+                  _lag_sums(merged[0], merged[1], merged[2][:, 0], slot,
+                            step[reg], first[reg], size[reg]))
     return out
 
 

@@ -411,9 +411,10 @@ def test_bad_values_exit_2(capsys, tmp_path, monkeypatch, env, config,
 
 def test_oversized_settings_exit_2_before_building(capsys, tmp_path,
                                                     monkeypatch):
-    # a node count above the cap, from a flag or a config file, and a box
-    # whose study arrays exceed the byte budget are rejected before any
-    # grid is laid out, so nothing oversized is allocated
+    # a node count above the cap, from a flag or a config file, a box
+    # whose study arrays exceed the byte budget, and a node count under the
+    # cap whose intervals together exceed it are rejected before any grid
+    # is laid out, so nothing oversized is allocated
     def boom(*args):
         raise AssertionError("grid built for an oversized setting")
     monkeypatch.setattr(cli, "lambda_grid", boom)
@@ -424,11 +425,19 @@ def test_oversized_settings_exit_2_before_building(capsys, tmp_path,
     # 512 nodes, doubled box (128, 128, 0): 257 * 257 samples and 1 phase
     # of 16 bytes per node, over the bound
     assert 16 * 512 * (257 * 257 + 1) > cli._MAX_STUDY_BYTES
+    # 16 intervals of 65537 nodes each, over the cap in total
+    spectrum = ";".join(f"{k / 8 - 1:g},{(k + 0.5) / 8 - 1:g}"
+                        for k in range(16))
+    assert 16 * 65537 > cli._MAX_LAMBDA_NODES
     for argv, why in ((["verify-canonical", "--lambda-nodes", over],
                        "lambda_nodes"),
                       (["sinc", "--lambda-nodes", over], "lambda_nodes"),
                       (["sample", "--config", str(cfg)], "lambda_nodes"),
-                      (["sample", "--bounds", "64,64,0"], "bad bounds")):
+                      (["sample", "--bounds", "64,64,0"], "bad bounds"),
+                      (["verify-canonical", "--spectrum", spectrum,
+                        "--lambda-nodes", "65537"], "bad lambda_nodes"),
+                      (["sinc", "--spectrum", spectrum, "--lambda-nodes",
+                        "65537"], "bad lambda_nodes")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and why in err
 

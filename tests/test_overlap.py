@@ -4,6 +4,7 @@ same-node cross join, on generated piecewise-linear fields with touching
 cells, repeated intervals and empty slices."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,11 +16,14 @@ from hgs import fieldcheck, grids, windows
 from hgs.canonical import canonical_field
 from hgs.fieldcheck import _unfolded_sum, lattice_coefficients, translate_field
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, _cross_join,
-                       _translated_pairs, field_inner_per_node, lambda_grid)
+                       _translated_pairs, field_inner_per_node, field_load,
+                       field_save, field_sum, lambda_grid)
 from hgs.group import QuasiLatticeSpec
-from hgs.sampling import reconstruct, sample_on_lattice
+from hgs.sampling import (reconstruct, reconstruction_study,
+                          sample_on_lattice)
 from hgs.testfields import atom_suite, random_pl_field, two_slice_field
-from hgs.windows import MAX_DEGREE, _self_pairs, paired_inner_sweep
+from hgs.windows import (MAX_DEGREE, Window, _self_pairs,
+                         paired_inner_sweep)
 
 E_FULL = SpectralSet([(-1.0, 1.0)])
 
@@ -235,6 +239,48 @@ def test_self_inner_matches_ordered_reference(fields, block):
         assert abs(f.slice(i).norm2() - max(want[i], 0.0)) <= tol[i]
 
 
+@st.composite
+def _modulated_cells(draw):
+    """A field whose nodes hold a few cells, each with degree-0 terms at
+    frequencies f0 + l delta for distinct slots l, holes allowed, and
+    sometimes a term repeated: the regular classes of _segment_norm2."""
+    grid = _grid(draw(st.integers(1, 3)))
+    node, lo, hi, coef, freq = [], [], [], [], []
+    for i in range(grid.n):
+        for _ in range(draw(st.integers(0, 3))):
+            a = 0.25 * draw(st.integers(-4, 4)) + 1.0 / 3.0
+            b = a + 0.25 * draw(st.integers(1, 6))
+            f0 = draw(st.sampled_from([-1.3, 0.0, 0.4, 7.0]))
+            step = draw(st.sampled_from([0.25, 1.0 / 3.0, 0.7, 1e-3]))
+            slots = draw(st.lists(st.integers(0, 9), min_size=1,
+                                  max_size=6))
+            for l in slots:
+                c = draw(st.tuples(st.floats(-2.0, 2.0),
+                                   st.floats(-2.0, 2.0)))
+                node.append(i)
+                lo.append(a)
+                hi.append(b)
+                coef.append([complex(*c), 0.0, 0.0])
+                freq.append(f0 + l * step)
+    coef = np.array(coef, dtype=complex).reshape(-1, MAX_DEGREE + 1)
+    return FieldSample(grid, node, lo, hi, coef, freq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_modulated_cells(), block=_block)
+def test_regular_cells_match_ordered_reference(f, block):
+    # the lag sums of shared cells, with overlapping distinct cells on the
+    # pair path, against the sum over ordered pairs of the unmerged terms,
+    # to rounding in the sum of the pairs' magnitudes
+    with mock.patch.object(windows, "_PAIR_BLOCK", block):
+        got = windows._segment_norm2(f._starts, f.terms)
+    node, vals = _reference_values(f, _copy(f))
+    want = np.bincount(node, weights=vals.real, minlength=f.grid.n)
+    tol = 1e-14 * np.bincount(node, weights=np.abs(vals),
+                              minlength=f.grid.n)
+    assert np.all(np.abs(got - want) <= tol)
+
+
 def _degree2(f, seed):
     """f with random quadratic coefficients added to every term."""
     rng = np.random.default_rng(seed)
@@ -244,12 +290,30 @@ def _degree2(f, seed):
                        f.term_freq)
 
 
+def _dense_error(e, spec, n_atoms, atoms, box, seed):
+    """f - r for an atom-suite field f with atoms in the box atoms and its
+    reconstruction r from the samples in box, at c = 1/(alpha beta): every
+    cell of r holds 2 box[1] + 1 modulations, some shared with f."""
+    f = atom_suite(e, spec, n_functions=1, n_atoms=n_atoms, box=atoms,
+                   seed=seed).fields()[0]
+    samples = sample_on_lattice(f, e, spec, box)
+    return f - reconstruct(samples, e, 1.0 / (spec.alpha * spec.beta))
+
+
 @pytest.fixture(scope="module")
 def norm_fields():
     e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
     pl = random_pl_field(lambda_grid(E_FULL, 16, 0.05), 4)
     pl = pl.heisenberg_translate(0.3, 0.7, 0.2)
-    return {
+    # a degree-0 modulation on every cell of the degree-1 field
+    flat = FieldSample(pl.grid, pl.term_node, pl.term_lo, pl.term_hi,
+                       pl.term_coef * [1.0, 0.0, 0.0], pl.term_freq + 0.5)
+    # atoms outside the sample box keep ||f - r|| of the order of ||f||,
+    # so the ordered reference does not cancel
+    recon = {f"recon_{a:g}_{b:g}": _dense_error(
+        e, QuasiLatticeSpec(a, b), 12, (2, 8, 4), (1, 4, 2), 3)
+        for a, b in ((1, 1), (0.75, 1), (2, 0.5))}
+    return recon | {
         "atoms": atom_suite(e, QuasiLatticeSpec(1, 1), n_functions=1,
                             n_atoms=12, box=(2, 8, 4), seed=3).fields()[0],
         "atoms_0.75_1.25": atom_suite(
@@ -258,12 +322,15 @@ def norm_fields():
         "pl_degree1": pl,
         "pl_degree2": _degree2(pl, 5),
         "two_slice": two_slice_field(e, 0.4, 6),
+        "mixed_degree": pl + flat,
     }
 
 
 @pytest.mark.parametrize("block", [1, 7, windows._PAIR_BLOCK])
 @pytest.mark.parametrize("name", ["atoms", "atoms_0.75_1.25", "pl_degree1",
-                                  "pl_degree2", "two_slice"])
+                                  "pl_degree2", "two_slice", "mixed_degree",
+                                  "recon_1_1", "recon_0.75_1",
+                                  "recon_2_0.5"])
 def test_norms_match_ordered_reference(norm_fields, name, block):
     f = norm_fields[name]
     with mock.patch.object(windows, "_PAIR_BLOCK", block):
@@ -288,26 +355,125 @@ def test_canonical_norms_bit_identical():
         assert u.norm2() == max(u.inner(u).real, 0.0) == max(want[i], 0.0)
 
 
-def test_dense_norm_sweeps_each_unordered_pair_once():
-    # (live + diagonal) / 2 rows: every live ordered pair counted once per
-    # unordered pair, the diagonal once
-    e = canonical_field(lambda_grid(E_FULL, 16, 1e-3))
-    spec = QuasiLatticeSpec(1, 1)
-    f = atom_suite(e, spec, n_functions=1, n_atoms=6, box=(1, 4, 2),
-                   seed=8).fields()[0]
-    d = f - reconstruct(sample_on_lattice(f, e, spec, (1, 6, 3)), e, 1.0)
-    rows = []
+def _sweeps(run):
+    """Rows sent to paired_inner_sweep and moments evaluated (output
+    entries of interval_moments, the pair sweeps' included) by run()."""
+    rows, moments = [], []
+    interval_moments = windows.interval_moments
 
-    def spy(a, *rest):
+    def sweep(a, *rest):
         rows.append(a[0].size)
         return paired_inner_sweep(a, *rest)
 
-    with mock.patch.object(windows, "paired_inner_sweep", spy):
-        d.slice_norm2()
-    live = _reference_pairs(d, d)[0].size
-    diagonal = np.count_nonzero(d.term_hi > d.term_lo)
-    assert diagonal < live
-    assert sum(rows) == (live + diagonal) // 2
+    def moment(*args):
+        out = interval_moments(*args)
+        moments.append(out.size)
+        return out
+
+    with mock.patch.object(windows, "paired_inner_sweep", sweep), \
+            mock.patch.object(windows, "interval_moments", moment):
+        run()
+    return sum(rows), sum(moments)
+
+
+def _merged_cells(d):
+    """Per node, the distinct cells of d's table and the count of distinct
+    frequencies on each: (node, lo, hi, count)."""
+    rows = np.unique(np.stack([d.term_node, d.term_lo, d.term_hi,
+                               d.term_freq], axis=1), axis=0)
+    cells, count = np.unique(rows[:, :3], axis=0, return_counts=True)
+    return cells[:, 0], cells[:, 1], cells[:, 2], count
+
+
+def test_dense_norm_takes_shared_cells_as_lag_sums():
+    # at (1, 1) the cells of f - r at one node are disjoint, and each holds
+    # the 2 * 6 + 1 modulations of r one step apart: no pair sweep, and one
+    # moment per cell and lag.  At (0.75, 1) translates overlap: exactly
+    # the term pairs of distinct overlapping cells are swept, each once
+    e = canonical_field(lambda_grid(E_FULL, 16, 1e-3))
+    d = _dense_error(e, QuasiLatticeSpec(1, 1), 6, (1, 4, 2), (1, 6, 3), 8)
+    node, _, _, count = _merged_cells(d)
+    assert np.all(count == 13)
+    rows, moments = _sweeps(d.slice_norm2)
+    assert rows == 0 and 0 < moments <= node.size * 13
+
+    d = _dense_error(e, QuasiLatticeSpec(0.75, 1), 6, (1, 4, 2), (1, 6, 3),
+                     8)
+    node, lo, hi, count = _merged_cells(d)
+    a, b = np.triu_indices(node.size, 1)
+    meet = ((node[a] == node[b])
+            & (np.minimum(hi[a], hi[b]) > np.maximum(lo[a], lo[b])))
+    assert meet.any()
+    want = int(np.sum((count[a] * count[b])[meet]))
+    assert _sweeps(d.slice_norm2)[0] == want
+
+
+def _ordered_pair_norm2(w):
+    """||w||^2 over the unordered overlapping pairs of w's own terms, as
+    _self_pairs finds them, swept one by one and added in pair order."""
+    ia, ib, _ = _self_pairs(np.array([0, w.n_terms]), w.lo, w.hi)
+    vals = paired_inner_sweep(windows._rows(w.terms, ia),
+                              windows._rows(w.terms, ib), np.zeros(1))[:, 0]
+    total = 0.0
+    for v in np.where(ia == ib, 1.0, 2.0) * vals.real:
+        total += v
+    return total
+
+
+def _loaded_one_cell(tmp_path, x2s):
+    """Modulates of a one-node indicator field read back from its file:
+    sum_j T_(0, x2_j, 0) g, one cell with frequencies -lam x2_j."""
+    grid = LambdaGrid(np.array([0.5]), np.ones(1), 1e-3, E_FULL, "custom")
+    field_save(FieldSample.from_windows(grid, [Window.indicator(0.0, 1.0)]),
+               tmp_path / "g.hgs")
+    g = field_load(tmp_path / "g.hgs")
+    return field_sum([g.heisenberg_translate(0.0, x2, 0.0) for x2 in x2s],
+                     [1.0, 2.0 - 1.0j, 0.5j])
+
+
+def test_irregular_cells_take_the_pair_path(tmp_path):
+    # a gap far below the rest ({0, 1e-12, 1}: l = 1e12 >= 2n), slots that
+    # round together ({1, 1 + 3 eps, 1 + 5 eps}: quotients 1.5 and 2.5 of
+    # the gap 2 eps both round to 2, and the fit is within 8 ulps), and a
+    # spread whose quotient overflows (the gap 5e-321 against 0.5): each
+    # class sweeps all its n(n+1)/2 pairs, reads the ordered pairs' value,
+    # and never builds a slot table (at most 2 entries per merged term)
+    coef = [[1, 0, 0], [2j, 0, 0], [-1, 0, 0]]
+    eps = np.finfo(float).eps
+    w = Window(np.zeros(3), np.ones(3), coef, [0.0, 1e-12, 1.0])
+    v = Window(np.zeros(3), np.ones(3), coef, 1.0 + eps * np.array([0, 3, 5]))
+    f = _loaded_one_cell(tmp_path, [0.0, 1e-320, 1.0])
+    with np.errstate(over="ignore"):
+        assert np.isinf(0.5 / np.diff(np.sort(f.term_freq)).min())
+    for u in (w, v, f.slice(0)):
+        tracemalloc.start()
+        try:
+            rows, _ = _sweeps(u.norm2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 6
+        want = _ordered_pair_norm2(u)
+        assert abs(u.norm2() - want) <= 1e-15 * want
+        # about 14 KB of small arrays; a slot table at m = 1e12, or at an
+        # overflowed quotient, would need terabytes
+        assert peak < 1 << 16
+    assert f.norm2() == f.slice_norm2()[0] == f.slice(0).norm2()
+
+
+def test_dense_norm_agrees_with_direct_error():
+    # merged like terms leave no cancelling pairs: the dense squared
+    # error of a reconstruction matches reconstruction_study's, which the
+    # group law reads off the samples without sweeping any term
+    e = canonical_field(lambda_grid(E_FULL, 256, 1e-3))
+    spec = QuasiLatticeSpec(1, 1)
+    f = atom_suite(e, spec, n_functions=1, n_atoms=16, box=(1, 8, 4),
+                   seed=8).fields()[0]
+    r = reconstruct(sample_on_lattice(f, e, spec, (3, 16, 8)), e, 1.0)
+    dense = (f - r).norm2() / f.norm2()
+    direct = reconstruction_study(f, e, spec, (3, 16, 8),
+                                  1.0)["recon_error"] ** 2
+    assert abs(dense - direct) <= 1e-12 * direct
 
 
 def test_block_size_splits_every_pair_sweep():

@@ -10,13 +10,13 @@ from .fieldcheck import (GaborFieldReport, ThetaReport,
                          jittered_unit_grid, orthogonality_residual,
                          parseval_residual, theta, theta_delta_report,
                          translate_field)
-from .gabor import (NormConditionReport, frame_bounds_empirical, gabor_atom,
+from .gabor import (NormConditionReport, frame_bounds_empirical,
                     norm_condition_check, painless_residual)
 from .grids import (FieldSample, LambdaGrid, SpectralSet, TimeGrid,
                     field_inner, field_load, field_save, field_sum,
                     gauss_lambda_grid, lambda_grid, plancherel_measure)
 from .group import (GroupPoint, LatticeIndex, QuasiLatticeSpec, group_inv,
-                    group_mul, lattice_enumerate, schrodinger_apply)
+                    group_mul, schrodinger_apply)
 from .sampling import (DensityVerdict, GramCheckReport, SampleSet,
                        evaluate_phi, interpolation_verdict, isometry_ratio,
                        onb_gram_check, reconstruct, reconstruction_study,
@@ -35,10 +35,10 @@ __all__ = [
     "atom_suite", "canonical_field", "canonical_window",
     "coefficient_cross_orthogonality", "evaluate_phi", "field_inner",
     "field_load", "field_save", "field_sum", "frame_bounds_empirical",
-    "gabor_atom", "gabor_field_verdict", "gauss_lambda_grid", "gram_entry",
+    "gabor_field_verdict", "gauss_lambda_grid", "gram_entry",
     "group_inv", "group_mul", "interpolation_verdict", "intervals_Ik",
     "isometry_ratio", "jittered_unit_grid", "lambda_grid",
-    "lattice_enumerate", "norm_condition_check", "onb_gram_check",
+    "norm_condition_check", "onb_gram_check",
     "orthogonality_residual", "painless_residual", "parseval_residual",
     "plancherel_measure", "reconstruct", "reconstruction_study",
     "sample_on_lattice", "schrodinger_apply", "seeded_strip_points",

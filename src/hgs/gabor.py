@@ -33,14 +33,6 @@ from .windows import Window, _cover_sums, _modulus_cells, _ranges
 _SUPPORT_SLACK = 1e-9
 
 
-def gabor_atom(u: Window, lam: float, k: int, l: int,
-               spec: QuasiLatticeSpec) -> Window:
-    """Translated and modulated copy of u; norm preserved exactly."""
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    return u.translate(spec.alpha * k).modulate(-lam * spec.beta * l)
-
-
 def _painless_table(node, lo, hi, coef, freq, lams, spec):
     """painless_residual of every slice of a term table (term r in slice
     node_r, at lams[node_r]) as (res, why): res is NaN at the slices where

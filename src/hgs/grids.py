@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (DomainError, EmptyGridError, FieldFormatError,
                      GridMismatchError, WindowStructureError)
 from .group import QuasiLatticeSpec
-# _cross_join stays importable as grids._cross_join, a layer perfbench traces
+# re-exported as grids._cross_join, the name perfbench traces the squared
+# norms' class-pair expansion under
 from .windows import (_TWO_PI, MAX_DEGREE, Window, _cross_join,  # noqa: F401
                       _blocks, _ranges, _rows, _segment_inner, _segment_norm2,
                       _translated_pairs, paired_inner_sweep)

@@ -91,19 +91,6 @@ def _check_bounds(*bounds):
         raise DomainError("bounds must be nonnegative")
 
 
-def lattice_enumerate(spec: QuasiLatticeSpec, kmax: int, lmax: int,
-                      mmax: int) -> list[LatticeIndex]:
-    """All indices with |k| <= kmax, |l| <= lmax, |m| <= mmax, lexicographic.
-
-    The fixed order makes truncated lattice sums reproducible.
-    """
-    _check_bounds(kmax, lmax, mmax)
-    return [LatticeIndex(k, l, m)
-            for k in range(-kmax, kmax + 1)
-            for l in range(-lmax, lmax + 1)
-            for m in range(-mmax, mmax + 1)]
-
-
 def schrodinger_apply(lam: float, x: GroupPoint, f: Window) -> Window:
     """Apply the irreducible representation at parameter lam to a window:
 

@@ -148,19 +148,13 @@ class SampleSet:
         return cls(spec, arr)
 
 
-def _expansion(f: FieldSample, e: FieldSample, spec: QuasiLatticeSpec):
-    """f's lattice expansion (a one-row AtomSuite) if it is one over e
-    itself under spec, else None."""
-    return _own_suite(f.expansion, e, spec)
-
-
 def sample_on_lattice(f: FieldSample, e: FieldSample,
                       spec: QuasiLatticeSpec, bounds) -> SampleSet:
     """Evaluate phi at every lattice point of the box by one
     _suite_coefficients sweep: of f's lattice expansion if it is one over
     e, by the group law from one e-vs-e table, else of f's one-atom suite,
     its terms swept against e across the whole box."""
-    suite = _expansion(f, e, spec)
+    suite = _own_suite(f.expansion, e, spec)
     if suite is None:
         suite = _one_atom(f, spec)
     return SampleSet(spec, _suite_coefficients(suite, e, spec, *bounds)[0])
@@ -339,7 +333,7 @@ def reconstruction_study(f: FieldSample, e: FieldSample,
     if not (c > 0 and 0 < c * c < math.inf):
         raise DomainError(f"sampling constant c = {c:g}: c and c*c must be "
                           "positive and finite")
-    suite = _expansion(f, e, spec)
+    suite = _own_suite(f.expansion, e, spec)
     if suite is not None:
         samples, norm_sq, err_sq = _suite_study(suite, e, spec, bounds, c)
     else:

@@ -27,12 +27,11 @@ rows in place.  The pair kernels take each side as a term row (lo, hi,
 coef, freq), the layout of Window.terms and FieldSample.terms, and derive
 the term midpoints themselves.
 
-Every term pairing in the package comes from one of two pair searches,
-each ending in the exact overlap test min(hi) > max(lo) that keeps
-disjoint pairs out of paired_inner_sweep.  _translated_pairs pairs two
-tables, from Window.inner to the lattice sweeps.  _self_pairs pairs one
-table with itself for the squared norms, each unordered pair once: a norm
-is a Hermitian form, <a, b> + <b, a> = 2 Re <a, b>.  _segment_inner and
+Every term pairing in the package comes from one pair search,
+_translated_pairs, which ends in the exact overlap test min(hi) > max(lo)
+that keeps disjoint pairs out of paired_inner_sweep.  Both pair kernels,
+paired_inner_sweep and product_conj_terms, form the product of a pair on
+its overlap cell in one helper, _pair_product.  _segment_inner and
 _segment_norm2 are the one inner product and the one squared norm of the
 windows of a segmented table, a Window being one segment and a
 FieldSample one per node; both run in blocks of at most _PAIR_BLOCK pairs
@@ -43,7 +42,10 @@ groups the merged terms by cell.  The modulations of one cell that are of
 degree 0 and one step delta apart, as in a reconstruction
 sum_gamma phi(gamma) T_gamma e, form a regular class, summed as one
 correlation of their coefficients against one moment per lag, K(d delta).
-_self_pairs then searches the cells, not the terms, for every other pair.
+Every other pair is found by _translated_pairs run on the cells, not the
+terms, with each unordered cell pair kept once: a norm is a Hermitian
+form, <a, b> + <b, a> = 2 Re <a, b>.  _cross_join then expands each cell
+pair to its term pairs.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ _ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 MAX_DEGREE = 2
 
 # Candidate term pairs per segment block of _segment_inner, candidate cell
-# pairs per segment block and swept term pairs per block of _segment_norm2,
-# and rows times modulations per lattice-sweep block, unless one segment,
-# cell pair or slot alone has more; bounds their scratch memory.
+# pairs (cells squared) per segment block and swept term pairs per block of
+# _segment_norm2, and rows times modulations per lattice-sweep block, unless
+# one segment, cell pair or slot alone has more; bounds their scratch
+# memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -183,13 +186,26 @@ def paired_inner_sweep(a, b, df):
 
     Returns a complex (R, D) array, one row per pair, evaluated in place;
     the moment depth adapts to the polynomial degrees present.  Every
-    caller takes its pairs from _translated_pairs or _self_pairs, so the
-    cells of each pair overlap; a pair with empty overlap would come out
-    as exact zeros through the live mask of interval_moments.
+    caller takes its pairs from _translated_pairs, so the cells of each
+    pair overlap; a pair with empty overlap would come out as exact zeros
+    through the live mask of interval_moments.
     """
-    loa, hia, coefa, freqa = a
-    lob, hib, coefb, freqb = b
-    df = np.asarray(df, dtype=float)
+    lo, hi, poly = _pair_product(a, b)
+    freq = (a[3] - b[3])[:, None] - np.asarray(df, dtype=float)
+    mom = interval_moments(lo[:, None], hi[:, None], freq, poly.shape[1] - 1)
+    acc = np.zeros(freq.shape, dtype=complex)
+    for p in range(poly.shape[1]):
+        acc += poly[:, p, None] * mom[p]
+    return acc
+
+
+def _pair_product(a, b):
+    """Overlap cell [lo, hi) of paired term rows a and b and the product
+    a_r(t) * conj(b_r(t)) on it, without its modulation: (lo, hi, poly),
+    poly in powers of (t - (lo + hi)/2), of degree the sum of the sides'
+    live degrees."""
+    loa, hia, coefa, _ = a
+    lob, hib, coefb, _ = b
     lo = np.maximum(loa, lob)
     hi = np.minimum(hia, hib)
     mid = 0.5 * (lo + hi)
@@ -198,17 +214,11 @@ def paired_inner_sweep(a, b, df):
     degb = _live_degree(coefb)
     a = _recenter(coefa, mid - 0.5 * (loa + hia)) if dega else coefa
     b = np.conj(_recenter(coefb, mid - 0.5 * (lob + hib)) if degb else coefb)
-    pmax = dega + degb
-    poly = np.zeros((lo.size, pmax + 1), dtype=complex)
+    poly = np.zeros((lo.size, dega + degb + 1), dtype=complex)
     for p in range(dega + 1):
         for q in range(degb + 1):
             poly[:, p + q] += a[:, p] * b[:, q]
-    freq = (freqa - freqb)[:, None] - df
-    mom = interval_moments(lo[:, None], hi[:, None], freq, pmax)
-    acc = np.zeros(freq.shape, dtype=complex)
-    for p in range(pmax + 1):
-        acc += poly[:, p, None] * mom[p]
-    return acc
+    return lo, hi, poly
 
 
 def _live_degree(coef):
@@ -253,52 +263,22 @@ def _ranges(first, count):
     return rep, first[rep] + rank
 
 
-def _cross_join(starts_a, starts_b):
-    """Segmented cross join of two term tables sharing node segmentation,
-    given as the segment starts of each.
-
-    Returns (ia, ib, node) index arrays covering, per node, every pair of a
-    term from table A and a term from table B, A-major; the tests' brute-
-    force reference for _translated_pairs.
+def _cross_join(first_a, count_a, first_b, count_b):
+    """Cross join of paired runs: run r of A is the indices first_a[r] up
+    to first_a[r] + count_a[r], likewise B, all given as arrays.  Returns
+    (ia, ib, run) covering, run by run, every pair of an index of A's run
+    and one of B's, A-major.
     """
-    starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
-    counts_a = np.diff(starts_a)
-    counts_b = np.diff(starts_b)
-    node, rank = _ranges(np.zeros(counts_a.size, dtype=np.int64),
-                         counts_a * counts_b)
-    cb = counts_b[node]
-    return starts_a[node] + rank // cb, starts_b[node] + rank % cb, node
+    run, rank = _ranges(np.zeros(count_b.size, dtype=np.int64),
+                        count_a * count_b)
+    cb = count_b[run]
+    return first_a[run] + rank // cb, first_b[run] + rank % cb, run
 
 
 def _seg_key(seg, x):
     """seg + i x.  Complex numbers compare lexicographically, so the key
     sorts and searches as the pair (seg, x)."""
     return seg + 1j * x
-
-
-def _self_pairs(starts, lo, hi):
-    """Every unordered pair of overlapping terms within each segment of
-    one table, the diagonal included, once: (ia, ib, seg) with ia at or
-    before ib in (segment, lo) order, rows in that order of ia.
-
-    The table is terms starts[0] to starts[-1], segment s from starts[s].
-    The term at sorted rank r takes ranks r up to the first whose key
-    reaches (segment, hi) of its own cell; the exact test min(hi) > max(lo)
-    then drops the empty cells.  Nothing is moved, so the search is exact.
-    """
-    starts = np.asarray(starts)
-    t0, t1 = starts[0], starts[-1]
-    lo, hi = lo[t0:t1], hi[t0:t1]
-    seg = np.arange(starts.size - 1).repeat(starts[1:] - starts[:-1])
-    key = _seg_key(seg, lo)
-    order = key.argsort(kind="stable")
-    rank = np.arange(order.size)
-    stop = key[order].searchsorted(_seg_key(seg, hi)[order], side="left")
-    rep, pos = _ranges(rank, np.maximum(stop - rank, 0))
-    ia, ib = order[rep], order[pos]
-    live = np.minimum(hi[ia], hi[ib]) > np.maximum(lo[ia], lo[ib])
-    ia, ib = ia[live], ib[live]
-    return t0 + ia, t0 + ib, seg[ia]
 
 
 def _overlap_shifts(lo1, hi1, lo2, hi2, step, nmax):
@@ -414,23 +394,15 @@ def product_conj_terms(a, b):
     pairs whose cells overlap and row their product terms, one each.
     Requires deg(a_r) + deg(b_r) <= MAX_DEGREE for every such pair.
     """
-    loa, hia, coefa, freqa = a
-    lob, hib, coefb, freqb = b
-    lo = np.maximum(loa, lob)
-    hi = np.minimum(hia, hib)
-    live = np.nonzero(hi > lo)[0]
-    a, b = coefa[live], coefb[live]
-    if np.any(_row_degree(a) + _row_degree(b) > MAX_DEGREE):
+    live = np.nonzero(np.minimum(a[1], b[1]) > np.maximum(a[0], b[0]))[0]
+    a, b = _rows(a, live), _rows(b, live)
+    if np.any(_row_degree(a[2]) + _row_degree(b[2]) > MAX_DEGREE):
         raise WindowStructureError("product would exceed max degree")
-    lo, hi = lo[live], hi[live]
-    mid = 0.5 * (lo + hi)
-    a = _recenter(a, mid - 0.5 * (loa + hia)[live])
-    b = np.conj(_recenter(b, mid - 0.5 * (lob + hib)[live]))
+    lo, hi, poly = _pair_product(a, b)
+    # the block's degree may pass MAX_DEGREE; no row's does
     coef = np.zeros((lo.size, MAX_DEGREE + 1), dtype=complex)
-    coef[:, 0] = a[:, 0] * b[:, 0]
-    coef[:, 1] = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]
-    coef[:, 2] = a[:, 0] * b[:, 2] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 0]
-    return live, (lo, hi, coef, freqa[live] - freqb[live])
+    coef[:, :poly.shape[1]] = poly[:, :MAX_DEGREE + 1]
+    return live, (lo, hi, coef, a[3] - b[3])
 
 
 def affine_terms(t, c):
@@ -547,18 +519,6 @@ def _cell_classes(seg, t):
     return first, size, regular, slot, step
 
 
-def _class_term_pairs(ca, cb, first, size):
-    """The term pairs of the class pairs (ca, cb): every term pair of two
-    distinct classes, and the pairs ia <= ib of a class paired with
-    itself, class pairs in order."""
-    nb = size[cb]
-    rep, rank = _ranges(np.zeros(ca.size, dtype=np.int64), size[ca] * nb)
-    ia = first[ca][rep] + rank // nb[rep]
-    ib = first[cb][rep] + rank % nb[rep]
-    keep = (ca[rep] != cb[rep]) | (ia <= ib)
-    return ia[keep], ib[keep]
-
-
 def _lag_sums(lo, hi, v, slot, step, first, size):
     """Squared norms of the given regular classes (_cell_classes):
     sum_d K(d delta) R(d) with K(x) the moment int exp(2 pi i x t) dt over
@@ -592,12 +552,14 @@ def _segment_norm2(starts, t):
     (_like_terms), and the merged terms are grouped by cell
     (_cell_classes).  A regular class, modulations of degree 0 one step
     apart, is summed as one coefficient correlation (_lag_sums).  Every
-    other overlapping pair is taken once: _self_pairs searches the class
-    cells, in segment blocks bounded by the class candidate count c(c+1)/2
-    per segment, leaving out a regular class paired with itself, and each
-    class pair expands to its term pairs (_class_term_pairs) in blocks of
-    at most _PAIR_BLOCK rows.  The diagonal adds the real part of its
-    inner product and every other pair twice it, since <a, b> + <b, a> =
+    other overlapping pair is taken once: _translated_pairs at nmax = 0
+    pairs the class cells with themselves, in segment blocks of at most
+    _PAIR_BLOCK candidates, c * c for c cells in a segment; of its ordered
+    cell pairs ca < cb are kept, and the diagonal of every class that is
+    not regular.  _cross_join expands each kept class pair to its term
+    pairs, those ia <= ib of a class with itself, in blocks of at most
+    _PAIR_BLOCK rows.  The diagonal adds the real part of its inner
+    product and every other pair twice it, since <a, b> + <b, a> =
     2 Re <a, b>, in pair order; a one-term class keeps the bits of its
     diagonal row.
     """
@@ -609,13 +571,18 @@ def _segment_norm2(starts, t):
     first, size, regular, slot, step = _cell_classes(seg, merged)
     cstarts = np.searchsorted(seg[first], np.arange(starts.size))
     counts = np.diff(cstarts)
-    for start, stop in _blocks(counts * (counts + 1) // 2):
-        ca, cb, _ = _self_pairs(cstarts[start:stop + 1],
-                                merged[0][first], merged[1][first])
-        keep = (ca != cb) | ~regular[ca]
+    lo, hi = merged[0][first], merged[1][first]
+    for start, stop in _blocks(counts * counts):
+        cells = cstarts[start:stop + 1]
+        ca, cb, *_ = _translated_pairs(cells, lo, hi, cells, lo, hi, 1.0, 0)
+        keep = (ca < cb) | ((ca == cb) & ~regular[ca])
         ca, cb = ca[keep], cb[keep]
         for i, j in _blocks(size[ca] * size[cb]):
-            ia, ib = _class_term_pairs(ca[i:j], cb[i:j], first, size)
+            a, b = ca[i:j], cb[i:j]
+            ia, ib, _ = _cross_join(first[a], size[a], first[b], size[b])
+            # classes lie in term order, so this holds wherever a < b
+            keep = ia <= ib
+            ia, ib = ia[keep], ib[keep]
             vals = paired_inner_sweep(_rows(merged, ia), _rows(merged, ib),
                                       np.zeros(1))[:, 0]
             np.add.at(out, seg[ia], np.where(ia == ib, 1.0, 2.0) * vals.real)
@@ -700,9 +667,6 @@ class Window:
     @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
-
-    def degree(self):
-        return _live_degree(self.coef)
 
     def support(self):
         """Smallest closed interval containing all terms, or None if empty."""

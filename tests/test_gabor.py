@@ -7,8 +7,8 @@ from hgs import fieldcheck, gabor
 from hgs.canonical import canonical_field
 from hgs.errors import NotApplicableError
 from hgs.fieldcheck import gabor_field_verdict
-from hgs.gabor import (frame_bounds_empirical, gabor_atom,
-                       norm_condition_check, painless_residual)
+from hgs.gabor import (frame_bounds_empirical, norm_condition_check,
+                       painless_residual)
 from hgs.grids import FieldSample, LambdaGrid, SpectralSet, lambda_grid
 from hgs.group import QuasiLatticeSpec
 from hgs.testfields import random_pl_field
@@ -28,17 +28,6 @@ def _periodization(u, spec, lam, ts, krange=40):
     ks = np.arange(-krange, krange + 1)
     vals = u(np.asarray(ts)[:, None] - spec.alpha * ks[None, :])
     return np.sum(np.abs(vals) ** 2, axis=1) / (spec.beta * abs(lam))
-
-
-def test_gabor_atom_identity_and_norm():
-    u = Window.indicator(0, 1, 1.5)
-    a = gabor_atom(u, 0.5, 0, 0, SPEC11)
-    assert (a - u).norm2() == 0
-    for k, l in [(1, 0), (0, 3), (-2, 5)]:
-        a = gabor_atom(u, 0.5, k, l, SPEC11)
-        assert a.norm2() == pytest.approx(u.norm2(), rel=1e-13)
-    shifted = gabor_atom(u, 0.5, 1, 0, QuasiLatticeSpec(0.75, 1))
-    assert shifted.support() == (0.75, 1.75)
 
 
 def test_painless_zero_for_canonical_scaled_slices():

@@ -5,7 +5,7 @@ import pytest
 
 from hgs.errors import DomainError
 from hgs.group import (GroupPoint, LatticeIndex, QuasiLatticeSpec, group_inv,
-                       group_mul, lattice_enumerate, schrodinger_apply)
+                       group_mul, schrodinger_apply)
 from hgs.windows import Window
 
 
@@ -63,17 +63,6 @@ def test_lattice_spec_validation():
     spec = QuasiLatticeSpec(alpha=2, beta=1)
     assert spec.is_integer
     assert not QuasiLatticeSpec(alpha=0.5, beta=1).is_integer
-
-
-def test_lattice_enumerate_counts_and_order():
-    spec = QuasiLatticeSpec()
-    idx = lattice_enumerate(spec, 1, 1, 1)
-    assert len(idx) == 27
-    assert idx[0] == LatticeIndex(-1, -1, -1)
-    assert idx == sorted(idx, key=lambda g: g.astuple())
-    assert lattice_enumerate(spec, 0, 0, 0) == [LatticeIndex(0, 0, 0)]
-    ks = lattice_enumerate(spec, 2, 0, 0)
-    assert len(ks) == 5 and [g.k for g in ks] == [-2, -1, 0, 1, 2]
 
 
 def test_lattice_realize():

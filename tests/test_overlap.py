@@ -1,4 +1,4 @@
-"""Property tests of both pair searches, the field inner products, the
+"""Property tests of the pair search, the field inner products, the
 squared norms and the shift-expanded lattice sweep against the full
 same-node cross join, on generated piecewise-linear fields with touching
 cells, repeated intervals and empty slices."""
@@ -22,8 +22,7 @@ from hgs.group import QuasiLatticeSpec
 from hgs.sampling import (reconstruct, reconstruction_study,
                           sample_on_lattice)
 from hgs.testfields import atom_suite, random_pl_field, two_slice_field
-from hgs.windows import (MAX_DEGREE, Window, _self_pairs,
-                         paired_inner_sweep)
+from hgs.windows import MAX_DEGREE, Window, paired_inner_sweep
 
 E_FULL = SpectralSet([(-1.0, 1.0)])
 
@@ -67,9 +66,15 @@ def _field_pairs(draw):
     return f, g
 
 
+def _node_join(f, g):
+    """The full same-node cross join of the term tables of f and g."""
+    return _cross_join(f._starts[:-1], np.diff(f._starts), g._starts[:-1],
+                       np.diff(g._starts))
+
+
 def _reference_pairs(f, g):
     """Every same-node pair of the full cross join whose cells overlap."""
-    ia, ib, node = _cross_join(f._starts, g._starts)
+    ia, ib, node = _node_join(f, g)
     live = (np.minimum(f.term_hi[ia], g.term_hi[ib])
             > np.maximum(f.term_lo[ia], g.term_lo[ib]))
     return ia[live], ib[live], node[live]
@@ -104,7 +109,7 @@ _block = st.sampled_from([1, 2, 5, 17, windows._PAIR_BLOCK])
 def _reference_translated(f, g, step, nmax):
     """Every (pair, n) row of the full cross join expanded over every n
     that can hold an overlap (|n| <= nmax), kept by the exact test."""
-    ia, ib, node = _cross_join(f._starts, g._starts)
+    ia, ib, node = _node_join(f, g)
     if nmax == math.inf:
         # the cells lie in [-2, 4), so no overlap lies further out
         nmax = math.ceil(6.0 / step) + 2
@@ -170,52 +175,47 @@ def _one_table(draw):
     return skip + np.concatenate([[0], np.cumsum(counts)]), lo, hi
 
 
-def _ahead(lo, ia, ib):
-    """Whether term ia comes at or before term ib in (lo, index) order,
-    the order of a stable sort by lo; both lie in one segment."""
-    return (lo[ia] < lo[ib]) | ((lo[ia] == lo[ib]) & (ia <= ib))
+def _brute_pairs(starts, t):
+    """Per segment of the term table t, segment s from starts[s]: every
+    pair of its distinct (lo, hi, freq) terms whose cells overlap, the
+    diagonal included, once each, as a sorted tuple of the two."""
+    lo, hi, _, freq = t
+    pairs = []
+    for s0, s1 in zip(starts[:-1], starts[1:]):
+        terms = sorted(set(zip(lo[s0:s1].tolist(), hi[s0:s1].tolist(),
+                               freq[s0:s1].tolist())))
+        for i, j in zip(*np.triu_indices(len(terms))):
+            (la, ha, _), (lb, hb, _) = terms[i], terms[j]
+            if min(ha, hb) > max(la, lb):
+                pairs.append((terms[i], terms[j]))
+    return sorted(pairs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=_one_table())
-def test_self_pairs_are_the_unordered_overlaps(table):
-    # each overlapping pair of a segment once, the diagonal included, with
-    # the first of the two in (segment, lo) order as ia; rows come in
-    # that order of ia.  An empty cell has no row, not even the diagonal
+@given(table=_one_table(), block=_block, data=st.data())
+def test_norm_sweeps_each_overlapping_pair_once(table, block, data):
+    # the pairs _segment_norm2 sends to paired_inner_sweep, whatever the
+    # block size: each overlapping pair of merged terms of a segment once,
+    # the diagonal included, and no pair of an empty or touching cell.
+    # Degree-1 terms at two frequencies leave no class regular, so every
+    # pair takes the sweep
     starts, lo, hi = table
-    ia, ib, seg = _self_pairs(starts, lo, hi)
-    got = list(zip(ia.tolist(), ib.tolist(), seg.tolist()))
-    ra, rb, rseg = _cross_join(starts, starts)
-    keep = (_ahead(lo, ra, rb)
-            & (np.minimum(hi[ra], hi[rb]) > np.maximum(lo[ra], lo[rb])))
-    want = set(zip(ra[keep].tolist(), rb[keep].tolist(),
-                   rseg[keep].tolist()))
-    assert len(set(got)) == len(got)
-    assert set(got) == want
-    assert np.all(_ahead(lo, ia, ib))
-    rows = list(zip(seg.tolist(), lo[ia].tolist(), ia.tolist()))
-    assert rows == sorted(rows)
+    freq = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5]),
+                                       min_size=lo.size, max_size=lo.size)))
+    coef = np.zeros((lo.size, MAX_DEGREE + 1), dtype=complex)
+    coef[:, :2] = 1.0
+    got = []
 
+    def spy(a, b, df):
+        assert np.all(np.minimum(a[1], b[1]) > np.maximum(a[0], b[0]))
+        for row in zip(a[0], a[1], a[3], b[0], b[1], b[3]):
+            got.append(tuple(sorted((row[:3], row[3:]))))
+        return paired_inner_sweep(a, b, df)
 
-@settings(max_examples=100, deadline=None)
-@given(table=_one_table())
-def test_self_pairs_search_stops_before_touching_cells(table):
-    # the candidates of a term are the terms at or after it in (segment,
-    # lo) order whose lo lies below its hi: a cell that only touches it,
-    # lo_b = hi_a, is never one
-    starts, lo, hi = table
-    counts = []
-    ranges = windows._ranges
-
-    def spy(first, count):
-        counts.append(int(np.sum(count)))
-        return ranges(first, count)
-
-    with mock.patch.object(windows, "_ranges", spy):
-        _self_pairs(starts, lo, hi)
-    ra, rb, _ = _cross_join(starts, starts)
-    assert counts == [np.count_nonzero(_ahead(lo, ra, rb)
-                                       & (lo[rb] < hi[ra]))]
+    with mock.patch.object(windows, "_PAIR_BLOCK", block), \
+            mock.patch.object(windows, "paired_inner_sweep", spy):
+        windows._segment_norm2(starts, (lo, hi, coef, freq))
+    assert sorted(got) == _brute_pairs(starts, (lo, hi, coef, freq))
 
 
 @settings(max_examples=80, deadline=None)
@@ -409,9 +409,11 @@ def test_dense_norm_takes_shared_cells_as_lag_sums():
 
 
 def _ordered_pair_norm2(w):
-    """||w||^2 over the unordered overlapping pairs of w's own terms, as
-    _self_pairs finds them, swept one by one and added in pair order."""
-    ia, ib, _ = _self_pairs(np.array([0, w.n_terms]), w.lo, w.hi)
+    """||w||^2 over the unordered overlapping pairs of w's own terms, the
+    diagonal included, swept one by one and added in pair order."""
+    ia, ib = np.triu_indices(w.n_terms)
+    live = np.minimum(w.hi[ia], w.hi[ib]) > np.maximum(w.lo[ia], w.lo[ib])
+    ia, ib = ia[live], ib[live]
     vals = paired_inner_sweep(windows._rows(w.terms, ia),
                               windows._rows(w.terms, ib), np.zeros(1))[:, 0]
     total = 0.0
@@ -534,9 +536,9 @@ def test_lattice_coefficients_match_reference_inner(fields, block, spec):
 @settings(max_examples=60, deadline=None)
 @given(fields=_field_pairs(), block=_block)
 def test_no_caller_sweeps_a_disjoint_pair(fields, block):
-    # every pair reaches paired_inner_sweep through _translated_pairs or
-    # _self_pairs and their exact overlap test, in the field inner
-    # products and squared norms, the lattice table, both unfolding joins,
+    # every pair reaches paired_inner_sweep through _translated_pairs and
+    # its exact overlap test, in the field inner products and squared
+    # norms, the lattice table, both unfolding joins,
     # Window.inner_freq_sweep and Window.norm2
     f, g = fields
     calls = []

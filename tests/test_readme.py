@@ -1,8 +1,10 @@
-"""The names and calls that README.md quotes exist in the package.
+"""The names and calls that README.md quotes exist in the package, and so
+do the names the package exports.
 
 Every backticked `hgs.<module>.<name>` must resolve, and every backticked
 call `name(kw=...)` of a name the package exports must accept those
-keywords, so a renamed function or a removed parameter fails here.
+keywords, so a renamed function or a removed parameter fails here.  Every
+name in hgs.__all__ must resolve too, or `from hgs import *` would fail.
 """
 
 import importlib
@@ -47,3 +49,14 @@ def test_quoted_calls_accept_their_keywords():
             assert kw in params, f"{span}: no parameter {kw!r}"
         checked += 1
     assert checked
+
+
+def test_exported_names_resolve_once_in_order():
+    names = hgs.__all__
+    for name in names:
+        assert hasattr(hgs, name), name
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+    namespace = {}
+    exec("from hgs import *", namespace)
+    assert set(names) <= set(namespace)

@@ -175,6 +175,66 @@ def _one_table(draw):
     return skip + np.concatenate([[0], np.cumsum(counts)]), lo, hi
 
 
+def _self_join(starts):
+    """The full same-segment cross join of one term table with itself."""
+    return _cross_join(starts[:-1], np.diff(starts), starts[:-1],
+                       np.diff(starts))
+
+
+def _self_pairs(starts, lo, hi):
+    """The self join of one term table at nmax = 0, as _segment_norm2
+    runs it on its cells: the rows with ia <= ib, as (ia, ib, seg)."""
+    ia, ib, seg, *_ = _translated_pairs(starts, lo, hi, starts, lo, hi,
+                                        1.0, 0)
+    keep = ia <= ib
+    return ia[keep], ib[keep], seg[keep]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_one_table())
+def test_self_pairs_are_the_unordered_overlaps(table):
+    # each overlapping pair of a segment once, the diagonal included, in
+    # (segment, ia, ib) order.  An empty cell has no row, not even the
+    # diagonal
+    starts, lo, hi = table
+    ia, ib, seg = _self_pairs(starts, lo, hi)
+    got = list(zip(seg.tolist(), ia.tolist(), ib.tolist()))
+    ra, rb, rseg = _self_join(starts)
+    keep = ((ra <= rb)
+            & (np.minimum(hi[ra], hi[rb]) > np.maximum(lo[ra], lo[rb])))
+    want = list(zip(rseg[keep].tolist(), ra[keep].tolist(),
+                    rb[keep].tolist()))
+    assert got == sorted(want)
+    assert not np.any(hi[ia] <= lo[ia])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_one_table())
+def test_self_pairs_search_stops_before_touching_cells(table):
+    # the candidates of a term are the terms of its segment with lo in
+    # (lo_a - w - slack, hi_a + slack), w the widest cell and slack the
+    # few ulps of the search reach; of them a cell that only touches it,
+    # lo_b = hi_a or hi_b = lo_a, keeps no row
+    starts, lo, hi = table
+    counts = []
+    ranges = windows._ranges
+
+    def spy(first, count):
+        counts.append(int(np.sum(count)))
+        return ranges(first, count)
+
+    with mock.patch.object(windows, "_ranges", spy):
+        ia, ib, _ = _self_pairs(starts, lo, hi)
+    ra, rb, _ = _self_join(starts)
+    a0, a1 = starts[0], starts[-1]
+    slack = windows._ULPS * np.abs(np.concatenate(
+        (lo[a0:a1], hi[a0:a1]))).max(initial=0.0)
+    w = (hi[a0:a1] - lo[a0:a1]).max(initial=0.0)
+    assert counts == [np.count_nonzero((lo[rb] > lo[ra] - (w + slack))
+                                       & (lo[rb] < hi[ra] + slack))]
+    assert np.all(lo[ib] < hi[ia]) and np.all(lo[ia] < hi[ib])
+
+
 def _brute_pairs(starts, t):
     """Per segment of the term table t, segment s from starts[s]: every
     pair of its distinct (lo, hi, freq) terms whose cells overlap, the

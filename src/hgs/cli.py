@@ -26,7 +26,7 @@ from .errors import HgsError
 from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
                          jittered_unit_grid, orthogonality_residual,
                          theta_delta_report)
-from .grids import SpectralSet, gauss_lambda_grid, lambda_grid
+from .grids import SpectralSet, _self_table, gauss_lambda_grid, lambda_grid
 from .group import QuasiLatticeSpec
 from .sampling import (_MAX_BOX_SAMPLES, interpolation_verdict,
                        onb_gram_check, reconstruction_study)
@@ -349,6 +349,7 @@ def cmd_sample(args):
                        "per interval")
     grid = lambda_grid(E, nodes, 1e-3)
     e = canonical_field(grid)
+    _self_table(e, spec, 2 * k, 2 * l)  # one e table for every study below
     inner = tuple(min(b, max(1, b // 2)) for b in bounds)
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,
                        seed=cfg["seed"])

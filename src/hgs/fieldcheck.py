@@ -22,7 +22,8 @@ from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
 from .grids import (FieldSample, SpectralSet, _concat, _node_table,
-                    _table_slice, field_inner, field_sum, point_grid)
+                    _phase_table, _self_table, _table_slice, field_inner,
+                    field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
 from .windows import (_TWO_PI, _ranges, _rows, _translated_pairs,
@@ -153,12 +154,20 @@ def lattice_coefficients(fields, g: FieldSample, spec: QuasiLatticeSpec,
 
 def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                         spec: QuasiLatticeSpec, kmax: int, lmax: int,
-                        mmax: int, table=None) -> np.ndarray:
-    """Lattice coefficients <f_s, T_{k,l,m} g>, shape (n_functions, K, L,
-    M), of the test fields f_s = sum_j c_sj T_{gamma_j} b of an AtomSuite
-    whose atoms are translates under spec, without building the fields.
-    This is the package's one lattice-coefficient sweep: a plain field is
-    swept as its one-atom suite (lattice_coefficients).
+                        mmax: int) -> np.ndarray:
+    """<f_s, T_{k,l,m} g> for the test fields of an AtomSuite, shape
+    (n_functions, K, L, M): the blocks of _suite_blocks stacked along k."""
+    return np.stack([*_suite_blocks(suite, g, spec, kmax, lmax, mmax)], 1)
+
+
+def _suite_blocks(suite: AtomSuite, g: FieldSample, spec: QuasiLatticeSpec,
+                  kmax: int, lmax: int, mmax: int):
+    """Lattice coefficients <f_s, T_{k,l,m} g> of the test fields f_s =
+    sum_j c_sj T_{gamma_j} b of an AtomSuite whose atoms are translates
+    under spec, without building the fields, yielded k-major: one
+    (n_functions, L, M) block per k = -kmax .. kmax.  This is the
+    package's one lattice-coefficient sweep: a plain field is swept as its
+    one-atom suite (lattice_coefficients).
 
     The group law reduces every pairing to one relative-offset table of the
     base b: with H = _node_table(b, g) over the box widened by the atoms'
@@ -169,10 +178,11 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
                            H_n(k, l),
 
     where the alpha beta kappa l part is the central cocycle phase.  So all
-    atoms with the same k_j share one (l, m) table per translation.
-
-    table, if given, is (reach, _node_table(b, g, spec, *reach)) with reach
-    at least the widened box; the table is then read off it.
+    atoms with the same k_j share one (l, m) table per translation.  When b
+    is g, H is g's own table (_self_table).  The cocycle is exponentiated
+    for kappa > 0 and l >= 0 only (_phase_table); kappa < 0 takes its
+    conjugate, kappa = 0 none.  A block adds its atoms in ascending kappa,
+    then atom, order.
     """
     _check_bounds(kmax, lmax, mmax)
     b, c = suite.base, suite.coeffs
@@ -183,27 +193,35 @@ def _suite_coefficients(suite: AtomSuite, g: FieldSample,
     lam = g.grid.nodes
     ab = spec.alpha * spec.beta
     L, M = 2 * lmax + 1, 2 * mmax + 1
-    if table is None:
-        reach = (kmax + dk, lmax + dl)
-        table = (reach, _node_table(b, g, spec, *reach))
-    live_k, H = _table_slice(table, kmax + dk, lmax + dl)
+    reach = (kmax + dk, lmax + dl)
+    live_k, H = (_table_slice(_self_table(g, spec, *reach), *reach) if b is g
+                 else _node_table(b, g, spec, *reach))
     # w_n e^{-2 pi i lam_n m}: the central phase sum over the nodes
-    wphase = g.grid.weights[:, None] * np.exp(-1j * _TWO_PI * np.outer(
-        lam, np.arange(-(mmax + dm), mmax + dm + 1)))
-    out = np.zeros((c.shape[0], 2 * kmax + 1, L, M), dtype=complex)
-    for kappa in np.unique(kj):
-        cocycle = np.exp(1j * _TWO_PI * ab * kappa * np.outer(
-            lam, np.arange(-(lmax + dl), lmax + dl + 1)))
-        atoms = np.flatnonzero(kj == kappa)
-        for Hk, k in zip(H, live_k - (kmax + dk) + kappa):
-            if abs(k) > kmax:
-                continue
-            Y = (Hk * cocycle).T @ wphase
-            for a in atoms:
-                l0, m0 = dl - lj[a], dm - mj[a]
-                out[:, k + kmax] += (c[:, a, None, None]
-                                     * Y[None, l0:l0 + L, m0:m0 + M])
-    return out
+    wphase = _phase_table(lam, -_TWO_PI, mmax + dm)
+    np.multiply(g.grid.weights[:, None], wphase, out=wphase)
+    kappas = np.unique(kj).tolist()
+    Y = {}
+    for size in sorted({abs(kappa) for kappa in kappas}):
+        cocycle = (_phase_table(lam, _TWO_PI * ab * size, lmax + dl)
+                   if size else None)
+        for kappa in sorted({size, -size} & set(kappas), reverse=True):
+            if kappa < 0:
+                np.conj(cocycle, out=cocycle)
+            for Hk, k in zip(H, live_k - (kmax + dk) + kappa):
+                if abs(k) <= kmax:
+                    Y[kappa, k] = (Hk if kappa == 0
+                                   else Hk * cocycle).T @ wphase
+        del cocycle
+    del wphase
+    for k in range(-kmax, kmax + 1):
+        block = np.zeros((c.shape[0], L, M), dtype=complex)
+        for kappa in kappas:
+            if (kappa, k) in Y:
+                for a in np.flatnonzero(kj == kappa):
+                    l0, m0 = dl - lj[a], dm - mj[a]
+                    block += (c[:, a, None, None]
+                              * Y[kappa, k][None, l0:l0 + L, m0:m0 + M])
+        yield block
 
 
 def _suite_union(suite: AtomSuite, bounds):
@@ -216,16 +234,16 @@ def _suite_union(suite: AtomSuite, bounds):
             tuple(slice(u - b, u + b + 1) for u, b in zip(union, bounds)))
 
 
-def _suite_norms(suite: AtomSuite, phi: np.ndarray, at) -> np.ndarray:
+def _suite_norms(suite: AtomSuite, samples: np.ndarray) -> np.ndarray:
     """Squared norms of the test fields of a suite over g itself, read off
-    their own samples phi_s(gamma) = <f_s, T_gamma g> on a box that holds
-    every atom (at from _suite_union):
+    their own samples at the atoms, samples[s, j] = phi_s(gamma_j) =
+    <f_s, T_{gamma_j} g> (the positions at from _suite_union):
 
         ||f_s||^2 = <f_s, f_s> = Re sum_j conj(c_sj) phi_s(gamma_j).
 
     An elementwise product and np.sum, so no BLAS kernel sets the
     rounding."""
-    vals = np.conj(suite.coeffs) * phi[(slice(None),) + at]
+    vals = np.conj(suite.coeffs) * samples
     return np.maximum(np.sum(vals, axis=1).real, 0.0)
 
 
@@ -245,29 +263,36 @@ def parseval_residual(g: FieldSample, spec: QuasiLatticeSpec, testfns,
     testfns is a nonempty list of fields on g's grid, or an AtomSuite.  A
     suite of translates of g itself under spec is evaluated without
     building its fields: its coefficients come from one relative-offset
-    table of g against g (_suite_coefficients) on the union of the box and
-    its atom indices, and its norms are read off them (_suite_norms).  Any
-    other suite takes the fields route.  For a Parseval system and test
-    fields concentrated in the box the residual is bounded by quadrature
-    noise plus the energy the box misses.
+    table of g against g (_suite_blocks) on the union of the box and its
+    atom indices, and its norms are read off them (_suite_norms).  Any
+    other suite takes the fields route.  Both sum |c|^2 one k block at a
+    time.  For a Parseval system and test fields concentrated in the box
+    the residual is bounded by quadrature noise plus the energy the box
+    misses.
     """
     _check_bounds(kmax, lmax, mmax)
     suite = _own_suite(testfns, g, spec)
     if suite is not None:
         union, at, box = _suite_union(suite, (kmax, lmax, mmax))
-        phi = _suite_coefficients(suite, g, spec, *union)
-        norms = _suite_norms(suite, phi, at).tolist()
-        coeffs = phi[(slice(None),) + box]
+        # the samples at the atoms and the energy in the box, one k at a time
+        samples, energy = np.empty(suite.coeffs.shape, dtype=complex), 0.0
+        for k, block in enumerate(_suite_blocks(suite, g, spec, *union)):
+            on = at[0] == k
+            samples[:, on] = block[:, at[1][on], at[2][on]]
+            if box[0].start <= k < box[0].stop:
+                energy = energy + np.sum(
+                    np.abs(block[:, box[1], box[2]]) ** 2, axis=(1, 2))
+        norms = _suite_norms(suite, samples).tolist()
     else:
         fields = _test_fields(testfns)
-        coeffs = lattice_coefficients(fields, g, spec, kmax, lmax, mmax)
+        energy = [sum(np.sum(np.abs(block) ** 2) for block in _suite_blocks(
+            _one_atom(f, spec), g, spec, kmax, lmax, mmax)) for f in fields]
         norms = [f.norm2() for f in fields]
     worst = 0.0
-    for fi, n2 in enumerate(norms):
+    for total, n2 in zip(energy, norms):
         if n2 == 0.0:
             raise DomainError("test field has zero norm")
-        total = float(np.sum(np.abs(coeffs[fi]) ** 2))
-        worst = max(worst, abs(total - n2) / n2)
+        worst = max(worst, abs(float(total) - n2) / n2)
     return worst
 
 

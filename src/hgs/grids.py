@@ -282,6 +282,11 @@ class FieldSample:
     can pair it with its base by the group law instead of sweeping its
     terms.  Every other field, a transform of one included, has expansion
     None.
+
+    One private memo slot, _table_memo, keeps the field's table against its
+    own translates for one spec (_self_table): the largest one asked for,
+    until the field is freed.  Every new field, a transform included,
+    starts without it.
     """
 
     def __init__(self, grid: LambdaGrid, term_node, term_lo, term_hi,
@@ -305,6 +310,7 @@ class FieldSample:
         self.profile = profile
         self.kinds = kinds
         self.expansion = None
+        self._table_memo = None
 
     # -- constructors ------------------------------------------------------
 
@@ -496,6 +502,19 @@ def field_sum(fields, coeffs):
     return out
 
 
+def _phase_table(x, scale: float, n: int):
+    """np.exp(1j * scale * np.outer(x, np.arange(-n, n + 1))) for nonzero
+    x from its columns l >= 0: the angle at -l is the exact negation of the
+    one at l, and cos and sin are even and odd, so the l < 0 half is the
+    conjugate of the mirrored l > 0 half bit for bit."""
+    out = np.empty((np.size(x), 2 * n + 1), dtype=complex)
+    half = out[:, n:]
+    np.exp(np.multiply(1j * scale, np.outer(x, np.arange(n + 1)), out=half),
+           out=half)
+    np.conj(out[:, :n:-1], out=out[:, :n])
+    return out
+
+
 def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
                 kmax: int, lmax: int):
     """Per-node inner products H[j, n, l + lmax] = <f_n, e^{-2 pi i lam_n
@@ -523,10 +542,11 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     # accumulator row of every (k, node) with a live pair
     slot = np.searchsorted(live_k, kidx) * grid.n + node
     H = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
-    # blocks end at slot boundaries, so each slot sums in one segment
+    # blocks end at slot boundaries, so each slot sums in one segment; at
+    # weight 4 a value, a block's temporaries stay near 4 MB
     per_slot = np.bincount(slot, minlength=H.shape[0])
     bounds = np.concatenate([[0], np.cumsum(per_slot)])
-    for j0, j1 in _blocks(per_slot * ls.size):
+    for j0, j1 in _blocks(4 * per_slot * ls.size):
         s, e = bounds[j0], bounds[j1]
         b = ib[s:e]
         coef = g.term_coef[b] * np.exp(
@@ -541,12 +561,32 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     return live_k, H.reshape(live_k.size, grid.n, ls.size)
 
 
+def _self_table(e: FieldSample, spec: QuasiLatticeSpec, kmax: int,
+                lmax: int):
+    """(reach, _node_table(e, e, spec, *reach)) with reach >= (kmax, lmax),
+    kept on e for spec; read smaller reaches off it with _table_slice.  A
+    request it does not cover rebuilds it at the elementwise max of both
+    reaches, one under another spec replaces it.  H is shared: read-only."""
+    if e._table_memo is not None and e._table_memo[0] == spec:
+        K, L = e._table_memo[1][0]
+        if K >= kmax and L >= lmax:
+            return e._table_memo[1]
+        kmax, lmax = max(K, kmax), max(L, lmax)
+    live_k, H = _node_table(e, e, spec, kmax, lmax)
+    live_k.flags.writeable = H.flags.writeable = False
+    e._table_memo = (spec, ((kmax, lmax), (live_k, H)))
+    return e._table_memo[1]
+
+
 def _table_slice(table, kmax: int, lmax: int):
     """The _node_table(f, g, spec, kmax, lmax) result read off table =
     (reach, _node_table(f, g, spec, *reach)) for reach >= (kmax, lmax).
     Every entry depends only on its own (pair, k, l) rows, so the slice
-    equals a fresh build bit for bit."""
+    equals a fresh build bit for bit.  A reach beyond the table's raises,
+    since it would drop live translations."""
     (K, L), (live_k, H) = table
+    if kmax > K or lmax > L:
+        raise DomainError(f"table of reach {(K, L)} read at {(kmax, lmax)}")
     if (K, L) == (kmax, lmax):
         return live_k, H
     keep = np.abs(live_k - K) <= kmax

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DomainError, FieldFormatError
 from .fieldcheck import (_one_atom, _own_suite, _suite_coefficients,
                          _suite_norms, _suite_union, lattice_coefficients)
-from .grids import (FieldSample, SpectralSet, _node_table, _table_slice,
-                    field_inner, plancherel_measure)
+from .grids import (FieldSample, SpectralSet, _phase_table, _self_table,
+                    _table_slice, field_inner, plancherel_measure)
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .windows import _TWO_PI
 
@@ -175,8 +175,7 @@ def _sample_array(samples: SampleSet, grid):
     kmax, lmax, mmax = samples.bounds()
     ks = np.arange(-kmax, kmax + 1)
     ls = np.arange(-lmax, lmax + 1)
-    ms = np.arange(-mmax, mmax + 1)
-    phases = np.exp(1j * _TWO_PI * np.outer(grid.nodes, ms))
+    phases = _phase_table(grid.nodes, _TWO_PI, mmax)
     return ks, ls, np.matmul(phases, samples.array.transpose(0, 2, 1))
 
 
@@ -219,7 +218,7 @@ def _fft_size(n: int) -> int:
 
 
 def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
-                               c: float, table=None):
+                               c: float):
     """||r||^2 for r = (1/c) sum_gamma s_gamma T_gamma e, for any e.
 
     By the group law two translates of e pair through their offset (kappa,
@@ -241,17 +240,15 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     contribute, and the -kappa part is the conjugate of the kappa part, so
     kappa runs over kappa >= 0 with kappa > 0 counted twice.  The rows
     stream: one row spectrum, and one partner spectrum, is held at a time.
-    H is read off table, if given, as (reach, _node_table(e, e, spec,
-    *reach)) with reach at least the doubled box.
+    H is read off e's own table (_self_table), which the samples of a
+    field expanded over e share.
     """
     grid, spec = e.grid, samples.spec
     kmax, lmax, _ = samples.bounds()
     L = 2 * lmax + 1
     M = _fft_size(2 * L - 1)
     reach = (2 * kmax, 2 * lmax)
-    if table is None:
-        table = (reach, _node_table(e, e, spec, *reach))
-    live_k, H = _table_slice(table, *reach)
+    live_k, H = _table_slice(_self_table(e, spec, *reach), *reach)
     kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
     # Hhat with lag d at d mod M; sum_n w_n / M enters the weights below
     Hc = np.zeros(H.shape[:2] + (M,), dtype=complex)
@@ -296,8 +293,9 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
 def _suite_study(suite, e: FieldSample, spec: QuasiLatticeSpec, bounds,
                  c: float):
     """(samples, ||f||^2, ||f - r||^2) for the field f = sum_j a_j
-    T_{gamma_j} e of a one-row suite over e, from one e-vs-e table over the
-    doubled union of the box and the atom indices.
+    T_{gamma_j} e of a one-row suite over e, from e's own table
+    (_self_table), asked for at the doubled union of the box and the atom
+    indices first, so the samples read it too.
 
     _suite_coefficients samples f on that union, and ||f||^2 = Re sum_j
     conj(a_j) phi(gamma_j) is read off the samples at the atoms
@@ -306,16 +304,15 @@ def _suite_study(suite, e: FieldSample, spec: QuasiLatticeSpec, bounds,
     with nothing to cancel."""
     _check_bounds(*bounds)
     union, at, box = _suite_union(suite, bounds)
-    reach = (2 * union[0], 2 * union[1])
-    table = (reach, _node_table(e, e, spec, *reach))
-    phi = _suite_coefficients(suite, e, spec, *union, table=table)
+    _self_table(e, spec, 2 * union[0], 2 * union[1])
+    phi = _suite_coefficients(suite, e, spec, *union)
     samples = SampleSet(spec, phi[0][box])
     d = np.zeros(phi.shape[1:], dtype=complex)
     d[box] = -samples.array / c
     # atoms may repeat an index, so their coefficients add up
     np.add.at(d, at, suite.coeffs[0])
-    return samples, float(_suite_norms(suite, phi, at)[0]), \
-        _reconstruction_norm2_fast(SampleSet(spec, d), e, 1.0, table=table)
+    return samples, float(_suite_norms(suite, phi[(slice(None),) + at])[0]), \
+        _reconstruction_norm2_fast(SampleSet(spec, d), e, 1.0)
 
 
 def reconstruction_study(f: FieldSample, e: FieldSample,

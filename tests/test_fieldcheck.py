@@ -185,8 +185,8 @@ def test_parseval_suite_matches_field_path(coarse, spec, pair, trunc):
     assert np.max(np.abs(coeffs - want)) <= 1e-13 * np.max(np.abs(want))
     # the norms come from the samples against the suite's own base
     union, at, _ = _suite_union(suite, trunc)
-    norms = _suite_norms(suite, _suite_coefficients(suite, base, spec,
-                                                    *union), at)
+    phi = _suite_coefficients(suite, base, spec, *union)
+    norms = _suite_norms(suite, phi[(slice(None),) + at])
     fields = suite.fields()
     want_norms = np.array([f.norm2() for f in fields])
     assert np.all(np.abs(norms - want_norms) <= 1e-13 * want_norms)

@@ -609,8 +609,8 @@ def test_suite_norms_read_off_samples(generators, case):
                       coeffs)
     fields = suite.fields()
     union, at, _ = _suite_union(suite, box)
-    norms = _suite_norms(suite, _suite_coefficients(suite, g, spec, *union),
-                         at)
+    phi = _suite_coefficients(suite, g, spec, *union)
+    norms = _suite_norms(suite, phi[(slice(None),) + at])
     want = np.array([f.norm2() for f in fields])
     assert np.all(np.abs(norms - want) <= 1e-13 * want)
     assert parseval_residual(g, spec, suite, *box) == pytest.approx(
@@ -623,9 +623,10 @@ def test_suite_norms_read_off_samples(generators, case):
 
 def test_suite_study_reads_one_e_table(generators, monkeypatch):
     # one _node_table(e, e) call serves the samples, the norm and the
-    # error; f's terms are never swept and r is never built
+    # error; f's terms are never swept and r is never built.  A new field
+    # (scaled by 1) starts without the table earlier tests left on its source
     _, gens = generators
-    e, spec = gens["random_pl"], QuasiLatticeSpec(0.75, 1.25)
+    e, spec = gens["random_pl"].scaled(1.0), QuasiLatticeSpec(0.75, 1.25)
     f = atom_suite(e, spec, n_functions=1, n_atoms=6, box=(1, 3, 2), seed=7,
                    extra_indices=[(0, 6, 0)]).fields()[0]
     calls = []
@@ -637,7 +638,7 @@ def test_suite_study_reads_one_e_table(generators, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("field route taken")
 
-    for module in (grids, fieldcheck, sampling):
+    for module in (grids, fieldcheck):
         monkeypatch.setattr(module, "_node_table", spy)
     for module in (fieldcheck, sampling):
         monkeypatch.setattr(module, "lattice_coefficients", forbidden)
@@ -662,7 +663,7 @@ def test_cmd_sample_sweeps_no_field(capsys, monkeypatch):
         return _node_table(a, b, *args)
 
     monkeypatch.setattr(cli, "canonical_field", make_e)
-    for module in (grids, fieldcheck, sampling):
+    for module in (grids, fieldcheck):
         monkeypatch.setattr(module, "_node_table", spy)
     assert cli.main(["sample", "--no-timestamp", "--bounds", "2,4,2"]) == 0
     capsys.readouterr()

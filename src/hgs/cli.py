@@ -51,6 +51,8 @@ _MAX_LAMBDA_NODES = 1 << 20
 # largest hgs sample study, in bytes: 16 per node for each of the
 # (2K+1)(2L+1) samples and 2M+1 phases of the larger of box and doubling
 _MAX_STUDY_BYTES = 1 << 29
+# largest hgs sinc --random: about 0.7 GB at about 1.4 KB a point
+_MAX_RANDOM_POINTS = 1 << 19
 
 # accepted range of each numeric setting, checked whatever its source
 _RANGES = {
@@ -267,9 +269,9 @@ def cmd_verify_canonical(args):
 
 def cmd_sinc(args):
     cfg = _resolve(args, _load_config(args.config) if args.config else {})
-    if args.random is not None and args.random < 0:
-        raise HgsError(f"bad --random {args.random}; expected a "
-                       "nonnegative point count")
+    if args.random is not None and not 0 <= args.random <= _MAX_RANDOM_POINTS:
+        raise HgsError(f"bad --random {args.random}; expected a point count "
+                       f"from 0 to {_MAX_RANDOM_POINTS}")
     n = max(cfg["lambda_nodes"], 256)
     E = _spectral_set(cfg, n)
     grid = gauss_lambda_grid(E, n, lambda_min=1e-8, order=8)

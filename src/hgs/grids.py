@@ -23,8 +23,7 @@ from .group import QuasiLatticeSpec
 # re-exported as grids._cross_join, the name perfbench traces the squared
 # norms' class-pair expansion under
 from .windows import (_TWO_PI, MAX_DEGREE, Window, _cross_join,  # noqa: F401
-                      _blocks, _ranges, _rows, _segment_inner, _segment_norm2,
-                      _translated_pairs, paired_inner_sweep)
+                      _blocks, _ranges, _segment_inner, _segment_norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -522,43 +521,15 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     |k| <= kmax at which some pair of cells overlaps.  Returns (live_k, H)
     with live_k the ascending k + kmax of those translations.
 
-    The overlapping (pair, k) rows come from _translated_pairs and are
-    evaluated in blocks.  The modulation sweep shares the overlap geometry
-    across all l, so the cost is one closed-form moment evaluation per
-    live (pair, k, l).
+    One _segment_inner sweep at step alpha, rate -beta lam_n and df = l:
+    one moment per live (pair, k, l), in blocks of bounded memory.
     """
-    grid = g.grid
-    if not grid.same_as(f.grid):
+    if not g.grid.same_as(f.grid):
         raise DomainError("test field lives on a different grid")
-    ls = np.arange(-lmax, lmax + 1)
-    rows = _translated_pairs(f._starts, f.term_lo, f.term_hi, g._starts,
-                             g.term_lo, g.term_hi, spec.alpha, kmax)
-    # k-major rows, pairs in node-major order within each k
-    perm = np.argsort(rows[3], kind="stable")
-    ia, ib, node, k, g_lo, g_hi = (x[perm] for x in rows)
-    del rows
-    kidx = k.astype(np.int64) + kmax
-    live_k = np.unique(kidx)
-    # accumulator row of every (k, node) with a live pair
-    slot = np.searchsorted(live_k, kidx) * grid.n + node
-    H = np.zeros((live_k.size * grid.n, ls.size), dtype=complex)
-    # blocks end at slot boundaries, so each slot sums in one segment; at
-    # weight 4 a value, a block's temporaries stay near 4 MB
-    per_slot = np.bincount(slot, minlength=H.shape[0])
-    bounds = np.concatenate([[0], np.cumsum(per_slot)])
-    for j0, j1 in _blocks(4 * per_slot * ls.size):
-        s, e = bounds[j0], bounds[j1]
-        b = ib[s:e]
-        coef = g.term_coef[b] * np.exp(
-            -1j * _TWO_PI * g.term_freq[b] * (spec.alpha * k[s:e]))[:, None]
-        df = (-spec.beta * grid.nodes[node[s:e]])[:, None] * ls[None, :]
-        vals = paired_inner_sweep(
-            _rows(f.terms, ia[s:e]),
-            (g_lo[s:e], g_hi[s:e], coef, g.term_freq[b]), df)
-        sl = slot[s:e]
-        seg = np.flatnonzero(np.diff(sl, prepend=-1))
-        H[sl[seg]] += np.add.reduceat(vals, seg, axis=0)
-    return live_k, H.reshape(live_k.size, grid.n, ls.size)
+    k, H = _segment_inner(f._starts, f.terms, g._starts, g.terms,
+                          spec.alpha, kmax, -spec.beta * g.grid.nodes,
+                          np.arange(-lmax, lmax + 1))
+    return k + kmax, H
 
 
 def _self_table(e: FieldSample, spec: QuasiLatticeSpec, kmax: int,
@@ -595,14 +566,15 @@ def _table_slice(table, kmax: int, lmax: int):
 
 def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:
     """Unweighted slice inner products <f(lam_i, .), g(lam_i, .)> as an
-    array over nodes; exact, deterministic accumulation order
-    (_segment_inner on the node segments, in blocks of bounded size, which
-    keeps dense reconstructions tractable).  Squared norms take half the
-    pairs through _segment_norm2 instead."""
+    array over nodes; exact, deterministic accumulation order (the slab
+    n = 0 of _segment_inner, if any cells meet, in blocks of bounded size,
+    which keeps dense reconstructions tractable).  Squared norms take half
+    the pairs through _segment_norm2 instead."""
     if not f.grid.same_as(g.grid):
         raise GridMismatchError("fields live on different grids")
-    return _segment_inner(f._starts, f.terms, g._starts, g.terms,
-                          np.zeros(1))[:, 0]
+    _, H = _segment_inner(f._starts, f.terms, g._starts, g.terms, 1.0, 0,
+                          np.ones(f.grid.n), np.zeros(1))
+    return H.sum(axis=0)[:, 0]
 
 
 def field_inner(f: FieldSample, g: FieldSample):

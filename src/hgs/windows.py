@@ -35,20 +35,19 @@ its overlap cell in one helper, _pair_product.  _segment_inner and
 _segment_norm2 are the one inner product and the one squared norm of the
 windows of a segmented table, a Window being one segment and a
 FieldSample one per node; both run in blocks of at most _PAIR_BLOCK pairs
-and add each segment's values in pair order.
+and add each segment's values in pair order.  _segment_inner also takes
+translates and per-segment modulations, so it is the lattice table
+grids._node_table too; only fieldcheck's unfolding sum sweeps elsewhere.
 
-_segment_norm2 merges terms with bit-equal (segment, lo, hi, freq) and
-groups the merged terms by cell.  The modulations of one cell that are of
-degree 0 and one step delta apart, as in a reconstruction
-sum_gamma phi(gamma) T_gamma e, form a regular class, summed as one
-correlation of their coefficients against one moment per lag, K(d delta).
-Every other pair is found by _translated_pairs run on the cells, not the
-terms, with each unordered cell pair kept once: a norm is a Hermitian
-form, <a, b> + <b, a> = 2 Re <a, b>.  _cross_join then expands each cell
-pair to its term pairs.
+_segment_norm2 merges bit-equal terms and groups them by cell; it sums a
+regular class (degree-0 modulations one step apart, as in a
+reconstruction) as one coefficient correlation and every other unordered
+cell pair once, since a norm is a Hermitian form.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 
@@ -63,11 +62,11 @@ _ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 
 MAX_DEGREE = 2
 
-# Candidate term pairs per segment block of _segment_inner, candidate cell
-# pairs (cells squared) per segment block and swept term pairs per block of
-# _segment_norm2, and rows times modulations per lattice-sweep block, unless
-# one segment, cell pair or slot alone has more; bounds their scratch
-# memory.
+# Candidate term pairs times translations per segment block and, over four,
+# pair values per sweep of _segment_inner; candidate cell pairs (cells
+# squared) per segment block and swept term pairs per block of
+# _segment_norm2; unless one segment, (translation, segment) slot or cell
+# pair alone has more.  Bounds their scratch memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -438,28 +437,55 @@ def _blocks(weights):
         start = stop
 
 
-def _segment_inner(starts_a, a, starts_b, b, df):
-    """Inner products <a_s, exp(2*pi*i*df*t) * b_s> of the windows a_s and
-    b_s of every segment s of two term tables, for modulations df of shape
-    (D,); a complex (segments, D) array.
+def _segment_inner(starts_a, a, starts_b, b, step, nmax, rate, df):
+    """Inner products H[j, s, d] = <a_s, exp(2*pi*i*rate[s]*df[d]*t) *
+    b_s(t - n_j step)> of the windows of every segment s of two term
+    tables, over the translations |n_j| <= nmax at which some cells meet;
+    the modulation table rate[s] * df[d] is formed per sweep.  Returns
+    (n, H): n the ascending int64 n_j, H complex (n.size, segments,
+    df.size).
 
-    Tables are given as segment starts and term row, segment s of A being
-    its terms starts_a[s] to starts_a[s + 1].  The overlapping pairs come
-    from _translated_pairs at nmax = 0, in segment blocks of at most
-    _PAIR_BLOCK candidates, and each segment adds its pair values in pair
-    order, so the result does not depend on the blocking.
+    Segment s of A is its terms starts_a[s] to starts_a[s + 1], likewise B.
+    The (pair, n) rows come from _translated_pairs in segment blocks of at
+    most _PAIR_BLOCK candidates times 2 nmax + 1, swept n-major in whole
+    (n, segment) slots of at most _PAIR_BLOCK / 4 values; each slot adds
+    its values in pair order from zero, so no result depends on the
+    blocking.  Memory: one block's scratch, one slab H[j] per live n_j.
     """
     starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
-    out = np.zeros((df.size, starts_a.size - 1), dtype=complex)
-    for start, stop in _blocks(np.diff(starts_a) * np.diff(starts_b)):
-        ia, ib, seg, *_ = _translated_pairs(
-            starts_a[start:stop + 1], a[0], a[1],
-            starts_b[start:stop + 1], b[0], b[1], 1.0, 0)
-        if ia.size:
-            vals = paired_inner_sweep(_rows(a, ia), _rows(b, ib), df)
-            for d in range(df.size):
-                np.add.at(out[d], start + seg, vals[:, d])
-    return out.T
+    slabs = defaultdict(lambda: np.zeros((starts_a.size - 1, df.size),
+                                         dtype=complex))
+    for start, stop in _blocks(np.diff(starts_a) * np.diff(starts_b)
+                               * (2 * nmax + 1)):
+        rows = _translated_pairs(starts_a[start:stop + 1], a[0], a[1],
+                                 starts_b[start:stop + 1], b[0], b[1], step,
+                                 nmax)
+        # n-major; at nmax = 0 the rows already come in slot order
+        perm = np.argsort(rows[3], kind="stable") if nmax else slice(None)
+        ia, ib, seg, n, lo, hi = (x[perm] for x in rows)
+        seg += start
+        # translation j - nmax has the rows ends[j] to ends[j + 1]
+        ends = n.searchsorted(np.arange(-nmax, nmax + 2) - 0.5)
+        for j in np.flatnonzero(np.diff(ends)):
+            cuts = ends[j:j + 2]
+            if 4 * df.size * (cuts[1] - cuts[0]) > _PAIR_BLOCK:  # slot ends
+                cuts = ends[j] + np.flatnonzero(np.diff(
+                    seg[ends[j]:ends[j + 1]], prepend=-1, append=-1))
+            for c0, c1 in _blocks(4 * df.size * np.diff(cuts)):
+                s, e = cuts[c0], cuts[c1]
+                coef, freq = b[2][ib[s:e]], b[3][ib[s:e]]
+                if j != nmax:   # B moved by n step
+                    coef = coef * np.exp(
+                        -1j * _TWO_PI * freq * (step * n[s:e]))[:, None]
+                vals = paired_inner_sweep(
+                    _rows(a, ia[s:e]), (lo[s:e], hi[s:e], coef, freq),
+                    rate[seg[s:e], None] * df)
+                for d in range(df.size):
+                    np.add.at(slabs[j][:, d], seg[s:e], vals[:, d])
+    n = np.array(sorted(slabs), dtype=np.int64)
+    H = [slabs.pop(j) for j in n]
+    return n - nmax, (H[0][None] if n.size == 1 else np.array(
+        H, dtype=complex).reshape(n.size, starts_a.size - 1, df.size))
 
 
 def _like_terms(starts, t):
@@ -740,16 +766,15 @@ class Window:
         return complex(self.inner_freq_sweep(other, 0.0))
 
     def inner_freq_sweep(self, other, df):
-        """<w1, exp(2*pi*i*df*t) * w2> for an array of modulations df.
-
-        Returns a complex array with the shape of df.  This is the kernel of
-        every Gabor-coefficient sweep: the modulation enters only through the
-        frequency difference, so all df values share the overlap structure.
+        """<w1, exp(2*pi*i*df*t) * w2> for an array of modulations df, in
+        the shape of df: the n = 0 slice of _segment_inner, zero where no
+        cells meet.  All df values share the overlap structure.
         """
         df = np.asarray(df, dtype=float)
-        return _segment_inner([0, self.n_terms], self.terms,
-                              [0, other.n_terms], other.terms,
-                              df.ravel())[0].reshape(df.shape)
+        _, H = _segment_inner([0, self.n_terms], self.terms,
+                              [0, other.n_terms], other.terms, 1.0, 0,
+                              np.ones(1), df.ravel())
+        return H.sum(axis=0)[0].reshape(df.shape)
 
     def norm2(self):
         """Squared L2 norm, exact and nonnegative (_segment_norm2)."""

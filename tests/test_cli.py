@@ -360,6 +360,7 @@ def test_env_seed(capsys, tmp_path, monkeypatch):
     (None, None, ["verify-canonical", "--lambda-nodes", "16", "--tol", "-1"]),
     (None, "tol -1e-3\n", ["verify-canonical", "--lambda-nodes", "16"]),
     (None, None, ["sinc", "--random", "-3"]),
+    (None, None, ["sinc", "--random", "100000000"]),
     (None, None, ["sinc", "--random", "1", "--lambda-min", "0.5"]),
     (None, None, ["verify-canonical", "--lambda-nodes", "16", "--seed",
                   "-1"]),

@@ -16,13 +16,14 @@ from hgs import fieldcheck, grids, windows
 from hgs.canonical import canonical_field
 from hgs.fieldcheck import _unfolded_sum, lattice_coefficients, translate_field
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, _cross_join,
-                       _translated_pairs, field_inner_per_node, field_load,
-                       field_save, field_sum, lambda_grid)
+                       field_inner_per_node, field_load, field_save,
+                       field_sum, lambda_grid)
 from hgs.group import QuasiLatticeSpec
 from hgs.sampling import (reconstruct, reconstruction_study,
                           sample_on_lattice)
 from hgs.testfields import atom_suite, random_pl_field, two_slice_field
-from hgs.windows import MAX_DEGREE, Window, paired_inner_sweep
+from hgs.windows import (MAX_DEGREE, Window, _translated_pairs,
+                         paired_inner_sweep)
 
 E_FULL = SpectralSet([(-1.0, 1.0)])
 
@@ -103,7 +104,8 @@ def _copy(f):
                        f.term_freq.copy())
 
 
-_block = st.sampled_from([1, 2, 5, 17, windows._PAIR_BLOCK])
+_BLOCKS = [1, 2, 5, 17, windows._PAIR_BLOCK]
+_block = st.sampled_from(_BLOCKS)
 
 
 def _reference_translated(f, g, step, nmax):
@@ -553,8 +555,7 @@ def test_block_size_splits_every_pair_sweep():
         return paired_inner_sweep(a, b, df)
 
     with mock.patch.object(windows, "_PAIR_BLOCK", 1), \
-            mock.patch.object(windows, "paired_inner_sweep", spy), \
-            mock.patch.object(grids, "paired_inner_sweep", spy):
+            mock.patch.object(windows, "paired_inner_sweep", spy):
         for run in (lambda: field_inner_per_node(f, f), f.slice_norm2,
                     lambda: grids._node_table(f, f, QuasiLatticeSpec(1, 1),
                                               0, 1)):
@@ -572,11 +573,13 @@ def test_field_inner_per_node_bit_identical(fields, block):
     assert np.array_equal(got, _reference_per_node(f, g))
 
 
+_SPECS = st.sampled_from([QuasiLatticeSpec(1.0, 1.0),
+                          QuasiLatticeSpec(0.75, 1.0),
+                          QuasiLatticeSpec(0.75, 1.25)])
+
+
 @settings(max_examples=40, deadline=None)
-@given(fields=_field_pairs(), block=_block,
-       spec=st.sampled_from([QuasiLatticeSpec(1.0, 1.0),
-                             QuasiLatticeSpec(0.75, 1.0),
-                             QuasiLatticeSpec(0.75, 1.25)]))
+@given(fields=_field_pairs(), block=_block, spec=_SPECS)
 def test_lattice_coefficients_match_reference_inner(fields, block, spec):
     f, g = fields
     kmax, lmax, mmax = 3, 2, 1
@@ -591,6 +594,24 @@ def test_lattice_coefficients_match_reference_inner(fields, block, spec):
                         h, translate_field(g, k, l, m, spec)))
                     c = got[fi, k + kmax, l + lmax, m + mmax]
                     assert abs(c - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=_field_pairs(), spec=_SPECS)
+def test_node_table_and_field_inner_share_one_sweep(fields, spec):
+    # the lattice table and the field inner product are one kernel: its
+    # k = 0, l = 0 slice is the field inner product bit for bit, and no
+    # block size moves a byte of the table
+    f, g = fields
+    live_k, H = grids._node_table(f, g, spec, 2, 3)
+    at0 = np.flatnonzero(live_k == 2)
+    got = H[at0].sum(axis=0)[:, 3]
+    assert np.array_equal(got, field_inner_per_node(f, g))
+    for block in _BLOCKS:
+        with mock.patch.object(windows, "_PAIR_BLOCK", block):
+            k, h = grids._node_table(f, g, spec, 2, 3)
+        assert k.tobytes() == live_k.tobytes()
+        assert h.tobytes() == H.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -609,7 +630,6 @@ def test_no_caller_sweeps_a_disjoint_pair(fields, block):
         return paired_inner_sweep(a, b, df)
 
     with mock.patch.object(windows, "_PAIR_BLOCK", block), \
-            mock.patch.object(grids, "paired_inner_sweep", spy), \
             mock.patch.object(fieldcheck, "paired_inner_sweep", spy), \
             mock.patch.object(windows, "paired_inner_sweep", spy):
         field_inner_per_node(f, g)

@@ -5,8 +5,11 @@ Every backticked `hgs.<module>.<name>` must resolve, and every backticked
 call `name(kw=...)` of a name the package exports must accept those
 keywords, so a renamed function or a removed parameter fails here.  Every
 name in hgs.__all__ must resolve too, or `from hgs import *` would fail.
+The pair kernels that README describes as private to hgs.windows stay
+there.
 """
 
+import ast
 import importlib
 import inspect
 import re
@@ -60,3 +63,36 @@ def test_exported_names_resolve_once_in_order():
     namespace = {}
     exec("from hgs import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _mentions(path, names):
+    """(top-level definition or None, name) for every use of one of names
+    in the module at path, imports included."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                found.append((where, name))
+    return found
+
+
+def test_pair_kernels_stay_in_windows():
+    # every term-pair sweep outside hgs.windows goes through _segment_inner
+    # or _segment_norm2; only the unfolding sum joins and sweeps its own
+    # pairs, and inside hgs.windows only those two sweep term pairs
+    src = Path(hgs.__file__).resolve().parent
+    kernels = {"_translated_pairs", "paired_inner_sweep"}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "windows.py":
+            continue
+        for where, name in _mentions(path, kernels):
+            assert (path.name == "fieldcheck.py"
+                    and where in (None, "_unfolded_sum")), (path.name, where,
+                                                            name)
+    callers = {where for where, name in _mentions(src / "windows.py",
+                                                  {"paired_inner_sweep"})}
+    assert callers == {"_segment_inner", "_segment_norm2"}

@@ -10,7 +10,8 @@ from hgs import cli, fieldcheck, grids, sampling, windows
 from hgs.canonical import canonical_field
 from hgs.errors import DomainError, FieldFormatError
 from hgs.fieldcheck import (_suite_coefficients, _suite_norms, _suite_union,
-                            parseval_residual, translate_field)
+                            lattice_coefficients, parseval_residual,
+                            translate_field)
 from hgs.grids import (FieldSample, SpectralSet, _node_table, _table_slice,
                        field_inner_per_node, field_load, field_save,
                        field_sum, lambda_grid, plancherel_measure)
@@ -438,12 +439,15 @@ def test_reconstruction_norm_memory_streams():
 def test_dense_field_inner_memory_bounded():
     # both pair searches run on node blocks of at most _PAIR_BLOCK candidate
     # pairs and keep only the overlapping ones before the sweep; gathering
-    # the sweep's operands for every candidate pair peaked near 54 MB here
+    # the sweep's operands for every candidate pair peaked near 54 MB here,
+    # and one unblocked search for the lattice table near 379 MB
     e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
     f = atom_suite(e, SPEC, n_functions=1, n_atoms=16, box=(1, 8, 4),
                    seed=8).fields()[0]
     d = f - reconstruct(sample_on_lattice(f, e, SPEC, (3, 16, 8)), e, 1.0)
-    for inner in (lambda: field_inner_per_node(d, d), d.slice_norm2):
+    for inner in (lambda: field_inner_per_node(d, d), d.slice_norm2,
+                  lambda: _node_table(d, d, SPEC, 1, 0),
+                  lambda: lattice_coefficients([d], d, SPEC, 1, 0, 0)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

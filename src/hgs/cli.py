@@ -26,9 +26,10 @@ from .errors import HgsError
 from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
                          jittered_unit_grid, orthogonality_residual,
                          theta_delta_report)
-from .grids import SpectralSet, _self_table, gauss_lambda_grid, lambda_grid
+from .grids import (_TILE, SpectralSet, _self_table, gauss_lambda_grid,
+                    lambda_grid)
 from .group import QuasiLatticeSpec
-from .sampling import (_MAX_BOX_SAMPLES, interpolation_verdict,
+from .sampling import (_MAX_BOX_SAMPLES, _fft_size, interpolation_verdict,
                        onb_gram_check, reconstruction_study)
 from .sinc import seeded_strip_points, sinc_compare
 from .testfields import atom_suite, two_slice_field
@@ -48,8 +49,8 @@ DEFAULTS = {
 # and sinc, times the interval count: at about 1 KB a node in
 # verify-canonical, a grid stays near 1 GB
 _MAX_LAMBDA_NODES = 1 << 20
-# largest hgs sample study, in bytes: 16 per node for each of the
-# (2K+1)(2L+1) samples and 2M+1 phases of the larger of box and doubling
+# largest hgs sample study, in bytes: the generator's Gram tables over the
+# doubled larger of box and doubling, their build and the 2-D spectra
 _MAX_STUDY_BYTES = 1 << 29
 # largest hgs sinc --random: about 0.7 GB at about 1.4 KB a point
 _MAX_RANDOM_POINTS = 1 << 19
@@ -339,9 +340,14 @@ def cmd_sample(args):
                max(min(2 * bounds[1], 128), bounds[1] + 2),
                min(2 * bounds[2], 128))
     k, l, m = (max(b, d) for b, d in zip(bounds, doubled))
-    # no interval gets more than `nodes` nodes
-    study = 16 * len(E.intervals) * nodes * ((2 * k + 1) * (2 * l + 1)
-                                             + 2 * m + 1)
+    # e's Gram tables at the offsets where its 1-wide slices overlap, their
+    # build (no interval gets over `nodes` nodes) and the norm's 2-D spectra
+    live = 1 + 2 * sum(r * spec.alpha < 1 for r in range(1, 2 * k + 1))
+    n, span_l, span_m = len(E.intervals) * nodes, 4 * l + 1, 4 * m + 1
+    study = 16 * (live * (2 * k + 1) * span_l * span_m
+                  + (live + 3) * n * (span_l + _TILE)
+                  + 2 * n * (span_m + _TILE)
+                  + (2 * k + 4) * _fft_size(span_l) * _fft_size(span_m))
     if min(bounds) < 0 or study > _MAX_STUDY_BYTES or math.prod(
             2 * b + 1 for b in bounds) > _MAX_BOX_SAMPLES:
         raise HgsError(f"bad bounds {cfg['bounds']!r}; expected three "
@@ -351,7 +357,8 @@ def cmd_sample(args):
                        "per interval")
     grid = lambda_grid(E, nodes, 1e-3)
     e = canonical_field(grid)
-    _self_table(e, spec, 2 * k, 2 * l)  # one e table for every study below
+    # one build of e's tables serves every study below
+    _self_table(e, spec, k, 2 * k, 2 * l, 2 * m)
     inner = tuple(min(b, max(1, b // 2)) for b in bounds)
     suite = atom_suite(e, spec, n_functions=2, n_atoms=8, box=inner,
                        seed=cfg["seed"])

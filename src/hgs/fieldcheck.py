@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
-from .grids import (FieldSample, SpectralSet, _concat, _node_table,
-                    _phase_table, _self_table, _table_slice, field_inner,
+from .grids import (FieldSample, SpectralSet, _concat, _gram_tables,
+                    _node_table, _self_table, _table_slice, field_inner,
                     field_sum, point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
@@ -169,19 +169,15 @@ def _suite_blocks(suite: AtomSuite, g: FieldSample, spec: QuasiLatticeSpec,
     package's one lattice-coefficient sweep: a plain field is swept as its
     one-atom suite (lattice_coefficients).
 
-    The group law reduces every pairing to one relative-offset table of the
-    base b: with H = _node_table(b, g) over the box widened by the atoms'
-    largest |k| and |l|,
+    The group law reduces every pairing to the twisted Gram tables of the
+    base b against g (_gram_tables) over the box widened by the atoms'
+    largest |k|, |l| and |m|:
 
         <T_{k_j,l_j,m_j} b, T_{k,l,m} g> = Y_{k_j}(k - k_j, l - l_j, m - m_j),
-        Y_kappa(k, l, m) = sum_n w_n e^{-2 pi i lam_n (m - alpha beta kappa l)}
-                           H_n(k, l),
 
-    where the alpha beta kappa l part is the central cocycle phase.  So all
-    atoms with the same k_j share one (l, m) table per translation.  When b
-    is g, H is g's own table (_self_table).  The cocycle is exponentiated
-    for kappa > 0 and l >= 0 only (_phase_table); kappa < 0 takes its
-    conjugate, kappa = 0 none.  A block adds its atoms in ascending kappa,
+    so all atoms with the same k_j share one (l, m) table per translation.
+    When b is g the tables are g's own, kept on g (_self_table); any other
+    base builds them per call.  A block adds its atoms in ascending kappa,
     then atom, order.
     """
     _check_bounds(kmax, lmax, mmax)
@@ -190,37 +186,23 @@ def _suite_blocks(suite: AtomSuite, g: FieldSample, spec: QuasiLatticeSpec,
         raise DomainError("need at least one test field")
     kj, lj, mj = np.array([gam.astuple() for gam in suite.indices]).T
     dk, dl, dm = (int(np.abs(x).max()) for x in (kj, lj, mj))
-    lam = g.grid.nodes
-    ab = spec.alpha * spec.beta
     L, M = 2 * lmax + 1, 2 * mmax + 1
-    reach = (kmax + dk, lmax + dl)
-    live_k, H = (_table_slice(_self_table(g, spec, *reach), *reach) if b is g
-                 else _node_table(b, g, spec, *reach))
-    # w_n e^{-2 pi i lam_n m}: the central phase sum over the nodes
-    wphase = _phase_table(lam, -_TWO_PI, mmax + dm)
-    np.multiply(g.grid.weights[:, None], wphase, out=wphase)
+    reach = (dk, kmax + dk, lmax + dl, mmax + dm)
+    if b is g:
+        rho, Y = _table_slice(_self_table(g, spec, *reach), *reach)
+    else:
+        rho, Y = _gram_tables(_node_table(b, g, spec, *reach[1:3]), g, spec,
+                              *reach[:2], reach[3])
     kappas = np.unique(kj).tolist()
-    Y = {}
-    for size in sorted({abs(kappa) for kappa in kappas}):
-        cocycle = (_phase_table(lam, _TWO_PI * ab * size, lmax + dl)
-                   if size else None)
-        for kappa in sorted({size, -size} & set(kappas), reverse=True):
-            if kappa < 0:
-                np.conj(cocycle, out=cocycle)
-            for Hk, k in zip(H, live_k - (kmax + dk) + kappa):
-                if abs(k) <= kmax:
-                    Y[kappa, k] = (Hk if kappa == 0
-                                   else Hk * cocycle).T @ wphase
-        del cocycle
-    del wphase
     for k in range(-kmax, kmax + 1):
         block = np.zeros((c.shape[0], L, M), dtype=complex)
         for kappa in kappas:
-            if (kappa, k) in Y:
+            j = np.searchsorted(rho, k - kappa)
+            if j < rho.size and rho[j] == k - kappa:
                 for a in np.flatnonzero(kj == kappa):
                     l0, m0 = dl - lj[a], dm - mj[a]
-                    block += (c[:, a, None, None]
-                              * Y[kappa, k][None, l0:l0 + L, m0:m0 + M])
+                    block += (c[:, a, None, None] * Y[kappa + dk, j][
+                        None, l0:l0 + L, m0:m0 + M])
         yield block
 
 

@@ -282,10 +282,10 @@ class FieldSample:
     terms.  Every other field, a transform of one included, has expansion
     None.
 
-    One private memo slot, _table_memo, keeps the field's table against its
-    own translates for one spec (_self_table): the largest one asked for,
-    until the field is freed.  Every new field, a transform included,
-    starts without it.
+    One private memo slot, _table_memo, keeps the field's twisted Gram
+    tables against its own translates for one spec (_self_table), at the
+    largest reach asked for, until the field is freed.  Every new field, a
+    transform included, starts without them.
     """
 
     def __init__(self, grid: LambdaGrid, term_node, term_lo, term_hi,
@@ -532,36 +532,89 @@ def _node_table(f: FieldSample, g: FieldSample, spec: QuasiLatticeSpec,
     return k + kmax, H
 
 
-def _self_table(e: FieldSample, spec: QuasiLatticeSpec, kmax: int,
-                lmax: int):
-    """(reach, _node_table(e, e, spec, *reach)) with reach >= (kmax, lmax),
-    kept on e for spec; read smaller reaches off it with _table_slice.  A
-    request it does not cover rebuilds it at the elementwise max of both
-    reaches, one under another spec replaces it.  H is shared: read-only."""
+_TILE = 16  # side of the fixed-shape products a Gram table is built from
+
+
+def _gram_tables(table, g: FieldSample, spec: QuasiLatticeSpec,
+                 kreach: int, kmax: int, mmax: int):
+    """(rho, Y): the twisted Gram tables of table = (live_k, H) =
+    _node_table(b, g, spec, kmax, lmax) at the live offsets rho = live_k -
+    kmax, for |kappa| <= kreach:
+
+        Y[kappa + kreach, j, l + lmax, m + mmax] = Y_kappa(rho_j, l, m)
+          = sum_n w_n e^{-2 pi i lam_n (m - alpha beta kappa l)} H_n(rho_j, l)
+          = <T_{kappa,l',m'} b, T_{kappa+rho_j,l'+l,m'+m} g>.
+
+    The node sums are (_TILE, N) @ (N, _TILE) products on tiles anchored
+    at multiples of _TILE in absolute (l, m), zero past the reach, so an
+    entry's bits do not depend on the reach.  The cocycle is exponentiated
+    for kappa > 0 and l >= 0 only (_phase_table); kappa < 0 takes its
+    conjugate, kappa = 0 none."""
+    live_k, H = table
+    lam, T, lmax = g.grid.nodes, _TILE, H.shape[2] // 2
+    # -n .. n within whole tiles: (its slice, the tile count)
+    (sl, nl), (sm, nm) = ((slice(-n % T, -n % T + 2 * n + 1),
+                           (-n % T + 2 * n + T) // T) for n in (lmax, mmax))
+    wphase = np.zeros((lam.size, nm * T), dtype=complex)
+    wphase[:, sm] = g.grid.weights[:, None] * _phase_table(lam, -_TWO_PI,
+                                                           mmax)
+    tiles = wphase.reshape(lam.size, nm, T).transpose(1, 0, 2)  # (nm, N, T)
+    rows = np.zeros((nl * T, lam.size), dtype=complex)
+    Y = np.empty((2 * kreach + 1, len(H), 2 * lmax + 1, 2 * mmax + 1),
+                 dtype=complex)
+    ab = spec.alpha * spec.beta
+    for size in range(kreach + 1):
+        cocycle = (_phase_table(lam, _TWO_PI * ab * size, lmax)
+                   if size else None)
+        for kappa in sorted({size, -size}, reverse=True):
+            if kappa < 0:
+                np.conj(cocycle, out=cocycle)
+            for j, Hj in enumerate(H):
+                if kappa:
+                    np.multiply(Hj.T, cocycle.T, out=rows[sl])
+                else:
+                    rows[sl] = Hj.T
+                prod = np.matmul(rows.reshape(nl, 1, T, -1), tiles)
+                Y[kappa + kreach, j] = prod.transpose(0, 2, 1, 3).reshape(
+                    nl * T, -1)[sl, sm]
+        del cocycle     # one cocycle at a time
+    return live_k - kmax, Y
+
+
+def _self_table(e: FieldSample, spec: QuasiLatticeSpec, kreach: int,
+                rreach: int, lmax: int, mmax: int):
+    """(reach, (rho, Y)): the _gram_tables of _node_table(e, e, spec,
+    rreach, lmax), kept on e for spec at reach >= (kreach, rreach, lmax,
+    mmax); read smaller reaches off it with _table_slice.  A request it
+    does not cover rebuilds it at the elementwise max of both reaches, one
+    under another spec replaces it.  Only the tables are kept, read-only."""
+    want = (kreach, rreach, lmax, mmax)
     if e._table_memo is not None and e._table_memo[0] == spec:
-        K, L = e._table_memo[1][0]
-        if K >= kmax and L >= lmax:
+        have = e._table_memo[1][0]
+        if all(h >= w for h, w in zip(have, want)):
             return e._table_memo[1]
-        kmax, lmax = max(K, kmax), max(L, lmax)
-    live_k, H = _node_table(e, e, spec, kmax, lmax)
-    live_k.flags.writeable = H.flags.writeable = False
-    e._table_memo = (spec, ((kmax, lmax), (live_k, H)))
+        want = tuple(max(h, w) for h, w in zip(have, want))
+    e._table_memo = None    # free the old tables before the build
+    rho, Y = _gram_tables(_node_table(e, e, spec, *want[1:3]), e, spec,
+                          *want[:2], want[3])
+    rho.flags.writeable = Y.flags.writeable = False
+    e._table_memo = (spec, (want, (rho, Y)))
     return e._table_memo[1]
 
 
-def _table_slice(table, kmax: int, lmax: int):
-    """The _node_table(f, g, spec, kmax, lmax) result read off table =
-    (reach, _node_table(f, g, spec, *reach)) for reach >= (kmax, lmax).
-    Every entry depends only on its own (pair, k, l) rows, so the slice
-    equals a fresh build bit for bit.  A reach beyond the table's raises,
-    since it would drop live translations."""
-    (K, L), (live_k, H) = table
-    if kmax > K or lmax > L:
-        raise DomainError(f"table of reach {(K, L)} read at {(kmax, lmax)}")
-    if (K, L) == (kmax, lmax):
-        return live_k, H
-    keep = np.abs(live_k - K) <= kmax
-    return live_k[keep] - K + kmax, H[keep][..., L - lmax:L + lmax + 1]
+def _table_slice(table, kreach: int, rreach: int, lmax: int, mmax: int):
+    """The tables at |kappa| <= kreach, |rho| <= rreach, |l| <= lmax and
+    |m| <= mmax as views of table = (reach, (rho, Y)) from _self_table;
+    they equal a fresh build at that reach bit for bit.  A reach beyond
+    the table's raises, since it would drop live offsets."""
+    reach, (rho, Y) = table
+    want = (kreach, rreach, lmax, mmax)
+    if any(w > h for h, w in zip(reach, want)):
+        raise DomainError(f"table of reach {reach} read at {want}")
+    K, _, L, M = reach
+    a, b = np.searchsorted(rho, [-rreach, rreach + 1])
+    return rho[a:b], Y[K - kreach:K + kreach + 1, a:b,
+                       L - lmax:L + lmax + 1, M - mmax:M + mmax + 1]
 
 
 def field_inner_per_node(f: FieldSample, g: FieldSample) -> np.ndarray:

@@ -9,14 +9,14 @@ reports the closed-form target separately.  The reconstruction study takes
 the norm of the reconstruction from the group law, for any generator, and
 never builds it; reconstruct is the reference it is tested against.
 
-A field made by AtomSuite.fields carries its lattice expansion f = sum_j
-a_j T_{gamma_j} e.  When that expansion is over the generator itself, the
-samples, ||f||^2 and ||f - r||^2 all come from one relative-offset table of
-e against its own translates: ||f||^2 is read off the samples at the atoms,
-and f - r is again a combination of translates of e, so its norm is taken
-directly instead of as a difference that cancels.  Fields without an
-expansion, or with one over another base, take the field route: their
-terms are swept against e as a one-atom suite.
+Both read <T_gamma e, T_gamma' e> off the twisted Gram tables kept on e
+(_self_table).  A field made by AtomSuite.fields carries its lattice
+expansion f = sum_j a_j T_{gamma_j} e.  When that is over e itself, the
+samples, ||f||^2 and ||f - r||^2 all come from those tables: ||f||^2 is
+read off the samples at the atoms, and f - r is again a combination of
+translates of e, so its norm is taken directly instead of as a difference
+that cancels.  Fields without an expansion, or with one over another base,
+take the field route: their terms are swept against e as a one-atom suite.
 """
 
 from __future__ import annotations
@@ -168,17 +168,6 @@ def isometry_ratio(samples: SampleSet, norm_sq: float) -> float:
     return samples.energy() / norm_sq
 
 
-def _sample_array(samples: SampleSet, grid):
-    """The samples' translation and modulation indices and their phase sum
-    over the central index at every grid node, (K, N, L): row k is an
-    (N, L) array contiguous along l.  Returns (ks, ls, stilde)."""
-    kmax, lmax, mmax = samples.bounds()
-    ks = np.arange(-kmax, kmax + 1)
-    ls = np.arange(-lmax, lmax + 1)
-    phases = _phase_table(grid.nodes, _TWO_PI, mmax)
-    return ks, ls, np.matmul(phases, samples.array.transpose(0, 2, 1))
-
-
 def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
     """(1/c) sum_gamma phi(gamma) T_gamma e, with the phase sum collapsed
     per (node, translation, modulation) so the result stays an exact
@@ -189,7 +178,11 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
     grid = e.grid
     if not np.any(samples.array):
         return FieldSample.zero(grid)
-    ks, ls, stilde = _sample_array(samples, grid)
+    kmax, lmax, mmax = samples.bounds()
+    ks, ls = np.arange(-kmax, kmax + 1), np.arange(-lmax, lmax + 1)
+    # the phase sum over the central index at every node, (K, N, L)
+    stilde = np.matmul(_phase_table(grid.nodes, _TWO_PI, mmax),
+                       samples.array.transpose(0, 2, 1))
     T = e.n_terms
     K, L = ks.size, ls.size
     # term index layout: (e-term, k, l) blocks per source term
@@ -221,81 +214,46 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
                                c: float):
     """||r||^2 for r = (1/c) sum_gamma s_gamma T_gamma e, for any e.
 
-    By the group law two translates of e pair through their offset (kappa,
-    d) in translation and modulation and a cocycle phase: with H =
-    _node_table(e, e) over the doubled box and S from _sample_array,
+    By the group law <T_{k,l,m} e, T_{k+rho,l+dl,m+dm} e> = Y_k(rho, dl,
+    dm), e's twisted Gram table (_self_table), and the -rho part of the
+    double sum is the conjugate of the rho part, so
 
-        ||r||^2 = (1/c^2) sum_n w_n sum_kappa sum_d conj(H_n(kappa, d))
-                  sum_k sum_l S_{k+kappa}(l+d) conj(S_k(l))
-                  e^{-2 pi i lam_n alpha beta k d}.
+        ||r||^2 = (1/c^2) sum_k sum_{rho >= 0} (2 - delta_{rho 0})
+                  Re sum_{dl,dm} Y_k(rho, dl, dm)
+                  sum_{l,m} s_k(l, m) conj(s_{k+rho}(l + dl, m + dm)).
 
-    The cocycle factor is u_k(l+d) conj(u_k(l)), u_k(l) = e^{-2 pi i lam_n
-    alpha beta k l}, so it folds into the rows: row k becomes P_k = S_k u_k
-    and its partner S_{k+kappa} u_k (= P_{k+kappa} e^{2 pi i lam_n alpha
-    beta kappa l}).  The lag sum is then a correlation over l, taken by
-    Parseval in frequency space: for an FFT length M >= 2L - 1 it is (1/M)
-    sum_m conj(Hhat_m) sum_k F(S_{k+kappa} u_k)_m conj(F(P_k)_m), with
-    Hhat the FFT of H's lags placed circularly; at kappa = 0 the inner sum
-    is sum_k |F(P_k)|^2.  Only kappa at which cells of e overlap
-    contribute, and the -kappa part is the conjugate of the kappa part, so
-    kappa runs over kappa >= 0 with kappa > 0 counted twice.  The rows
-    stream: one row spectrum, and one partner spectrum, is held at a time.
-    H is read off e's own table (_self_table), which the samples of a
-    field expanded over e share.
+    The inner sum is a 2-D correlation of two sample rows, taken by
+    Parseval: with fft2 of size P x Q >= (4L + 1) x (4M + 1) and Y's lags
+    placed circularly, the rho term is (1/PQ) sum_w Yhat(w) F_k(w)
+    conj(F_{k+rho}(w)), F_k the fft2 of row k.  So it takes one fft2 per
+    sample row and per table, then elementwise products and np.sum; only
+    offsets at which cells of e overlap have a table.
     """
-    grid, spec = e.grid, samples.spec
-    kmax, lmax, _ = samples.bounds()
-    L = 2 * lmax + 1
-    M = _fft_size(2 * L - 1)
-    reach = (2 * kmax, 2 * lmax)
-    live_k, H = _table_slice(_self_table(e, spec, *reach), *reach)
-    kappas, H = live_k[live_k >= 2 * kmax] - 2 * kmax, H[live_k >= 2 * kmax]
-    # Hhat with lag d at d mod M; sum_n w_n / M enters the weights below
-    Hc = np.zeros(H.shape[:2] + (M,), dtype=complex)
-    Hc[..., :L] = H[..., L - 1:]
-    Hc[..., M - L + 1:] = H[..., :L - 1]
-    del H
-    Hhat = np.fft.fft(Hc, axis=-1)
-    del Hc
-    wts = grid.weights[:, None] / M
-    # at kappa = 0 the row sum |F|^2 is real, so only Re(Hhat) enters
-    W0 = Hhat[kappas == 0].real.sum(axis=0) * wts
-    W = 2.0 * np.conj(Hhat[kappas > 0]) * wts
-    kappas = kappas[kappas > 0]
-    del Hhat
-    ks, ls, S = _sample_array(samples, grid)
-    # u_k(l) from one cosine and one sine per node and distinct |k l|
-    kl = np.outer(ks, ls)
-    q, inv = np.unique(np.abs(kl), return_inverse=True)
-    angle = (_TWO_PI * spec.alpha * spec.beta) * np.outer(grid.nodes, q)
-    cos, sin = np.cos(angle), np.sin(angle)
-    del angle
-    total = 0.0
-    for b in range(ks.size):
-        u = np.empty(S.shape[1:], dtype=complex)
-        u.real = cos[:, inv[b]]
-        u.imag = sin[:, inv[b]] * -np.sign(kl[b])
-        S[b] *= u          # rows above b stay unfolded for their partners
-        F = np.fft.fft(S[b], n=M, axis=-1)
-        for kappa, Wj in zip(kappas, W):
-            if b + kappa < ks.size:
-                Q = np.fft.fft(S[b + kappa] * u, n=M, axis=-1)
-                Q *= Wj
-                total += np.vdot(F, Q).real
-        # |F|^2 in place: square F's real view, sum each pair in the dot
-        Fv = F.view(float)
-        Fv *= Fv
-        total += (W0.ravel() @ Fv.reshape(-1, 2)).sum()
-        del u, F, Fv     # one row's arrays at a time
-    return float(total) / (c * c)
+    kmax, lmax, mmax = samples.bounds()
+    reach = (kmax, 2 * kmax, 2 * lmax, 2 * mmax)
+    rho, Y = _table_slice(_self_table(e, samples.spec, *reach), *reach)
+    shape = (_fft_size(4 * lmax + 1), _fft_size(4 * mmax + 1))
+    # lag d at d mod the fft size
+    lags = np.ix_(np.arange(-2 * lmax, 2 * lmax + 1) % shape[0],
+                  np.arange(-2 * mmax, 2 * mmax + 1) % shape[1])
+    K, total = 2 * kmax + 1, 0.0
+    F = np.fft.fft2(samples.array, shape)
+    for b in range(K):
+        for j in np.flatnonzero((rho >= 0) & (rho < K - b)):
+            p = b + int(rho[j])
+            Yc = np.zeros(shape, dtype=complex)
+            Yc[lags] = Y[b, j]
+            total += (2.0 - (p == b)) * np.sum(
+                np.fft.fft2(Yc) * F[b] * np.conj(F[p])).real
+    return float(total) / (shape[0] * shape[1] * c * c)
 
 
 def _suite_study(suite, e: FieldSample, spec: QuasiLatticeSpec, bounds,
                  c: float):
     """(samples, ||f||^2, ||f - r||^2) for the field f = sum_j a_j
-    T_{gamma_j} e of a one-row suite over e, from e's own table
-    (_self_table), asked for at the doubled union of the box and the atom
-    indices first, so the samples read it too.
+    T_{gamma_j} e of a one-row suite over e, from e's Gram tables
+    (_self_table), asked for at the union U of the box and the atom indices
+    (kappa reach U_k, the rest doubled) first, so the samples read them too.
 
     _suite_coefficients samples f on that union, and ||f||^2 = Re sum_j
     conj(a_j) phi(gamma_j) is read off the samples at the atoms
@@ -304,7 +262,7 @@ def _suite_study(suite, e: FieldSample, spec: QuasiLatticeSpec, bounds,
     with nothing to cancel."""
     _check_bounds(*bounds)
     union, at, box = _suite_union(suite, bounds)
-    _self_table(e, spec, 2 * union[0], 2 * union[1])
+    _self_table(e, spec, union[0], *(2 * u for u in union))
     phi = _suite_coefficients(suite, e, spec, *union)
     samples = SampleSet(spec, phi[0][box])
     d = np.zeros(phi.shape[1:], dtype=complex)

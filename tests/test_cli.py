@@ -226,7 +226,7 @@ def test_sinc_random_csv_bytes_pinned(capsys):
 
 @pytest.mark.parametrize("command, digest", [
     ("sample",
-     "d1c83f9fed95ec96fb754cfe508df7803ab657adfa0ae2f4c5b8d1eb9972aa48"),
+     "e8bf8b9e9dce3a242e16f50f1c1dc142a6f171bed0eb3fca131470d96b75e1da"),
     ("verify-canonical", VERIFY_CANONICAL_DIGEST),
 ], ids=["sample", "verify-canonical"])
 def test_report_bytes_pinned(capsys, tmp_path, command, digest):
@@ -423,9 +423,12 @@ def test_oversized_settings_exit_2_before_building(capsys, tmp_path,
     over = str(cli._MAX_LAMBDA_NODES + 1)
     cfg = tmp_path / "hgs.cfg"
     cfg.write_text(f"lambda_nodes {over}\n")
-    # 512 nodes, doubled box (128, 128, 0): 257 * 257 samples and 1 phase
-    # of 16 bytes per node, over the bound
-    assert 16 * 512 * (257 * 257 + 1) > cli._MAX_STUDY_BYTES
+    # 512 nodes, doubled box (100, 128, 128): e's Gram tables alone are
+    # 201 * 513 * 513 entries of 16 bytes at the one live offset, over the
+    # bound; at alpha 1/8 the 1-wide slices overlap at 15 offsets, and the
+    # doubled box (32, 80, 32) gives 15 * 65 * 321 * 129 entries
+    assert 16 * 201 * 513 * 513 > cli._MAX_STUDY_BYTES
+    assert 16 * 15 * 65 * 321 * 129 > cli._MAX_STUDY_BYTES
     # 16 intervals of 65537 nodes each, over the cap in total
     spectrum = ";".join(f"{k / 8 - 1:g},{(k + 0.5) / 8 - 1:g}"
                         for k in range(16))
@@ -434,7 +437,9 @@ def test_oversized_settings_exit_2_before_building(capsys, tmp_path,
                        "lambda_nodes"),
                       (["sinc", "--lambda-nodes", over], "lambda_nodes"),
                       (["sample", "--config", str(cfg)], "lambda_nodes"),
-                      (["sample", "--bounds", "64,64,0"], "bad bounds"),
+                      (["sample", "--bounds", "50,64,64"], "bad bounds"),
+                      (["sample", "--alpha", "0.125", "--beta", "8",
+                        "--bounds", "16,40,16"], "bad bounds"),
                       (["verify-canonical", "--spectrum", spectrum,
                         "--lambda-nodes", "65537"], "bad lambda_nodes"),
                       (["sinc", "--spectrum", spectrum, "--lambda-nodes",

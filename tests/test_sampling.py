@@ -12,9 +12,10 @@ from hgs.errors import DomainError, FieldFormatError
 from hgs.fieldcheck import (_suite_coefficients, _suite_norms, _suite_union,
                             lattice_coefficients, parseval_residual,
                             translate_field)
-from hgs.grids import (FieldSample, SpectralSet, _node_table, _table_slice,
-                       field_inner_per_node, field_load, field_save,
-                       field_sum, lambda_grid, plancherel_measure)
+from hgs.grids import (FieldSample, SpectralSet, _gram_tables, _node_table,
+                       _self_table, _table_slice, field_inner_per_node,
+                       field_load, field_save, field_sum, lambda_grid,
+                       plancherel_measure)
 from hgs.group import GroupPoint, LatticeIndex, QuasiLatticeSpec
 from hgs.sampling import (SampleSet, _fft_size, _reconstruction_norm2_fast,
                           evaluate_phi, interpolation_verdict,
@@ -421,9 +422,29 @@ def test_reconstruction_norm_reach_beyond_box():
     assert abs(got - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("ab", [(1.0, 1.0), (0.5, 2.0), (0.75, 1.25)])
+def test_reconstruction_norm_independent_of_table_history(ab):
+    # the norm reads e's kept tables at the box's reach; tables grown by
+    # other calls first, in every direction, give the same bytes.  At (0.5,
+    # 2) and (0.75, 1.25) the offset rho = 1 is live too
+    spec = QuasiLatticeSpec(*ab)
+    grid = lambda_grid(E_FULL, 48, 1e-2)
+    fresh, grown = canonical_field(grid), canonical_field(grid)
+    for reach in [(4, 3, 2, 9), (1, 9, 30, 1), (0, 0, 4, 40)]:
+        _self_table(grown, spec, *reach)
+    for box in [(2, 5, 3), (0, 2, 1), (3, 7, 4)]:
+        s = _random_samples(spec, box, seed=sum(box))
+        want = _reconstruction_norm2_fast(s, fresh, 0.8)
+        fresh._table_memo = None
+        assert _reconstruction_norm2_fast(s, grown, 0.8) == want
+    assert grown._table_memo[1][0] == (4, 9, 30, 40)
+
+
 def test_reconstruction_norm_memory_streams():
-    # one row spectrum at a time: a batched (K, N, M) spectrum alone would
-    # be 30 MB at this box
+    # the cold call peaks in the table build: e's node table, one cocycle
+    # and the tile rows next to the 1.7 MB of kept tables (10.6 MB in all);
+    # the norm then holds the (K, P, Q) sample spectra, 2.2 MB.  Per-node
+    # (K, N, M) row spectra alone would be 30 MB at this box
     e = canonical_field(lambda_grid(E_FULL, 1024, 1e-3))
     s = _random_samples(SPEC, (6, 32, 16), seed=13)
     tracemalloc.start()
@@ -481,14 +502,17 @@ def test_reconstruction_study_builds_no_field(generators, monkeypatch):
                                   "transported"])
 @pytest.mark.parametrize("ab", [(1.0, 1.0), (0.75, 1.25), (0.5, 2.0)])
 def test_table_slice_equals_fresh_build(generators, name, ab):
+    # a field of its own starts without the tables other tests grew
     _, gens = generators
-    e, spec = gens[name], QuasiLatticeSpec(*ab)
-    table = ((6, 20), _node_table(e, e, spec, 6, 20))
-    for kmax, lmax in [(6, 20), (6, 3), (2, 20), (3, 8), (1, 5), (0, 0)]:
-        live_k, H = _table_slice(table, kmax, lmax)
-        want_k, want_H = _node_table(e, e, spec, kmax, lmax)
-        assert np.array_equal(live_k, want_k)
-        assert np.array_equal(H, want_H)
+    e, spec = gens[name].scaled(1.0), QuasiLatticeSpec(*ab)
+    table = _self_table(e, spec, 3, 6, 20, 9)
+    for reach in [(3, 6, 20, 9), (3, 6, 3, 9), (1, 2, 20, 0), (2, 3, 8, 4),
+                  (0, 1, 5, 9), (0, 0, 0, 0)]:
+        rho, Y = _table_slice(table, *reach)
+        want_rho, want_Y = _gram_tables(_node_table(e, e, spec, *reach[1:3]),
+                                        e, spec, *reach[:2], reach[3])
+        assert np.array_equal(rho, want_rho)
+        assert Y.tobytes() == want_Y.tobytes()
 
 
 def test_expansion_dropped_by_every_transform(generators, tmp_path):

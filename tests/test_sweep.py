@@ -1,5 +1,6 @@
-"""The lattice coefficient sweep: e's own table kept on e, the half-range
-phase tables, and the Parseval energy summed one k block at a time."""
+"""The lattice coefficient sweep: e's twisted Gram tables kept on e, the
+half-range phase tables, and the Parseval energy summed one k block at a
+time."""
 
 import tracemalloc
 
@@ -14,8 +15,8 @@ from hgs.errors import DomainError
 from hgs.fieldcheck import (_one_atom, _suite_coefficients, _suite_norms,
                             _suite_union, lattice_coefficients,
                             parseval_residual)
-from hgs.grids import (SpectralSet, _node_table, _phase_table, _self_table,
-                       _table_slice, lambda_grid)
+from hgs.grids import (_TILE, SpectralSet, _gram_tables, _node_table,
+                       _phase_table, _self_table, _table_slice, lambda_grid)
 from hgs.group import QuasiLatticeSpec
 from hgs.sampling import reconstruct, sample_on_lattice
 from hgs.testfields import atom_suite, random_pl_field
@@ -37,20 +38,27 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _fresh(e, spec, kreach, rreach, lmax, mmax):
+    """(rho, Y): e's Gram tables built anew at exactly this reach."""
+    return _gram_tables(_node_table(e, e, spec, rreach, lmax), e, spec,
+                        kreach, rreach, mmax)
+
+
 # -- _table_slice -------------------------------------------------------------
 
 def test_table_slice_beyond_reach_raises():
-    # an undersized table would drop the live translations |k| > K and
-    # start its l slice at a negative index
+    # an undersized table would drop the live offsets |rho| > its reach and
+    # start its l or m slice at a negative index
     e = _fields()["random_pl"]
-    spec = SPECS[0]
-    table = ((2, 5), _node_table(e, e, spec, 2, 5))
-    for kmax, lmax in [(3, 5), (2, 6), (3, 6)]:
+    spec = SPECS[1]
+    table = _self_table(e, spec, 1, 2, 5, 3)
+    for reach in [(2, 2, 5, 3), (1, 3, 5, 3), (1, 2, 6, 3), (1, 2, 5, 4),
+                  (2, 3, 6, 4)]:
         with pytest.raises(DomainError):
-            _table_slice(table, kmax, lmax)
-    live_k, H = _table_slice(table, 1, 5)
-    want_k, want_H = _node_table(e, e, spec, 1, 5)
-    assert _same(live_k, want_k) and _same(H, want_H)
+            _table_slice(table, *reach)
+    rho, Y = _table_slice(table, 0, 1, 5, 2)
+    want_rho, want_Y = _fresh(e, spec, 0, 1, 5, 2)
+    assert _same(rho, want_rho) and _same(Y, want_Y)
 
 
 # -- half-range phase tables --------------------------------------------------
@@ -110,10 +118,28 @@ def test_central_phases_and_kappa_zero_path(name, spec):
         assert _same(Hk.T @ wphase, (Hk * ones).T @ wphase)
 
 
-def _reference_coefficients(suite, g, spec, kmax, lmax, mmax):
+def _tiled_product(A, B, T):
+    """A @ B as fixed-shape (T, N) @ (N, T) products on tiles anchored at
+    multiples of T in absolute (l, m), zeros past the ends; A's rows and
+    B's columns run over l, m = -n .. n."""
+    lmax, mmax = A.shape[0] // 2, B.shape[1] // 2
+    la, ma = -lmax // T * T, -mmax // T * T
+    rows = np.zeros((lmax // T * T + T - la, A.shape[1]), dtype=complex)
+    cols = np.zeros((B.shape[0], mmax // T * T + T - ma), dtype=complex)
+    rows[-lmax - la:lmax - la + 1] = A
+    cols[:, -mmax - ma:mmax - ma + 1] = B
+    out = np.empty((rows.shape[0], cols.shape[1]), dtype=complex)
+    for a in range(0, rows.shape[0], T):
+        for b in range(0, cols.shape[1], T):
+            out[a:a + T, b:b + T] = rows[a:a + T] @ np.ascontiguousarray(
+                cols[:, b:b + T])
+    return out[-lmax - la:lmax - la + 1, -mmax - ma:mmax - ma + 1]
+
+
+def _reference_coefficients(suite, g, spec, kmax, lmax, mmax, tile=_TILE):
     """The sweep as it was built before the half-range tables: one
-    full-range cocycle per kappa, kappa-major accumulation, a fresh
-    table."""
+    full-range cocycle per kappa, kappa-major accumulation, a fresh table;
+    its products on tiles of side tile, or whole without one."""
     b, c = suite.base, suite.coeffs
     kj, lj, mj = np.array([gam.astuple() for gam in suite.indices]).T
     dk, dl, dm = (int(np.abs(x).max()) for x in (kj, lj, mj))
@@ -130,7 +156,8 @@ def _reference_coefficients(suite, g, spec, kmax, lmax, mmax):
         for Hk, k in zip(H, live_k - (kmax + dk) + kappa):
             if abs(k) > kmax:
                 continue
-            Y = (Hk * cocycle).T @ wphase
+            Y = ((Hk * cocycle).T @ wphase if tile is None
+                 else _tiled_product((Hk * cocycle).T, wphase, tile))
             for a in np.flatnonzero(kj == kappa):
                 l0, m0 = dl - lj[a], dm - mj[a]
                 out[:, k + kmax] += (c[:, a, None, None]
@@ -138,28 +165,37 @@ def _reference_coefficients(suite, g, spec, kmax, lmax, mmax):
     return out
 
 
+def _close(got, want, rel=1e-14):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("name", ["canonical", "random_pl"])
 def test_sweep_matches_full_range_reference(name, spec):
+    # bit for bit against the tile rule, and within 1e-14 of the whole
+    # (L', N) @ (N, M') product the sweep took before it
     g = _fields()[name]
     suite = atom_suite(g, spec, n_functions=3, n_atoms=9, box=(2, 4, 2),
                        seed=17, extra_indices=[(-3, 1, 0)])
     assert {gam.k for gam in suite.indices} >= {-3, 0}
     for box in [(3, 6, 4), (1, 2, 1), (3, 6, 4)]:    # the last reads a table
-        want = _reference_coefficients(suite, g, spec, *box)
-        assert _same(_suite_coefficients(suite, g, spec, *box), want)
+        got = _suite_coefficients(suite, g, spec, *box)
+        assert _same(got, _reference_coefficients(suite, g, spec, *box))
+        assert _close(got, _reference_coefficients(suite, g, spec, *box,
+                                                   tile=None))
     # plain fields go as one-atom suites, all at kappa = 0; g's own table
     # is the cached one
     for f in (g, suite.fields()[1]):
-        want = _reference_coefficients(_one_atom(f, spec), g, spec, 3, 5, 4)
-        assert _same(lattice_coefficients([f], g, spec, 3, 5, 4), want)
+        got = lattice_coefficients([f], g, spec, 3, 5, 4)
+        one = _one_atom(f, spec)
+        assert _same(got, _reference_coefficients(one, g, spec, 3, 5, 4))
+        assert _close(got, _reference_coefficients(one, g, spec, 3, 5, 4,
+                                                   tile=None))
 
 
-# -- e's own table, kept on e -------------------------------------------------
+# -- e's own Gram tables, kept on e ------------------------------------------
 
 def test_self_table_slices_equal_fresh_builds(monkeypatch):
-    e = _fields()["random_pl"]
-    spec = SPECS[1]
     built = []
 
     def spy(a, b, s, kmax, lmax):
@@ -167,13 +203,19 @@ def test_self_table_slices_equal_fresh_builds(monkeypatch):
         return _node_table(a, b, s, kmax, lmax)
 
     monkeypatch.setattr(grids, "_node_table", spy)
-    for kmax, lmax in [(1, 2), (1, 2), (3, 1), (2, 6), (0, 0), (3, 6)]:
-        live_k, H = _table_slice(_self_table(e, spec, kmax, lmax), kmax,
-                                 lmax)
-        want_k, want_H = _node_table(e, e, spec, kmax, lmax)
-        assert _same(live_k, want_k) and _same(H, want_H)
-    # a miss grows the kept reach elementwise; a covered request builds none
-    assert built == [(1, 2), (3, 2), (3, 6)]
+    growth = [(0, 2, 2, 1), (0, 2, 2, 1), (1, 3, 1, 2), (1, 2, 6, 17),
+              (0, 0, 0, 0), (3, 6, 6, 3), (2, 5, 40, 2)]
+    for spec in SPECS:
+        e = _fields()["random_pl"]
+        for reach in growth:
+            rho, Y = _table_slice(_self_table(e, spec, *reach), *reach)
+            want_rho, want_Y = _fresh(e, spec, *reach)
+            assert _same(rho, want_rho) and _same(Y, want_Y)
+        # a miss grows the kept reach elementwise, with one node table; a
+        # covered request builds none
+        assert built == [(2, 2), (3, 2), (3, 6), (6, 6), (6, 40)]
+        assert e._table_memo[1][0] == (3, 6, 40, 17)
+        built.clear()
 
 
 def test_self_table_keyed_by_spec(monkeypatch):
@@ -186,25 +228,29 @@ def test_self_table_keyed_by_spec(monkeypatch):
         return _node_table(f, g, s, kmax, lmax)
 
     monkeypatch.setattr(grids, "_node_table", spy)
-    _self_table(e, a, 3, 6)
+    _self_table(e, a, 2, 3, 6, 4)
     for spec in (b, a):
-        live_k, H = _table_slice(_self_table(e, spec, 1, 2), 1, 2)
-        want_k, want_H = _node_table(e, e, spec, 1, 2)
-        assert _same(live_k, want_k) and _same(H, want_H)
+        rho, Y = _table_slice(_self_table(e, spec, 1, 1, 2, 2), 1, 1, 2, 2)
+        want_rho, want_Y = _fresh(e, spec, 1, 1, 2, 2)
+        assert _same(rho, want_rho) and _same(Y, want_Y)
     assert built == [a, b, a]
 
 
 def test_self_table_read_only_and_not_inherited():
     fields = _fields()
     e, spec = fields["canonical"], SPECS[0]
-    _, (live_k, H) = _self_table(e, spec, 2, 4)
+    _, (rho, Y) = _self_table(e, spec, 1, 2, 4, 3)
     with pytest.raises(ValueError):
-        H[0, 0, 0] = 1.0
+        Y[0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        live_k[0] = 0
+        rho[0] = 0
+    # a read is a view of the kept tables, so it is read-only too
+    _, view = _table_slice(_self_table(e, spec, 0, 1, 1, 1), 0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        view[0, 0, 0, 0] = 1.0
     f = atom_suite(e, spec, n_functions=1, n_atoms=4, box=(1, 2, 1),
                    seed=2).fields()[0]
-    _self_table(f, spec, 1, 1)
+    _self_table(f, spec, 1, 1, 1, 1)
     r = reconstruct(sample_on_lattice(f, e, spec, (1, 2, 1)), e, 1.0)
     for new in (e.scaled(2.0), e.heisenberg_translate(1.0, 0.5, 0.25),
                 f - r):

@@ -8,8 +8,8 @@ from .fieldcheck import (GaborFieldReport, ThetaReport,
                          coefficient_cross_orthogonality,
                          gabor_field_verdict, gram_entry,
                          jittered_unit_grid, orthogonality_residual,
-                         parseval_residual, theta, theta_delta_report,
-                         translate_field)
+                         orthogonality_residuals, parseval_residual, theta,
+                         theta_delta_report, translate_field)
 from .gabor import (NormConditionReport, frame_bounds_empirical,
                     norm_condition_check, painless_residual)
 from .grids import (FieldSample, LambdaGrid, SpectralSet, TimeGrid,
@@ -39,7 +39,8 @@ __all__ = [
     "group_inv", "group_mul", "interpolation_verdict", "intervals_Ik",
     "isometry_ratio", "jittered_unit_grid", "lambda_grid",
     "norm_condition_check", "onb_gram_check",
-    "orthogonality_residual", "painless_residual", "parseval_residual",
+    "orthogonality_residual", "orthogonality_residuals",
+    "painless_residual", "parseval_residual",
     "plancherel_measure", "reconstruct", "reconstruction_study",
     "sample_on_lattice", "schrodinger_apply", "seeded_strip_points",
     "sinc_compare", "sinc_intervals", "theta", "theta_delta_report",

@@ -24,7 +24,7 @@ import numpy as np
 from .canonical import canonical_field
 from .errors import HgsError
 from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
-                         jittered_unit_grid, orthogonality_residual,
+                         jittered_unit_grid, orthogonality_residuals,
                          theta_delta_report)
 from .grids import (_TILE, SpectralSet, _self_table, gauss_lambda_grid,
                     lambda_grid)
@@ -227,11 +227,10 @@ def cmd_verify_canonical(args):
            f"worst residual {verdict.worst_residual:.3e}, "
            f"worst norm error {verdict.worst_norm_error:.3e}")
 
-    worst = 0.0
-    for i, lam in enumerate(jittered_unit_grid(8)):
-        f = two_slice_field(e, float(lam), seed=cfg["seed"] + i)
-        worst = max(worst, abs(orthogonality_residual(
-            e, f, float(lam), kmax=8, spec=spec)))
+    pairs = [(lam, two_slice_field(e, lam, seed=cfg["seed"] + i))
+             for i, lam in enumerate(jittered_unit_grid(8).tolist())]
+    worst = max(map(abs, orthogonality_residuals(e, pairs, kmax=8,
+                                                 spec=spec).tolist()))
     _check(report, "orthogonality", worst <= max(tol, 1e-10),
            f"max |residual| {worst:.3e} over 8 spectral points")
 

@@ -297,7 +297,7 @@ class FieldSample:
         self.term_coef = np.asarray(term_coef, dtype=complex).reshape(
             -1, MAX_DEGREE + 1)
         self.term_freq = np.asarray(term_freq, dtype=float)
-        if np.any(self.term_node[1:] < self.term_node[:-1]):
+        if (self.term_node[1:] < self.term_node[:-1]).any():
             order = np.argsort(self.term_node, kind="stable")
             self.term_node = self.term_node[order]
             self.term_lo = self.term_lo[order]

@@ -58,6 +58,7 @@ _TWO_PI = 2.0 * np.pi
 # the boundary recurrence.  0.5 keeps both branches at ~1e-16 relative error.
 _SERIES_CUT = 0.5
 _SERIES_TERMS = 18
+_FACTORIALS = np.cumprod([1.0, *range(1, _SERIES_TERMS)])  # j!, exact
 _ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 
 MAX_DEGREE = 2
@@ -113,19 +114,22 @@ def centered_moments(theta, pmax):
     nb = np.nonzero(~small)[0]
     out = np.empty((pmax + 1, th.size), dtype=complex)
     if ns.size:
-        # Series: N_p = 2 * sum_{j: j+p even} (i*theta)^j / (j! * (p+j+1)).
+        # Series: N_p = 2 * sum_{j: j+p even} (i*theta)^j / (j! * (p+j+1)),
+        # each sum added in j order from zero.  The terms of all p of one
+        # parity form one (j, p, point) table, added row by row.
         it = 1j * th[ns]
-        power = np.ones(ns.size, dtype=complex)
+        coef = np.empty((_SERIES_TERMS, ns.size), dtype=complex)
+        coef[0] = 1.0
+        for j in range(1, _SERIES_TERMS):
+            np.multiply(coef[j - 1], it, out=coef[j])
+        coef /= _FACTORIALS[:, None]
         acc = np.zeros((pmax + 1, ns.size), dtype=complex)
-        fact = 1.0
-        for j in range(_SERIES_TERMS):
-            if j:
-                power = power * it
-                fact *= j
-            coef = power / fact
-            for p in range(pmax + 1):
-                if (p + j) % 2 == 0:
-                    acc[p] += coef / (p + j + 1)
+        for par in (0, 1):
+            p = np.arange(par, pmax + 1, 2)[:, None]
+            j1 = np.arange(par + 1.0, _SERIES_TERMS + 1, 2)[:, None, None]
+            rows = acc[par::2]
+            for term in coef[par::2, None] / (p + j1):
+                rows += term
         out[:, ns] = 2.0 * acc
     if nb.size:
         # Recurrence: N_0 = 2 sin(theta)/theta and
@@ -222,7 +226,7 @@ def _pair_product(a, b):
 
 def _live_degree(coef):
     for p in range(coef.shape[1] - 1, 0, -1):
-        if np.any(coef[:, p] != 0):
+        if np.count_nonzero(coef[:, p]):
             return p
     return 0
 
@@ -244,6 +248,14 @@ def _recenter(coef, shift):
     out[..., 1] = c1 + 2.0 * c2 * shift
     out[..., 2] = c2
     return out
+
+
+def _term_values(t, j, x):
+    """Values of the terms j of the term row t at the points x."""
+    lo, hi, coef, freq = t
+    s = x - 0.5 * (lo[j] + hi[j])
+    val = coef[j, 0] + coef[j, 1] * s + coef[j, 2] * s * s
+    return val * np.exp(1j * _TWO_PI * freq[j] * x)
 
 
 def _ranges(first, count):
@@ -690,10 +702,6 @@ class Window:
         """The term row (lo, hi, coef, freq)."""
         return self.lo, self.hi, self.coef, self.freq
 
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
     def support(self):
         """Smallest closed interval containing all terms, or None if empty."""
         if self.n_terms == 0:
@@ -789,12 +797,8 @@ class Window:
         out = np.zeros(tt.shape, dtype=complex)
         for j in range(self.n_terms):
             mask = (tt >= self.lo[j]) & (tt < self.hi[j])
-            if not mask.any():
-                continue
-            s = tt[mask] - self.mid[j]
-            val = (self.coef[j, 0] + self.coef[j, 1] * s
-                   + self.coef[j, 2] * s * s)
-            out[mask] += val * np.exp(1j * _TWO_PI * self.freq[j] * tt[mask])
+            if mask.any():
+                out[mask] += _term_values(self.terms, j, tt[mask])
         return complex(out[0]) if scalar else out
 
     def squared_modulus_pieces(self):

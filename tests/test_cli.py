@@ -101,6 +101,24 @@ def test_verify_canonical_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_canonical_one_kernel_call_for_orthogonality(capsys,
+                                                             monkeypatch):
+    # the 8 orthogonality points share one unfolding-kernel call over
+    # their 16 slices
+    from hgs import fieldcheck
+    calls, kernel = [], fieldcheck._unfolded_sum
+
+    def spy(f, g, c, step, kmax):
+        calls.append(np.size(c))
+        return kernel(f, g, c, step, kmax)
+
+    monkeypatch.setattr(fieldcheck, "_unfolded_sum", spy)
+    code, _, _ = run(capsys, "verify-canonical", "--no-timestamp",
+                     "--lambda-nodes", "16")
+    assert code == 0
+    assert calls == [16]
+
+
 def test_sinc_point_row(capsys, tmp_path):
     csv = tmp_path / "pts.csv"
     code, out, _ = run(capsys, "sinc", "--point", "0.5,1,1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hgs.fieldcheck import (_suite_coefficients, _suite_norms, _suite_union,
                             coefficient_cross_orthogonality,
                             gabor_field_verdict, gram_entry,
                             jittered_unit_grid, lattice_coefficients,
-                            orthogonality_residual, parseval_residual,
+                            orthogonality_residual, orthogonality_residuals,
+                            parseval_residual,
                             theta, theta_delta_report, theta_gram_duality,
                             translate_field)
 from hgs.gabor import frame_bounds_empirical
@@ -308,6 +310,47 @@ def test_orthogonality_missing_slice_error(coarse):
                         seed=2)
     with pytest.raises(DomainError):
         orthogonality_residual(e, f, 0.5, kmax=2)
+
+
+def _criterion2_pairs(e):
+    lams = jittered_unit_grid(16)
+    return [(float(lam), two_slice_field(e, float(lam),
+                                         seed=0x5EED + 31 * s + i))
+            for s in range(20) for i, lam in enumerate(lams)]
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+def test_batched_unfolded_sum_matches_per_point_calls(coarse):
+    # one kernel call over all pairs gives each pair's one-pair value bit
+    # for bit, and a one-pair call is the kernel on the two slices alone
+    _, e = coarse
+    neg = duplicated_slice_field(0.5)
+    for g, pairs in ((e, _criterion2_pairs(e)),
+                     (neg, [(0.5, neg), (0.5, neg)])):
+        got = orthogonality_residuals(g, pairs, kmax=8)
+        one = [orthogonality_residual(g, f, lam, kmax=8) for lam, f in pairs]
+        assert np.array_equal(_bits(got), _bits(one))
+        for lam, f in pairs[:3]:
+            mus = [lam - 1.0, lam]
+            kernel = _unfolded_sum(f.slices_at(mus), g.slices_at(mus),
+                                   np.array(mus), 1.0, 8)
+            assert np.array_equal(
+                _bits(orthogonality_residual(g, f, lam, kmax=8)),
+                _bits(kernel))
+    assert max(map(abs, got.tolist())) > 1e-2
+
+
+def test_orthogonality_residuals_bad_pairs(coarse):
+    _, e = coarse
+    f = two_slice_field(e, 0.4, seed=1)
+    with pytest.raises(DomainError, match="at least one"):
+        orthogonality_residuals(e, [], kmax=2)
+    for lam in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(DomainError, match=r"lam must lie in \(0, 1\)"):
+            orthogonality_residuals(e, [(0.4, f), (lam, f)], kmax=2)
 
 
 # -- coefficient cross-orthogonality -----------------------------------------
@@ -738,6 +781,128 @@ def test_theta_scaling_quadratic(coarse):
     half = e.scaled(np.sqrt(0.5))
     val = theta(half, SPEC, 0, 0.5, 0.3, lmax=8)
     assert abs(val - 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_theta_empty_point_sets(coarse):
+    # an empty grid reports zero deviations, as an empty spectral set does
+    _, e = coarse
+    for pts, shape in ((([], [0.3]), (0, 1)), (([0.3], []), (1, 0))):
+        rep = theta_delta_report(e, SPEC, pts, kmax=2, lmax=4)
+        assert rep.values[1].shape == shape
+        assert (rep.dev_zero, rep.dev_nonzero) == (0.0, 0.0)
+
+
+def test_theta_gram_duality_needs_a_quadrature_point(coarse):
+    _, e = coarse
+    with pytest.raises(DomainError, match="at least 1"):
+        theta_gram_duality(e, SPEC, LatticeIndex(0, 0, 0), n_quad=0)
+
+
+def _theta_dense(g, spec, gridpts, kmax, lmax):
+    """Theta_k by the dense loop: every slice through Window.__call__ on
+    the whole (k, n, t) grid, one spectral shift at a time."""
+    lams, ts = (np.asarray(x, dtype=float) for x in gridpts)
+    ks = np.arange(-kmax, kmax + 1)
+    acc = np.zeros((ks.size, lams.size, ts.size), dtype=complex)
+    bounds = g.grid.spectral_set.bounds()
+    l2_lo = np.floor(lams - bounds[1]).astype(np.int64)
+    l2_hi = np.ceil(lams - bounds[0]).astype(np.int64)
+    i, l2 = fieldcheck._ranges(l2_lo, l2_hi - l2_lo + 1)
+    mu = lams[i] - l2
+    keep = (mu != 0.0) & g.grid.spectral_set.contains(mu)
+    i, mu = i[keep], mu[keep]
+    slices = g.slices_at(mu)
+    shifted = ts[None, :] - np.arange(-lmax, lmax + 1)[:, None] / spec.beta
+    for q in range(mu.size):
+        w = slices.slice(q)
+        if w.n_terms:
+            vals = w(shifted / mu[q] - ks[:, None, None])
+            acc[:, i[q]] += np.sum(vals * np.conj(vals[kmax]), axis=1)
+    return {int(k): acc[j] for j, k in enumerate(ks)}
+
+
+@pytest.mark.parametrize("n,kmax,lmax", [(32, 4, 16), (64, 2, 16),
+                                         (16, 2, 8)])
+def test_theta_matches_dense_loop_canonical(coarse, n, kmax, lmax):
+    # the criterion grids: only the live rows are evaluated, bit for bit
+    _, e = coarse
+    pts = jittered_unit_grid(n)
+    rep = theta_delta_report(e, SPEC, (pts, pts), kmax=kmax, lmax=lmax)
+    want = _theta_dense(e, SPEC, (pts, pts), kmax, lmax)
+    for k in want:
+        assert np.array_equal(_bits(rep.values[k]), _bits(want[k]))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_theta_matches_dense_loop_on_cell_edges(coarse, beta):
+    # dyadic points land on the cell edges of the canonical slices, where
+    # the half-open masks decide
+    _, e = coarse
+    spec = QuasiLatticeSpec(1.0, beta)
+    pts = ([0.25, 0.5, 0.75], np.linspace(0, 1, 17))
+    rep = theta_delta_report(e, spec, pts, kmax=2, lmax=8)
+    want = _theta_dense(e, spec, pts, 2, 8)
+    assert any(want[0].ravel() != 0)
+    for k in want:
+        assert np.array_equal(_bits(rep.values[k]), _bits(want[k]))
+
+
+@st.composite
+def _pl_two_slice(draw):
+    lam = draw(st.floats(0.05, 0.95))
+    windows = []
+    for _ in range(2):
+        n = draw(st.integers(2, 9))
+        start = draw(st.floats(-2.0, 1.0))
+        gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1,
+                             max_size=n - 1))
+        breaks = start + np.concatenate([[0.0], np.cumsum(gaps)])
+        parts = st.floats(-2.0, 2.0)
+        values = [complex(draw(parts), draw(parts)) for _ in breaks]
+        windows.append(Window.piecewise_linear(breaks, values))
+    grid = LambdaGrid(np.array([lam - 1.0, lam]), np.ones(2), 1e-12, E_FULL,
+                      "twoslice")
+    return lam, FieldSample.from_windows(grid, windows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=_pl_two_slice(), alpha=st.floats(0.5, 2.0),
+       beta=st.floats(0.5, 2.0), kmax=st.integers(0, 2),
+       edges=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 8),
+                                st.integers(-3, 3)), max_size=4),
+       ts=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=4))
+def test_theta_matches_literal_sum_property(field, alpha, beta, kmax, edges,
+                                            ts):
+    # ts that put s = (t - n / beta) / mu on a breakpoint exercise the
+    # half-open cells of both factors
+    lam, f = field
+    spec = QuasiLatticeSpec(alpha, beta)
+    mus = (lam - 1.0, lam)
+    for side, b, n in edges:
+        w = f.slice(side)
+        brk = np.append(w.lo, w.hi[-1])
+        ts.append(mus[side] * brk[min(b, brk.size - 1)] + n / beta)
+    rep = theta_delta_report(f, spec, ([lam], ts), kmax=kmax, lmax=4)
+    for k in range(-kmax, kmax + 1):
+        for j, t in enumerate(ts):
+            want = _theta_literal(f, spec, k, lam, t, lmax=4)
+            got = rep.values[k][0, j]
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_theta_memory_stays_off_the_dense_grid(coarse):
+    # no (K, N, T) scratch: the 128 x 128 report peaks below 8 MB
+    _, e = coarse
+    pts = jittered_unit_grid(128)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = theta_delta_report(e, SPEC, (pts, pts), kmax=4, lmax=16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.dev_zero <= 1e-10 and rep.dev_nonzero <= 1e-10
+    assert peak < 8e6
 
 
 # -- Gram entries ------------------------------------------------------------

@@ -83,16 +83,18 @@ def _mentions(path, names):
 def test_pair_kernels_stay_in_windows():
     # every term-pair sweep outside hgs.windows goes through _segment_inner
     # or _segment_norm2; only the unfolding sum joins and sweeps its own
-    # pairs, and inside hgs.windows only those two sweep term pairs
+    # pairs, the double periodization joins its own pairs but evaluates
+    # them pointwise, and inside hgs.windows only those two sweep term pairs
     src = Path(hgs.__file__).resolve().parent
     kernels = {"_translated_pairs", "paired_inner_sweep"}
     for path in sorted(src.glob("*.py")):
         if path.name == "windows.py":
             continue
         for where, name in _mentions(path, kernels):
+            users = ("_unfolded_sum", "_theta_terms")[
+                :2 if name == "_translated_pairs" else 1]
             assert (path.name == "fieldcheck.py"
-                    and where in (None, "_unfolded_sum")), (path.name, where,
-                                                            name)
+                    and where in (None, *users)), (path.name, where, name)
     callers = {where for where, name in _mentions(src / "windows.py",
                                                   {"paired_inner_sweep"})}
     assert callers == {"_segment_inner", "_segment_norm2"}

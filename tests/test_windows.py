@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from hgs.errors import WindowStructureError
 from hgs.group import GroupPoint, group_mul, schrodinger_apply
 from hgs.windows import (_SERIES_CUT, _SERIES_TERMS, _TWO_PI, MAX_DEGREE,
-                         Window, indicator_transform, interval_moments,
-                         paired_inner_sweep)
+                         Window, centered_moments, indicator_transform,
+                         interval_moments, paired_inner_sweep)
 
 
 def quad_complex(fn, a, b, points=None):
@@ -94,6 +94,41 @@ def test_series_recurrence_branches_agree():
             want = quad_complex(
                 lambda t, p=p: t ** p * np.exp(2j * np.pi * f * t), -h, h)
             assert mom[p] == pytest.approx(want, abs=1e-13)
+
+
+def _series_row_loop(theta, pmax):
+    """The series of centered_moments one (term, p) row at a time."""
+    it = 1j * theta
+    power = np.ones(theta.size, dtype=complex)
+    acc = np.zeros((pmax + 1, theta.size), dtype=complex)
+    fact = 1.0
+    for j in range(_SERIES_TERMS):
+        if j:
+            power = power * it
+            fact *= j
+        coef = power / fact
+        for p in range(pmax + 1):
+            if (p + j) % 2 == 0:
+                acc[p] += coef / (p + j + 1)
+    return 2.0 * acc
+
+
+@pytest.mark.parametrize("pmax", [1, 2, 4])
+def test_series_matches_row_loop(pmax):
+    # the series summed from one table of terms has the bits of the
+    # row-by-row loop, signed zeros and subnormal theta included, at one
+    # point, a few and many
+    edge = [v * s for v in (0.0, 5e-324, 1e-300, 1e-8, 0.01, 0.3, 0.49,
+                            np.nextafter(_SERIES_CUT, 0.0))
+            for s in (1.0, -1.0)]
+    rng = np.random.default_rng(pmax)
+    for theta in ([[v] for v in edge]
+                  + [edge, np.concatenate([edge, rng.uniform(-0.5, 0.5,
+                                                             3000)])]):
+        theta = np.array(theta)
+        got = centered_moments(theta, pmax)
+        want = _series_row_loop(theta, pmax)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_indicator_transform_matches_length_at_zero():

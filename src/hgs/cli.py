@@ -22,12 +22,12 @@ import time
 import numpy as np
 
 from .canonical import canonical_field
-from .errors import HgsError
+from .errors import FieldFormatError, HgsError
 from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
                          jittered_unit_grid, orthogonality_residuals,
                          theta_delta_report)
-from .grids import (_TILE, SpectralSet, _self_table, gauss_lambda_grid,
-                    lambda_grid)
+from .grids import (_TILE, SpectralSet, _ascii_lines, _self_table,
+                    gauss_lambda_grid, lambda_grid)
 from .group import QuasiLatticeSpec
 from .sampling import (_MAX_BOX_SAMPLES, _fft_size, interpolation_verdict,
                        onb_gram_check, reconstruction_study)
@@ -91,18 +91,14 @@ def _spectral_set(cfg, nodes):
 def _load_config(path):
     """key value lines, same shape as the field file header records."""
     out = {}
-    with open(path, "rb") as fh:
-        raw = fh.read().splitlines()
-    for lineno, line in enumerate(raw, start=1):
-        try:
-            line = line.decode("ascii").strip()
-        except UnicodeDecodeError:
-            raise HgsError(f"config line {lineno}: not ASCII text") from None
+    error = lambda msg, lineno: HgsError(f"config line {lineno}: {msg}")
+    for lineno, line in _ascii_lines(path, error):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
-            raise HgsError(f"config line {lineno}: expected 'key value'")
+            raise error("expected 'key value'", lineno)
         out[parts[0]] = parts[1]
     return out
 
@@ -280,14 +276,12 @@ def cmd_sinc(args):
               for text in args.point or []]
     if args.points_file:
         try:
-            with open(args.points_file, "r", encoding="ascii") as fh:
-                lines = fh.readlines()
+            lines = list(_ascii_lines(args.points_file, FieldFormatError))
         except (OSError, ValueError) as exc:
             raise HgsError(f"unreadable points file: {exc}") from None
         points.extend(_parse_triple(line, float, f"point on line {lineno}",
                                     extra_columns=True)
-                      for lineno, line in enumerate(lines, start=1)
-                      if line.strip())
+                      for lineno, line in lines if line.strip())
     if args.random:
         points.extend(seeded_strip_points(args.random, seed=cfg["seed"]))
     rep = sinc_compare(points, grid, e)

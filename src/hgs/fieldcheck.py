@@ -22,8 +22,8 @@ from .errors import DomainError, NotApplicableError
 from .gabor import (NormConditionReport, _norm_reports, _painless_table,
                     frame_bounds_empirical)
 from .grids import (FieldSample, SpectralSet, _concat, _gram_tables,
-                    _node_table, _self_table, _table_slice, field_inner,
-                    field_sum, point_grid)
+                    _node_table, _self_table, field_inner, field_sum,
+                    point_grid)
 from .group import LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .testfields import AtomSuite
 from .windows import (_TWO_PI, _blocks, _ranges, _rows, _term_values,
@@ -190,7 +190,7 @@ def _suite_blocks(suite: AtomSuite, g: FieldSample, spec: QuasiLatticeSpec,
     L, M = 2 * lmax + 1, 2 * mmax + 1
     reach = (dk, kmax + dk, lmax + dl, mmax + dm)
     if b is g:
-        rho, Y = _table_slice(_self_table(g, spec, *reach), *reach)
+        rho, Y = _self_table(g, spec, *reach)
     else:
         rho, Y = _gram_tables(_node_table(b, g, spec, *reach[1:3]), g, spec,
                               *reach[:2], reach[3])

@@ -284,8 +284,9 @@ class FieldSample:
 
     One private memo slot, _table_memo, keeps the field's twisted Gram
     tables against its own translates for one spec (_self_table), at the
-    largest reach asked for, until the field is freed.  Every new field, a
-    transform included, starts without them.
+    elementwise largest reach asked for, until the field is freed; each
+    read is a view at its own reach.  Every new field, a transform
+    included, starts without them.
     """
 
     def __init__(self, grid: LambdaGrid, term_node, term_lo, term_hi,
@@ -317,16 +318,9 @@ class FieldSample:
     def from_windows(cls, grid, windows, kinds=None):
         if len(windows) != grid.n:
             raise GridMismatchError("need one window per node")
-        node = np.concatenate([np.full(w.n_terms, i, dtype=np.int64)
-                               for i, w in enumerate(windows)]) \
-            if windows else np.empty(0, dtype=np.int64)
-        cat = (lambda xs, empty: np.concatenate(xs) if xs else empty)
-        lo = cat([w.lo for w in windows], np.empty(0))
-        hi = cat([w.hi for w in windows], np.empty(0))
-        coef = (np.concatenate([w.coef for w in windows])
-                if windows else np.empty((0, MAX_DEGREE + 1), dtype=complex))
-        freq = cat([w.freq for w in windows], np.empty(0))
-        return cls(grid, node, lo, hi, coef, freq, kinds=kinds)
+        node = np.repeat(np.arange(grid.n), [w.n_terms for w in windows])
+        rows = zip(Window.zero().terms, *(w.terms for w in windows))
+        return cls(grid, node, *map(np.concatenate, rows), kinds=kinds)
 
     @classmethod
     def from_array_profile(cls, grid, profile):
@@ -583,35 +577,21 @@ def _gram_tables(table, g: FieldSample, spec: QuasiLatticeSpec,
 
 def _self_table(e: FieldSample, spec: QuasiLatticeSpec, kreach: int,
                 rreach: int, lmax: int, mmax: int):
-    """(reach, (rho, Y)): the _gram_tables of _node_table(e, e, spec,
-    rreach, lmax), kept on e for spec at reach >= (kreach, rreach, lmax,
-    mmax); read smaller reaches off it with _table_slice.  A request it
-    does not cover rebuilds it at the elementwise max of both reaches, one
-    under another spec replaces it.  Only the tables are kept, read-only."""
+    """(rho, Y): the _gram_tables of _node_table(e, e, spec, rreach, lmax)
+    at |kappa| <= kreach and |m| <= mmax, as read-only views of the tables
+    kept on e for spec, which equal a fresh build bit for bit.  A request
+    they do not cover rebuilds them at the elementwise max of both reaches,
+    one under another spec replaces them."""
     want = (kreach, rreach, lmax, mmax)
     if e._table_memo is not None and e._table_memo[0] == spec:
-        have = e._table_memo[1][0]
-        if all(h >= w for h, w in zip(have, want)):
-            return e._table_memo[1]
-        want = tuple(max(h, w) for h, w in zip(have, want))
-    e._table_memo = None    # free the old tables before the build
-    rho, Y = _gram_tables(_node_table(e, e, spec, *want[1:3]), e, spec,
-                          *want[:2], want[3])
-    rho.flags.writeable = Y.flags.writeable = False
-    e._table_memo = (spec, (want, (rho, Y)))
-    return e._table_memo[1]
-
-
-def _table_slice(table, kreach: int, rreach: int, lmax: int, mmax: int):
-    """The tables at |kappa| <= kreach, |rho| <= rreach, |l| <= lmax and
-    |m| <= mmax as views of table = (reach, (rho, Y)) from _self_table;
-    they equal a fresh build at that reach bit for bit.  A reach beyond
-    the table's raises, since it would drop live offsets."""
-    reach, (rho, Y) = table
-    want = (kreach, rreach, lmax, mmax)
-    if any(w > h for h, w in zip(reach, want)):
-        raise DomainError(f"table of reach {reach} read at {want}")
-    K, _, L, M = reach
+        want = tuple(map(max, e._table_memo[1], want))
+    if e._table_memo is None or e._table_memo[:2] != (spec, want):
+        e._table_memo = None    # free the old tables before the build
+        rho, Y = _gram_tables(_node_table(e, e, spec, *want[1:3]), e, spec,
+                              *want[:2], want[3])
+        rho.flags.writeable = Y.flags.writeable = False
+        e._table_memo = (spec, want, rho, Y)
+    _, (K, _, L, M), rho, Y = e._table_memo
     a, b = np.searchsorted(rho, [-rreach, rreach + 1])
     return rho[a:b], Y[K - kreach:K + kreach + 1, a:b,
                        L - lmax:L + lmax + 1, M - mmax:M + mmax + 1]
@@ -703,19 +683,26 @@ def _parse_floats(parts, n, lineno):
     return vals
 
 
+def _ascii_lines(path, error):
+    """(line number, text) of every line of the file at path, decoded as
+    the caller asks for them; the first line that is not ASCII raises
+    error("not ASCII text", lineno).  Blank lines and whitespace are kept
+    for each reader to skip, strip or quote as its format says."""
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines()
+    for lineno, line in enumerate(raw, start=1):
+        try:
+            text = line.decode("ascii")
+        except UnicodeDecodeError:
+            raise error("not ASCII text", lineno) from None
+        yield lineno, text
+
+
 def field_load(path) -> FieldSample:
     """Read a field written by field_save; inverse up to bit-exact floats.
     Every bad record raises FieldFormatError with its line number."""
-    with open(path, "rb") as fh:
-        raw = fh.read().splitlines()
-    lines = []
-    for i, ln in enumerate(raw):
-        try:
-            text = ln.decode("ascii").strip()
-        except UnicodeDecodeError:
-            raise FieldFormatError("not ASCII text", i + 1) from None
-        if text:
-            lines.append((i + 1, text))
+    lines = [(i, t.strip()) for i, t in _ascii_lines(path, FieldFormatError)
+             if t.strip()]
     if not lines or lines[0][1] != "hgsfield 1":
         raise FieldFormatError("missing 'hgsfield 1' header",
                                lines[0][0] if lines else 1)

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DomainError, FieldFormatError
 from .fieldcheck import (_one_atom, _own_suite, _suite_coefficients,
                          _suite_norms, _suite_union, lattice_coefficients)
-from .grids import (FieldSample, SpectralSet, _phase_table, _self_table,
-                    _table_slice, field_inner, plancherel_measure)
+from .grids import (FieldSample, SpectralSet, _ascii_lines, _phase_table,
+                    _self_table, field_inner, plancherel_measure)
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .windows import _TWO_PI
 
@@ -104,21 +104,12 @@ class SampleSet:
         that holds every row read as zero; a repeated index, a value that
         is not finite and a box of more than _MAX_BOX_SAMPLES samples are
         errors.  A header with no rows gives an empty set."""
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
-
-        def text(lineno):
-            try:
-                return lines[lineno - 1].decode("ascii")
-            except UnicodeDecodeError:
-                raise FieldFormatError("not ASCII text", lineno) from None
-
-        if not lines or text(1).strip() != "k,l,m,re,im":
+        lines = _ascii_lines(path, FieldFormatError)
+        if next(lines, (1, ""))[1].strip() != "k,l,m,re,im":
             raise FieldFormatError("bad sample CSV header", 1)
         rows = {}
         box = (0, 0, 0)
-        for lineno in range(2, len(lines) + 1):
-            line = text(lineno)
+        for lineno, line in lines:
             if not line.strip():
                 continue
             parts = line.split(",")
@@ -231,7 +222,7 @@ def _reconstruction_norm2_fast(samples: SampleSet, e: FieldSample,
     """
     kmax, lmax, mmax = samples.bounds()
     reach = (kmax, 2 * kmax, 2 * lmax, 2 * mmax)
-    rho, Y = _table_slice(_self_table(e, samples.spec, *reach), *reach)
+    rho, Y = _self_table(e, samples.spec, *reach)
     shape = (_fft_size(4 * lmax + 1), _fft_size(4 * mmax + 1))
     # lag d at d mod the fft size
     lags = np.ix_(np.arange(-2 * lmax, 2 * lmax + 1) % shape[0],

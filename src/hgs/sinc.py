@@ -42,10 +42,13 @@ def _psi(w, p=0):
             term *= u / n
             acc += term / (n + p + 1)
         return (2j * math.pi) ** p * acc
+    # I_j = int_0^1 t^j e^{u t} dt = (e^u - j I_{j-1}) / u, finite at
+    # every finite u, where the closed numerators over u^(p + 1) overflow
     e = np.exp(u)
-    num = (e - 1.0 if p == 0 else e * (u - 1.0) + 1.0 if p == 1
-           else e * (u * u - 2.0 * u + 2.0) - 2.0)
-    return (2j * math.pi) ** p * num / u ** (p + 1)
+    acc = (e - 1.0) / u
+    for j in range(1, p + 1):
+        acc = (e - j * acc) / u
+    return (2j * math.pi) ** p * acc
 
 
 def F_xy(lam: float, x: float, y: float) -> complex:

@@ -35,7 +35,8 @@ its overlap cell in one helper, _pair_product.  _segment_inner and
 _segment_norm2 are the one inner product and the one squared norm of the
 windows of a segmented table, a Window being one segment and a
 FieldSample one per node; both run in blocks of at most _PAIR_BLOCK pairs
-and add each segment's values in pair order.  _segment_inner also takes
+and add each segment's values in pair order; _segment_inner sweeps a
+block in row runs of at most _PAIR_BLOCK / 4 values.  It also takes
 translates and per-segment modulations, so it is the lattice table
 grids._node_table too; only fieldcheck's unfolding sum sweeps elsewhere.
 
@@ -66,8 +67,8 @@ MAX_DEGREE = 2
 # Candidate term pairs times translations per segment block and, over four,
 # pair values per sweep of _segment_inner; candidate cell pairs (cells
 # squared) per segment block and swept term pairs per block of
-# _segment_norm2; unless one segment, (translation, segment) slot or cell
-# pair alone has more.  Bounds their scratch memory.
+# _segment_norm2; unless one segment, one row of a sweep or one cell pair
+# alone has more.  Bounds their scratch memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -459,12 +460,14 @@ def _segment_inner(starts_a, a, starts_b, b, step, nmax, rate, df):
 
     Segment s of A is its terms starts_a[s] to starts_a[s + 1], likewise B.
     The (pair, n) rows come from _translated_pairs in segment blocks of at
-    most _PAIR_BLOCK candidates times 2 nmax + 1, swept n-major in whole
-    (n, segment) slots of at most _PAIR_BLOCK / 4 values; each slot adds
-    its values in pair order from zero, so no result depends on the
-    blocking.  Memory: one block's scratch, one slab H[j] per live n_j.
+    most _PAIR_BLOCK candidates times 2 nmax + 1, swept n-major in runs of
+    at most max(1, _PAIR_BLOCK // (4 df.size)) rows of one translation.
+    np.add.at adds each run's values into the slab in row order, so no
+    result depends on where a run ends.  Memory: one block's scratch, one
+    slab H[j] per live n_j.
     """
     starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
+    run = max(1, _PAIR_BLOCK // (4 * df.size))
     slabs = defaultdict(lambda: np.zeros((starts_a.size - 1, df.size),
                                          dtype=complex))
     for start, stop in _blocks(np.diff(starts_a) * np.diff(starts_b)
@@ -472,19 +475,15 @@ def _segment_inner(starts_a, a, starts_b, b, step, nmax, rate, df):
         rows = _translated_pairs(starts_a[start:stop + 1], a[0], a[1],
                                  starts_b[start:stop + 1], b[0], b[1], step,
                                  nmax)
-        # n-major; at nmax = 0 the rows already come in slot order
+        # n-major; at nmax = 0 every row has n = 0
         perm = np.argsort(rows[3], kind="stable") if nmax else slice(None)
         ia, ib, seg, n, lo, hi = (x[perm] for x in rows)
         seg += start
         # translation j - nmax has the rows ends[j] to ends[j + 1]
         ends = n.searchsorted(np.arange(-nmax, nmax + 2) - 0.5)
         for j in np.flatnonzero(np.diff(ends)):
-            cuts = ends[j:j + 2]
-            if 4 * df.size * (cuts[1] - cuts[0]) > _PAIR_BLOCK:  # slot ends
-                cuts = ends[j] + np.flatnonzero(np.diff(
-                    seg[ends[j]:ends[j + 1]], prepend=-1, append=-1))
-            for c0, c1 in _blocks(4 * df.size * np.diff(cuts)):
-                s, e = cuts[c0], cuts[c1]
+            for s in range(ends[j], ends[j + 1], run):
+                e = min(s + run, ends[j + 1])
                 coef, freq = b[2][ib[s:e]], b[3][ib[s:e]]
                 if j != nmax:   # B moved by n step
                     coef = coef * np.exp(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -231,6 +232,29 @@ def test_sinc_bad_points_file(capsys, tmp_path):
     code, _, err = run(capsys, "sinc", "--points-file", str(bad),
                        "--lambda-nodes", "256")
     assert code == 2 and "error" in err
+
+
+def test_sinc_points_file_non_ascii_line(capsys, tmp_path):
+    # the whole file is decoded first, so the non-ASCII line wins over the
+    # bad point before it; a missing file keeps the same prefix
+    bad = tmp_path / "pts.txt"
+    bad.write_bytes(b"0.5,1\n0.5,1,1\n\xff\n")
+    code, _, err = run(capsys, "sinc", "--points-file", str(bad))
+    assert code == 2
+    assert err == "error: unreadable points file: line 3: not ASCII text\n"
+    code, _, err = run(capsys, "sinc", "--points-file",
+                       str(tmp_path / "missing"))
+    assert code == 2 and err.startswith("error: unreadable points file: ")
+
+
+def test_sinc_far_out_point_finite(capsys):
+    # at |c y| < 1e-6 the closed forms take psi's derivatives, whose closed
+    # numerators over u^3 overflowed past |z| ~ 3e101 with a traceback
+    code, out, err = run(capsys, "sinc", "--point", "0.3,0,1e102",
+                         "--lambda-nodes", "256", "--no-timestamp")
+    assert code == 0 and err == ""
+    row = [float(v) for v in out.splitlines()[1].split(",")]
+    assert all(map(math.isfinite, row)) and max(map(abs, row[-2:])) < 1e-99
 
 
 def test_sinc_random_csv_bytes_pinned(capsys):

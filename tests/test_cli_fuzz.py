@@ -21,7 +21,7 @@ _VALID = {
     "--bounds": ["1,2,1", "0,1,0"],
     "--seed": ["0", "7"],
     "--tol": ["1e-10", "0"],
-    "--point": ["0.5,1,1", "0,0,0"],
+    "--point": ["0.5,1,1", "0,0,0", "0.3,0,1e102"],
     "--random": ["0", "2"],
 }
 _JUNK = ["nan", "inf", "1e999", "-1", "", "éß", "1,2", "1,2,3,4",

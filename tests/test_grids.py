@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgs.cli import _load_config
 from hgs.errors import (DomainError, EmptyGridError, FieldFormatError,
-                        GridMismatchError, WindowStructureError)
+                        GridMismatchError, HgsError, WindowStructureError)
 from hgs.grids import (FieldSample, SpectralSet, TimeGrid, field_inner,
                        field_load, field_save, gauss_lambda_grid, lambda_grid,
                        plancherel_measure)
+from hgs.group import QuasiLatticeSpec
+from hgs.sampling import SampleSet
 from hgs.windows import Window
 
 
@@ -368,3 +371,28 @@ def test_field_load_fuzz_raises_only_format_errors(tmp_path_factory, edits,
     assert np.all(grid.weights > 0) and np.all(np.isfinite(grid.weights))
     assert np.all(np.isfinite(f.term_lo)) and np.all(np.isfinite(f.term_hi))
     assert np.all(np.isfinite(f.term_coef))
+
+
+# the field file is decoded whole before it is parsed, the config file and
+# the sample CSV one line at a time, so a bad record before a non-ASCII
+# line wins only in those two; a blank first line is no CSV header
+@pytest.mark.parametrize("reader, text, want", [
+    ("config", b"lambda_nodes 16\nseed\n\xff\n",
+     "config line 2: expected 'key value'"),
+    ("csv", b"k,l,m,re,im\n0,0,0,1\n\xff\n", "line 2: bad sample row"),
+    ("csv", b"\n\xff\n", "line 1: bad sample CSV header"),
+    ("csv", b" k,l,m,re,im \n 0,0,0,1,x \n", "line 2: could not convert "
+     "string to float: 'x '"),
+    ("field", b"hgsfield 1\nbogus 1\n\xff\n", "line 3: not ASCII text"),
+    ("field", b"\n hgsfield 1 \n\nbogus 1\n", "line 4: unexpected record "
+     "'bogus'"),
+], ids=["config", "csv", "csv-blank-header", "csv-padded", "field",
+        "field-padded"])
+def test_reader_error_order_and_line(tmp_path, reader, text, want):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    load = {"config": _load_config, "field": field_load,
+            "csv": lambda p: SampleSet.load_csv(p, QuasiLatticeSpec(1, 1))}
+    with pytest.raises(HgsError) as err:
+        load[reader](path)
+    assert str(err.value) == want

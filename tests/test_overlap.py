@@ -600,18 +600,27 @@ def test_lattice_coefficients_match_reference_inner(fields, block, spec):
 @given(fields=_field_pairs(), spec=_SPECS)
 def test_node_table_and_field_inner_share_one_sweep(fields, spec):
     # the lattice table and the field inner product are one kernel: its
-    # k = 0, l = 0 slice is the field inner product bit for bit, and no
-    # block size moves a byte of the table
+    # k = 0, l = 0 slice is the field inner product bit for bit, no block
+    # size moves a byte of the table, and each sweep of its 7 modulations
+    # holds at most a quarter block of values, or one row
     f, g = fields
     live_k, H = grids._node_table(f, g, spec, 2, 3)
     at0 = np.flatnonzero(live_k == 2)
     got = H[at0].sum(axis=0)[:, 3]
     assert np.array_equal(got, field_inner_per_node(f, g))
     for block in _BLOCKS:
-        with mock.patch.object(windows, "_PAIR_BLOCK", block):
+        sizes = []
+
+        def spy(a, b, df):
+            sizes.append(4 * a[0].size * df.size)
+            return paired_inner_sweep(a, b, df)
+
+        with mock.patch.object(windows, "_PAIR_BLOCK", block), \
+                mock.patch.object(windows, "paired_inner_sweep", spy):
             k, h = grids._node_table(f, g, spec, 2, 3)
         assert k.tobytes() == live_k.tobytes()
         assert h.tobytes() == H.tobytes()
+        assert max(sizes, default=0) <= max(block, 4 * 7)
 
 
 @settings(max_examples=60, deadline=None)

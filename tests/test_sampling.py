@@ -13,8 +13,8 @@ from hgs.fieldcheck import (_suite_coefficients, _suite_norms, _suite_union,
                             lattice_coefficients, parseval_residual,
                             translate_field)
 from hgs.grids import (FieldSample, SpectralSet, _gram_tables, _node_table,
-                       _self_table, _table_slice, field_inner_per_node,
-                       field_load, field_save, field_sum, lambda_grid,
+                       _self_table, field_inner_per_node, field_load,
+                       field_save, field_sum, lambda_grid,
                        plancherel_measure)
 from hgs.group import GroupPoint, LatticeIndex, QuasiLatticeSpec
 from hgs.sampling import (SampleSet, _fft_size, _reconstruction_norm2_fast,
@@ -437,7 +437,7 @@ def test_reconstruction_norm_independent_of_table_history(ab):
         want = _reconstruction_norm2_fast(s, fresh, 0.8)
         fresh._table_memo = None
         assert _reconstruction_norm2_fast(s, grown, 0.8) == want
-    assert grown._table_memo[1][0] == (4, 9, 30, 40)
+    assert grown._table_memo[1] == (4, 9, 30, 40)
 
 
 def test_reconstruction_norm_memory_streams():
@@ -505,10 +505,10 @@ def test_table_slice_equals_fresh_build(generators, name, ab):
     # a field of its own starts without the tables other tests grew
     _, gens = generators
     e, spec = gens[name].scaled(1.0), QuasiLatticeSpec(*ab)
-    table = _self_table(e, spec, 3, 6, 20, 9)
+    _self_table(e, spec, 3, 6, 20, 9)
     for reach in [(3, 6, 20, 9), (3, 6, 3, 9), (1, 2, 20, 0), (2, 3, 8, 4),
                   (0, 1, 5, 9), (0, 0, 0, 0)]:
-        rho, Y = _table_slice(table, *reach)
+        rho, Y = _self_table(e, spec, *reach)
         want_rho, want_Y = _gram_tables(_node_table(e, e, spec, *reach[1:3]),
                                         e, spec, *reach[:2], reach[3])
         assert np.array_equal(rho, want_rho)

@@ -116,6 +116,16 @@ def test_S0_exceptional_lines_finite_and_continuous():
     assert np.isfinite(S0_closed(-0.5, 0.8, -0.8, reading="derived").real)
 
 
+@pytest.mark.parametrize("point", [(0.3, 0.0, 1e102), (0.0, 0.0, 1e300),
+                                   (0.3, 1e-300, 1e300), (-0.6, 0.0, -3e154)])
+def test_closed_forms_finite_far_out_in_z(point):
+    # at y = 0 both forms take psi's derivatives at w ~ z, whose closed
+    # numerators over u^(p + 1) overflowed; the forms decay like 1/|z|
+    for val in (S0_closed(*point), S0_closed(*point, reading="derived"),
+                S1_closed(*point)):
+        assert np.isfinite(val) and abs(val) <= 1.0 / abs(point[2])
+
+
 def test_S0_readings_are_negatives():
     rng = np.random.default_rng(34)
     for _ in range(50):

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from hgs import cli, grids
 from hgs.canonical import canonical_field
-from hgs.errors import DomainError
 from hgs.fieldcheck import (_one_atom, _suite_coefficients, _suite_norms,
                             _suite_union, lattice_coefficients,
                             parseval_residual)
 from hgs.grids import (_TILE, SpectralSet, _gram_tables, _node_table,
-                       _phase_table, _self_table, _table_slice, lambda_grid)
+                       _phase_table, _self_table, lambda_grid)
 from hgs.group import QuasiLatticeSpec
 from hgs.sampling import reconstruct, sample_on_lattice
 from hgs.testfields import atom_suite, random_pl_field
@@ -44,21 +43,23 @@ def _fresh(e, spec, kreach, rreach, lmax, mmax):
                         kreach, rreach, mmax)
 
 
-# -- _table_slice -------------------------------------------------------------
+# -- reads beyond the kept reach ---------------------------------------------
 
-def test_table_slice_beyond_reach_raises():
-    # an undersized table would drop the live offsets |rho| > its reach and
-    # start its l or m slice at a negative index
+@pytest.mark.parametrize("beyond", [(2, 2, 5, 3), (1, 3, 5, 3), (1, 2, 6, 3),
+                                    (1, 2, 5, 4), (2, 3, 6, 4)])
+def test_self_table_read_beyond_reach_grows(beyond):
+    # a read past the kept reach in any direction grows the tables instead
+    # of dropping the live offsets |rho| > the kept reach or starting an l
+    # or m slice at a negative index; the grown read and a smaller read
+    # after it equal fresh builds
     e = _fields()["random_pl"]
     spec = SPECS[1]
-    table = _self_table(e, spec, 1, 2, 5, 3)
-    for reach in [(2, 2, 5, 3), (1, 3, 5, 3), (1, 2, 6, 3), (1, 2, 5, 4),
-                  (2, 3, 6, 4)]:
-        with pytest.raises(DomainError):
-            _table_slice(table, *reach)
-    rho, Y = _table_slice(table, 0, 1, 5, 2)
-    want_rho, want_Y = _fresh(e, spec, 0, 1, 5, 2)
-    assert _same(rho, want_rho) and _same(Y, want_Y)
+    _self_table(e, spec, 1, 2, 5, 3)
+    for reach in (beyond, (0, 1, 5, 2)):
+        rho, Y = _self_table(e, spec, *reach)
+        want_rho, want_Y = _fresh(e, spec, *reach)
+        assert _same(rho, want_rho) and _same(Y, want_Y)
+    assert e._table_memo[1] == tuple(map(max, (1, 2, 5, 3), beyond))
 
 
 # -- half-range phase tables --------------------------------------------------
@@ -208,13 +209,13 @@ def test_self_table_slices_equal_fresh_builds(monkeypatch):
     for spec in SPECS:
         e = _fields()["random_pl"]
         for reach in growth:
-            rho, Y = _table_slice(_self_table(e, spec, *reach), *reach)
+            rho, Y = _self_table(e, spec, *reach)
             want_rho, want_Y = _fresh(e, spec, *reach)
             assert _same(rho, want_rho) and _same(Y, want_Y)
         # a miss grows the kept reach elementwise, with one node table; a
         # covered request builds none
         assert built == [(2, 2), (3, 2), (3, 6), (6, 6), (6, 40)]
-        assert e._table_memo[1][0] == (3, 6, 40, 17)
+        assert e._table_memo[1] == (3, 6, 40, 17)
         built.clear()
 
 
@@ -230,7 +231,7 @@ def test_self_table_keyed_by_spec(monkeypatch):
     monkeypatch.setattr(grids, "_node_table", spy)
     _self_table(e, a, 2, 3, 6, 4)
     for spec in (b, a):
-        rho, Y = _table_slice(_self_table(e, spec, 1, 1, 2, 2), 1, 1, 2, 2)
+        rho, Y = _self_table(e, spec, 1, 1, 2, 2)
         want_rho, want_Y = _fresh(e, spec, 1, 1, 2, 2)
         assert _same(rho, want_rho) and _same(Y, want_Y)
     assert built == [a, b, a]
@@ -239,13 +240,13 @@ def test_self_table_keyed_by_spec(monkeypatch):
 def test_self_table_read_only_and_not_inherited():
     fields = _fields()
     e, spec = fields["canonical"], SPECS[0]
-    _, (rho, Y) = _self_table(e, spec, 1, 2, 4, 3)
+    rho, Y = _self_table(e, spec, 1, 2, 4, 3)
     with pytest.raises(ValueError):
         Y[0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         rho[0] = 0
     # a read is a view of the kept tables, so it is read-only too
-    _, view = _table_slice(_self_table(e, spec, 0, 1, 1, 1), 0, 1, 1, 1)
+    _, view = _self_table(e, spec, 0, 1, 1, 1)
     with pytest.raises(ValueError):
         view[0, 0, 0, 0] = 1.0
     f = atom_suite(e, spec, n_functions=1, n_atoms=4, box=(1, 2, 1),

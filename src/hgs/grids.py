@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -137,7 +138,8 @@ class LambdaGrid:
 
 def _allocate(pieces, n_per_interval):
     """Largest-remainder split of each parent interval's node budget over
-    its surviving pieces."""
+    its pieces, at most two (SpectralSet.cut): each takes the floor of its
+    share, at least one; the largest remainders (first on ties) add one."""
     by_parent = {}
     for idx, lo, hi in pieces:
         by_parent.setdefault(idx, []).append((lo, hi))
@@ -147,16 +149,9 @@ def _allocate(pieces, n_per_interval):
         total = sum(hi - lo for lo, hi in segs)
         raw = [n_per_interval * (hi - lo) / total for lo, hi in segs]
         counts = [max(1, int(r)) for r in raw]
-        while sum(counts) < n_per_interval:
-            rems = [r - c for r, c in zip(raw, counts)]
-            counts[rems.index(max(rems))] += 1
-        while sum(counts) > n_per_interval and max(counts) > 1:
-            rems = [r - c for r, c in zip(raw, counts)]
-            j = rems.index(min(rems))
-            if counts[j] > 1:
-                counts[j] -= 1
-            else:
-                break
+        by_rem = sorted(range(len(raw)), key=lambda j: counts[j] - raw[j])
+        for j in by_rem[:max(n_per_interval - sum(counts), 0)]:
+            counts[j] += 1
         alloc.extend((lo, hi, c) for (lo, hi), c in zip(segs, counts))
     return alloc
 
@@ -298,13 +293,11 @@ class FieldSample:
         self.term_coef = np.asarray(term_coef, dtype=complex).reshape(
             -1, MAX_DEGREE + 1)
         self.term_freq = np.asarray(term_freq, dtype=float)
-        if (self.term_node[1:] < self.term_node[:-1]).any():
+        if np.count_nonzero(self.term_node[1:] < self.term_node[:-1]):
             order = np.argsort(self.term_node, kind="stable")
-            self.term_node = self.term_node[order]
-            self.term_lo = self.term_lo[order]
-            self.term_hi = self.term_hi[order]
-            self.term_coef = self.term_coef[order]
-            self.term_freq = self.term_freq[order]
+            for name in ("term_node", "term_lo", "term_hi", "term_coef",
+                         "term_freq"):
+                setattr(self, name, getattr(self, name)[order])
         counts = np.bincount(self.term_node, minlength=grid.n)
         self._starts = np.concatenate([[0], np.cumsum(counts)])
         self.profile = profile
@@ -411,13 +404,13 @@ class FieldSample:
                            self.term_hi, self.term_coef * c, self.term_freq,
                            profile=_then(self.profile, FieldSample.scaled, c))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=None):
         if not self.grid.same_as(other.grid):
             raise GridMismatchError("fields live on different grids")
-        return _concat(self.grid, [self, other])
+        return _concat(self.grid, [self, other], scale=[None, sign])
 
     def __sub__(self, other):
-        return self + other.scaled(-1.0)
+        return self.__add__(other, -1.0)
 
     def heisenberg_translate(self, x1, x2, x3):
         """Slice-wise action of the group element (x1, x2, x3):
@@ -459,18 +452,25 @@ class FieldSample:
                    0.0)
 
 
-def _concat(grid, fields, nodes=None):
-    """One table on grid holding the terms of every field in order; node k
-    of fields[i] becomes node nodes[i][k] of grid (k itself without
-    nodes).  Terms keep their order within each node."""
-    node = [f.term_node if nodes is None else nodes[i][f.term_node]
-            for i, f in enumerate(fields)]
-    return FieldSample(
-        grid, np.concatenate(node),
-        np.concatenate([f.term_lo for f in fields]),
-        np.concatenate([f.term_hi for f in fields]),
-        np.concatenate([f.term_coef for f in fields]),
-        np.concatenate([f.term_freq for f in fields]))
+def _concat(grid, fields, nodes=None, scale=None):
+    """One node-major table on grid of every field's terms: node k of
+    fields[i] at node nodes[i][k] (k without nodes), its rows scaled by
+    scale[i] unless None; fields keep their order in a node, terms theirs."""
+    node = np.concatenate([f.term_node if nodes is None
+                           else nodes[i][f.term_node]
+                           for i, f in enumerate(fields)])
+    order = (np.argsort(node, kind="stable")
+             if np.count_nonzero(node[1:] < node[:-1]) else slice(None))
+    lo, hi, coef, freq = zip(*(f.terms for f in fields))
+    node, coef = node[order], np.concatenate(coef)
+    if scale is not None:
+        ends = accumulate(f.n_terms for f in fields)
+        for f, c, stop in zip(fields, scale, ends):
+            if c is not None:
+                coef[stop - f.n_terms:stop] *= c
+    coef = coef[order]
+    lo, hi, freq = (np.concatenate(x)[order] for x in (lo, hi, freq))
+    return FieldSample(grid, node, lo, hi, coef, freq)
 
 
 def field_sum(fields, coeffs):
@@ -486,12 +486,12 @@ def field_sum(fields, coeffs):
     for f in fields[1:]:
         if not grid.same_as(f.grid):
             raise GridMismatchError("fields live on different grids")
-    scaled = [f.scaled(c) for f, c in zip(fields, coeffs)]
-    out = _concat(grid, scaled)
-    if all(f.profile is not None for f in scaled):
-        profs = [f.profile for f in scaled]
+    out = _concat(grid, fields, scale=coeffs)
+    if all(f.profile is not None for f in fields):
+        profs = [f.profile for f in fields]
         out.profile = lambda lams: _concat(
-            point_grid(lams, grid.spectral_set), [p(lams) for p in profs])
+            point_grid(lams, grid.spectral_set), [p(lams) for p in profs],
+            scale=coeffs)
     return out
 
 

@@ -165,8 +165,7 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
     window field of moderate size."""
     if not c > 0:
         raise DomainError("need c > 0")
-    spec = samples.spec
-    grid = e.grid
+    spec, grid = samples.spec, e.grid
     if not np.any(samples.array):
         return FieldSample.zero(grid)
     kmax, lmax, mmax = samples.bounds()
@@ -174,21 +173,17 @@ def reconstruct(samples: SampleSet, e: FieldSample, c: float) -> FieldSample:
     # the phase sum over the central index at every node, (K, N, L)
     stilde = np.matmul(_phase_table(grid.nodes, _TWO_PI, mmax),
                        samples.array.transpose(0, 2, 1))
-    T = e.n_terms
-    K, L = ks.size, ls.size
-    # term index layout: (e-term, k, l) blocks per source term
-    node = np.repeat(e.term_node, K * L)
-    shift = np.tile(np.repeat(spec.alpha * ks, L), T)
-    lo = np.repeat(e.term_lo, K * L) + shift
-    hi = np.repeat(e.term_hi, K * L) + shift
-    base_freq = np.repeat(e.term_freq, K * L)
-    lam = grid.nodes[node]
-    freq = base_freq - lam * spec.beta * np.tile(np.tile(ls, K), T)
-    weight = stilde[np.tile(np.repeat(np.arange(K), L), T), node,
-                    np.tile(np.tile(np.arange(L), K), T)]
-    weight = weight * np.exp(-1j * _TWO_PI * base_freq * shift) / c
-    coef = np.repeat(e.term_coef, K * L, axis=0) * weight[:, None]
-    return FieldSample(grid, node, lo, hi, coef, freq)
+    # r's terms as (e-term, k, l) arrays, broadcast from e's columns
+    node, lo, hi, coef, freq = (x[:, None, None]
+                                for x in (e.term_node, *e.terms))
+    shift = (spec.alpha * ks)[:, None]
+    weight = stilde.transpose(1, 0, 2)[e.term_node]
+    weight *= np.exp(-1j * _TWO_PI * freq * shift)
+    weight /= c
+    freq = freq - grid.nodes[node] * spec.beta * ls
+    node, lo, hi, freq = (np.broadcast_to(x, weight.shape).ravel()
+                          for x in (node, lo + shift, hi + shift, freq))
+    return FieldSample(grid, node, lo, hi, coef * weight[..., None], freq)
 
 
 def _fft_size(n: int) -> int:

@@ -40,10 +40,10 @@ block in row runs of at most _PAIR_BLOCK / 4 values.  It also takes
 translates and per-segment modulations, so it is the lattice table
 grids._node_table too; only fieldcheck's unfolding sum sweeps elsewhere.
 
-_segment_norm2 merges bit-equal terms and groups them by cell; it sums a
-regular class (degree-0 modulations one step apart, as in a
-reconstruction) as one coefficient correlation and every other unordered
-cell pair once, since a norm is a Hermitian form.
+_segment_norm2 takes whole segments of at most _PAIR_BLOCK / 32 terms at
+a time, merges bit-equal terms and groups them by cell; it sums a regular
+class (degree-0 modulations one step apart, as in a reconstruction) as one
+coefficient correlation and every other unordered cell pair once.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ _ULPS = 8.0 * np.finfo(float).eps  # pair search slack per unit endpoint
 MAX_DEGREE = 2
 
 # Candidate term pairs times translations per segment block and, over four,
-# pair values per sweep of _segment_inner; candidate cell pairs (cells
-# squared) per segment block and swept term pairs per block of
+# pair values per sweep of _segment_inner; candidate cell pairs per segment
+# block, swept term pairs per block and, over 32, terms per run of
 # _segment_norm2; unless one segment, one row of a sweep or one cell pair
 # alone has more.  Bounds their scratch memory.
 _PAIR_BLOCK = 250_000
@@ -598,12 +598,17 @@ def _segment_norm2(starts, t):
     _PAIR_BLOCK rows.  The diagonal adds the real part of its inner
     product and every other pair twice it, since <a, b> + <b, a> =
     2 Re <a, b>, in pair order; a one-term class keeps the bits of its
-    diagonal row.
+    diagonal row.  It runs on whole segments of at most _PAIR_BLOCK / 32
+    terms (scratch under 2 MB), which moves no bit: a segment's norm reads
+    only its own terms.
     """
     starts = np.asarray(starts)
     out = np.zeros(starts.size - 1)
     if starts[-1] == starts[0]:
         return out
+    if out.size > 1 and 32 * (starts[-1] - starts[0]) > _PAIR_BLOCK:
+        return np.concatenate([_segment_norm2(starts[s0:s1 + 1], t)
+                               for s0, s1 in _blocks(32 * np.diff(starts))])
     seg, merged = _like_terms(starts, t)
     first, size, regular, slot, step = _cell_classes(seg, merged)
     cstarts = np.searchsorted(seg[first], np.arange(starts.size))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from hgs.sampling import onb_gram_check, sample_on_lattice
 from hgs.testfields import (AtomSuite, atom_suite, random_pl_field,
                             two_slice_field)
 from hgs.windows import Window
+
+from conftest import traced_peak
 
 SPEC = QuasiLatticeSpec(1, 1)
 E_FULL = SpectralSet([(-1.0, 1.0)])
@@ -894,13 +895,8 @@ def test_theta_memory_stays_off_the_dense_grid(coarse):
     # no (K, N, T) scratch: the 128 x 128 report peaks below 8 MB
     _, e = coarse
     pts = jittered_unit_grid(128)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rep = theta_delta_report(e, SPEC, (pts, pts), kmax=4, lmax=16)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(
+        lambda: theta_delta_report(e, SPEC, (pts, pts), kmax=4, lmax=16))
     assert rep.dev_zero <= 1e-10 and rep.dev_nonzero <= 1e-10
     assert peak < 8e6
 

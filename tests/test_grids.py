@@ -1,17 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgs import grids
 from hgs.cli import _load_config
 from hgs.errors import (DomainError, EmptyGridError, FieldFormatError,
                         GridMismatchError, HgsError, WindowStructureError)
 from hgs.grids import (FieldSample, SpectralSet, TimeGrid, field_inner,
                        field_load, field_save, gauss_lambda_grid, lambda_grid,
-                       plancherel_measure)
+                       plancherel_measure, point_grid)
 from hgs.group import QuasiLatticeSpec
 from hgs.sampling import SampleSet
 from hgs.windows import Window
+
+E_UNIT = SpectralSet([(-1.0, 1.0)])
 
 
 def test_plancherel_measure_closed_forms():
@@ -254,6 +259,130 @@ def test_grid_layouts_pinned():
         0.3644134295108992, 0.13058657048910083, 0.03690598923241497,
         0.08309401076758503, 0.10035390204391209, 0.11839609795608791,
         0.1316039020439121, 0.1496460979560879])
+
+
+def _allocate_loops(pieces, n_per_interval):
+    """The node budget split in two loops: the largest remainder takes one
+    node at a time while the budget lasts, then the smallest gives one back
+    while the budget is passed and its piece has more than one."""
+    by_parent = {}
+    for idx, lo, hi in pieces:
+        by_parent.setdefault(idx, []).append((lo, hi))
+    alloc = []
+    for idx in sorted(by_parent):
+        segs = by_parent[idx]
+        total = sum(hi - lo for lo, hi in segs)
+        raw = [n_per_interval * (hi - lo) / total for lo, hi in segs]
+        counts = [max(1, int(r)) for r in raw]
+        while sum(counts) < n_per_interval:
+            rems = [r - c for r, c in zip(raw, counts)]
+            counts[rems.index(max(rems))] += 1
+        while sum(counts) > n_per_interval and max(counts) > 1:
+            rems = [r - c for r, c in zip(raw, counts)]
+            j = rems.index(min(rems))
+            if counts[j] > 1:
+                counts[j] -= 1
+            else:
+                break
+        alloc.extend((lo, hi, c) for (lo, hi), c in zip(segs, counts))
+    return alloc
+
+
+@st.composite
+def _cut_sets(draw):
+    """A spectral set of up to four intervals with ends on a 1/16 grid in
+    [-3, 3], and a cut-off."""
+    ends = sorted(draw(st.sets(st.integers(-48, 48), min_size=2,
+                               max_size=8)))
+    E = SpectralSet([(a / 16, b / 16) for a, b in zip(ends[::2], ends[1::2])])
+    return E, draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+
+
+@settings(max_examples=200)
+@given(case=_cut_sets(), n=st.integers(1, 40))
+def test_allocate_spends_each_budget(case, n):
+    # each interval's budget goes to its pieces, at most two, in one
+    # largest-remainder step: n nodes, or one per piece where n is smaller,
+    # placed where the split by loops placed them
+    E, lambda_min = case
+    pieces = E.cut(lambda_min)
+    alloc = grids._allocate(pieces, n)
+    assert alloc == _allocate_loops(pieces, n)
+    for idx in range(len(E.intervals)):
+        counts = [c for (i, *_), (*_, c) in zip(pieces, alloc) if i == idx]
+        assert len(counts) <= 2
+        assert sum(counts) == (max(n, len(counts)) if counts else 0)
+    if not pieces:
+        return
+    rules = (lambda: lambda_grid(E, n, lambda_min),
+             lambda: gauss_lambda_grid(E, n + 1, lambda_min, order=2))
+    for rule in rules:
+        got = rule()
+        with mock.patch.object(grids, "_allocate", _allocate_loops):
+            want = rule()
+        assert got.nodes.tobytes() == want.nodes.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@st.composite
+def _concat_cases(draw):
+    """Up to three fields on grids of 1 to 4 nodes, terms told apart by
+    their cells (term j of field i on [100 i + j, 100 i + j + 1)), a map of
+    each field's nodes into six (unsorted, with repeats) and a factor or
+    None per field."""
+    fields, maps, scale = [], [], []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        node = np.repeat(np.arange(n), counts)
+        lo = 100.0 * i + np.arange(node.size)
+        coef = np.arange(3.0 * node.size).reshape(-1, 3) * (1.0 - 0.5j)
+        fields.append(FieldSample(point_grid(np.arange(n), E_UNIT), node, lo,
+                                  lo + 1.0, coef, np.zeros(node.size)))
+        maps.append(np.array(draw(st.lists(st.integers(0, 5), min_size=n,
+                                           max_size=n))))
+        scale.append(draw(st.sampled_from([None, -1.0, 0.5j, 3.0])))
+    return fields, maps, scale
+
+
+@settings(max_examples=100)
+@given(case=_concat_cases(), mapped=st.booleans())
+def test_concat_order_contract(case, mapped):
+    # rows come node-major; within a node the fields keep their order and
+    # each field the order of its terms; a field's coefficients are scaled
+    # as by f.term_coef * c
+    fields, maps, scale = case
+    out = grids._concat(point_grid(np.arange(6), E_UNIT), fields,
+                        maps if mapped else None, scale)
+    rows = sorted((int(m[k]) if mapped else int(k), i, j)
+                  for i, (f, m) in enumerate(zip(fields, maps))
+                  for j, k in enumerate(f.term_node))
+    assert out.term_node.tolist() == [k for k, _, _ in rows]
+    assert out.term_lo.tolist() == [100.0 * i + j for _, i, j in rows]
+    want = [fields[i].term_coef[j] * (1.0 if scale[i] is None else scale[i])
+            for _, i, j in rows]
+    assert out.term_coef.tobytes() == np.reshape(want, (-1, 3)).tobytes()
+
+
+def test_slices_at_keeps_each_point_in_order():
+    # the points that hit a node, then both bracketing slices of each other
+    # point, merged back into point order: the map [on, off, off]
+    grid = lambda_grid(SpectralSet([(0.5, 1)]), 8, 0.05)
+    f = FieldSample.from_windows(grid, [
+        Window.indicator(0.0, 1.0, lam) + Window.indicator(1.0, 2.0, -lam)
+        for lam in grid.nodes])
+    nodes = grid.nodes
+    lams = [0.5 * (nodes[4] + nodes[5]), nodes[6], 0.5 * (nodes[1] + nodes[2]),
+            nodes[0]]
+    s = f.slices_at(lams)
+    assert s.term_node.tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3]
+    for k, want in enumerate([f.slice(4) * 0.5 + f.slice(5) * 0.5,
+                              f.slice(6),
+                              f.slice(1) * 0.5 + f.slice(2) * 0.5,
+                              f.slice(0)]):
+        w = s.slice(k)
+        assert np.array_equal(w.lo, want.lo) and np.array_equal(w.hi, want.hi)
+        assert np.allclose(w.coef, want.coef, rtol=1e-12, atol=0)
 
 
 def _samples_file(tmp_path):

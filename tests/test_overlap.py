@@ -4,7 +4,6 @@ same-node cross join, on generated piecewise-linear fields with touching
 cells, repeated intervals and empty slices."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +23,8 @@ from hgs.sampling import (reconstruct, reconstruction_study,
 from hgs.testfields import atom_suite, random_pl_field, two_slice_field
 from hgs.windows import (MAX_DEGREE, Window, _translated_pairs,
                          paired_inner_sweep)
+
+from conftest import traced_peak
 
 E_FULL = SpectralSet([(-1.0, 1.0)])
 
@@ -404,6 +405,66 @@ def test_norms_match_ordered_reference(norm_fields, name, block):
     assert abs(norm - full) <= 1e-14 * full
 
 
+@pytest.fixture(scope="module")
+def blocked_norm_fields(norm_fields):
+    """The 64-node dense differences f - r at box (3, 16, 8), at alpha = 1
+    and at 0.75 (overlapping translates), and a piecewise-linear field
+    with repeated terms, regular and irregular classes and empty slices."""
+    e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
+    dense = {f"dense_{a:g}": _dense_error(e, QuasiLatticeSpec(a, 1), 16,
+                                          (1, 8, 4), (3, 16, 8), 8)
+             for a in (1, 0.75)}
+    pl = norm_fields["pl_degree1"]
+    flat = FieldSample(pl.grid, pl.term_node, pl.term_lo, pl.term_hi,
+                       pl.term_coef * [1.0, 0.0, 0.0], pl.term_freq)
+
+    def modulates(x1, x2s):
+        return field_sum([flat.heisenberg_translate(x1, x2, 0.0)
+                          for x2 in x2s], [1.0, 2.0 - 1.0j, 0.5j, -1.0])
+
+    # repeated degree-1 terms, modulations in slots {0, 1, 2, 4} of one
+    # step (regular) and with a gap far below the rest (irregular)
+    pl = (pl + pl + modulates(0.0625, [0.0, 0.25, 0.5, 1.0])
+          + modulates(0.125, [0.0, 1e-12, 1.0, 0.5]))
+    return dense | {"pl_classes": pl.restrict(
+        SpectralSet([(-1.0, -0.4), (-0.2, 0.3), (0.6, 1.0)]))}
+
+
+@pytest.mark.parametrize("name", ["dense_1", "dense_0.75", "pl_classes"])
+def test_norm_blocks_move_no_bit(blocked_norm_fields, name):
+    # _segment_norm2 runs its merge, class analysis, pair sweep and lag
+    # sums over runs of whole segments of at most _PAIR_BLOCK / 32 terms;
+    # a segment's norm reads only its own terms, so no run length or pair
+    # block moves a bit
+    f = blocked_norm_fields[name]
+    seg, merged = windows._like_terms(f._starts, f.terms)
+    _, size, regular, *_ = windows._cell_classes(seg, merged)
+    assert np.any(regular) and merged[0].size < f.n_terms
+    if name == "pl_classes":
+        assert np.any(~regular & (size > 1))
+        assert np.any(np.diff(f._starts) == 0)
+    want = windows._segment_norm2(f._starts, f.terms)
+    runs = set()
+    for block in [*_BLOCKS, 96, 4096, 20_000]:
+        calls = []
+
+        def spy(starts, t):
+            calls.append(starts.size - 1)
+            return like_terms(starts, t)
+
+        like_terms = windows._like_terms
+        with mock.patch.object(windows, "_PAIR_BLOCK", block), \
+                mock.patch.object(windows, "_like_terms", spy):
+            got = windows._segment_norm2(f._starts, f.terms)
+            slices, norm = f.slice_norm2(), f.norm2()
+        runs.add(len(calls))
+        assert got.tobytes() == want.tobytes()
+        assert slices.tobytes() == np.maximum(want, 0.0).tobytes()
+        assert norm == max(float(np.sum(f.grid.weights * want)), 0.0)
+    # from one segment a run up to the whole table
+    assert len(runs) >= 3
+
+
 def test_canonical_norms_bit_identical():
     # one term per node: only diagonal rows, each taken at weight 1, so
     # the slice norms and the single-term windows keep the bits of the
@@ -510,12 +571,7 @@ def test_irregular_cells_take_the_pair_path(tmp_path):
     with np.errstate(over="ignore"):
         assert np.isinf(0.5 / np.diff(np.sort(f.term_freq)).min())
     for u in (w, v, f.slice(0)):
-        tracemalloc.start()
-        try:
-            rows, _ = _sweeps(u.norm2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (rows, _), peak = traced_peak(lambda: _sweeps(u.norm2))
         assert rows == 6
         want = _ordered_pair_norm2(u)
         assert abs(u.norm2() - want) <= 1e-15 * want

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +21,9 @@ from hgs.sampling import (SampleSet, _fft_size, _reconstruction_norm2_fast,
                           isometry_ratio, onb_gram_check, reconstruct,
                           reconstruction_study, sample_on_lattice)
 from hgs.testfields import AtomSuite, atom_suite, random_pl_field
-from hgs.windows import Window
+from hgs.windows import _TWO_PI, Window
+
+from conftest import traced_peak
 
 SPEC = QuasiLatticeSpec(1, 1)
 E_FULL = SpectralSet([(-1.0, 1.0)])
@@ -447,13 +448,7 @@ def test_reconstruction_norm_memory_streams():
     # (K, N, M) row spectra alone would be 30 MB at this box
     e = canonical_field(lambda_grid(E_FULL, 1024, 1e-3))
     s = _random_samples(SPEC, (6, 32, 16), seed=13)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _reconstruction_norm2_fast(s, e, 1.0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: _reconstruction_norm2_fast(s, e, 1.0))
     assert peak < 24e6
 
 
@@ -469,14 +464,87 @@ def test_dense_field_inner_memory_bounded():
     for inner in (lambda: field_inner_per_node(d, d), d.slice_norm2,
                   lambda: _node_table(d, d, SPEC, 1, 0),
                   lambda: lattice_coefficients([d], d, SPEC, 1, 0, 0)):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            inner()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 24e6
+        assert traced_peak(inner)[1] < 24e6
+    # the dense reference at 256 nodes (63,232 terms): the squared norm
+    # runs whole segments of at most _PAIR_BLOCK / 32 terms (12.1 MB when
+    # it merged and classed the whole table at once), reconstruct writes
+    # its (e-term, k, l) columns by broadcasting (10.5 MB with repeat and
+    # tile index arrays), and f - r negates r's rows in place and reorders
+    # one column at a time (12.85 MB with a negated copy of r)
+    e = canonical_field(lambda_grid(E_FULL, 256, 1e-3))
+    f = atom_suite(e, SPEC, n_functions=1, n_atoms=16, box=(1, 8, 4),
+                   seed=8).fields()[0]
+    s = sample_on_lattice(f, e, SPEC, (3, 16, 8))
+    r, peak = traced_peak(lambda: reconstruct(s, e, 1.0))
+    assert peak < 1.6 * _table_bytes(r)
+    d, peak = traced_peak(lambda: f - r)
+    assert d.n_terms == 63_232 and peak < 2.0 * _table_bytes(d)
+    assert traced_peak(d.norm2)[1] < 4e6
+
+
+def _table_bytes(f):
+    return sum(x.nbytes for x in (f.term_node, *f.terms))
+
+
+def _reconstruct_literal(samples, e, c):
+    """reconstruct with its (e-term, k, l) table laid out by repeat and
+    tile index arrays, one entry per output term."""
+    spec, grid = samples.spec, e.grid
+    kmax, lmax, mmax = samples.bounds()
+    ks, ls = np.arange(-kmax, kmax + 1), np.arange(-lmax, lmax + 1)
+    stilde = np.matmul(grids._phase_table(grid.nodes, _TWO_PI, mmax),
+                       samples.array.transpose(0, 2, 1))
+    T, K, L = e.n_terms, ks.size, ls.size
+    node = np.repeat(e.term_node, K * L)
+    shift = np.tile(np.repeat(spec.alpha * ks, L), T)
+    lo = np.repeat(e.term_lo, K * L) + shift
+    hi = np.repeat(e.term_hi, K * L) + shift
+    base_freq = np.repeat(e.term_freq, K * L)
+    lam = grid.nodes[node]
+    freq = base_freq - lam * spec.beta * np.tile(np.tile(ls, K), T)
+    weight = stilde[np.tile(np.repeat(np.arange(K), L), T), node,
+                    np.tile(np.tile(np.arange(L), K), T)]
+    weight = weight * np.exp(-1j * _TWO_PI * base_freq * shift) / c
+    coef = np.repeat(e.term_coef, K * L, axis=0) * weight[:, None]
+    return FieldSample(grid, node, lo, hi, coef, freq)
+
+
+@pytest.mark.parametrize("ab", [(0.75, 1.25), (0.5, 2.0)])
+def test_reconstruct_matches_index_array_layout(generators, ab):
+    # two terms per node in e, alpha != 1 and c != 1: every column of the
+    # broadcast table is the index-array one, bit for bit
+    _, gens = generators
+    spec = QuasiLatticeSpec(*ab)
+    f = atom_suite(gens["canonical"], spec, n_functions=1, n_atoms=6,
+                   box=(1, 3, 2), seed=7).fields()[0]
+    s = sample_on_lattice(f, gens["split"], spec, (2, 5, 3))
+    got = reconstruct(s, gens["split"], 0.8)
+    want = _reconstruct_literal(s, gens["split"], 0.8)
+    for x, y in zip((got.term_node, *got.terms, got._starts),
+                    (want.term_node, *want.terms, want._starts)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def test_difference_negates_rows_in_place(generators):
+    # f - r is f's and r's rows node-major, f's first at each node, with
+    # r's coefficients those of -1.0 * r bit for bit; nothing of f's
+    # expansion or profile carries over
+    _, gens = generators
+    f = atom_suite(gens["canonical"], SPEC, n_functions=1, n_atoms=6,
+                   box=(1, 3, 2), seed=7).fields()[0]
+    r = reconstruct(sample_on_lattice(f, gens["split"], SPEC, (2, 5, 3)),
+                    gens["split"], 0.8)
+    d = f - r
+    assert f.expansion is not None and f.profile is not None
+    assert d.expansion is None and d.profile is None
+    order = np.argsort(np.concatenate([f.term_node, r.term_node]),
+                       kind="stable")
+    for got, a, b in zip((d.term_node, *d.terms),
+                         (f.term_node, *f.terms),
+                         (r.term_node, r.term_lo, r.term_hi,
+                          -1.0 * r.term_coef, r.term_freq)):
+        assert got.tobytes() == np.concatenate([a, b])[order].tobytes()
 
 
 def test_reconstruction_study_builds_no_field(generators, monkeypatch):

@@ -2,8 +2,6 @@
 half-range phase tables, and the Parseval energy summed one k block at a
 time."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +18,8 @@ from hgs.group import QuasiLatticeSpec
 from hgs.sampling import reconstruct, sample_on_lattice
 from hgs.testfields import atom_suite, random_pl_field
 from hgs.windows import _TWO_PI
+
+from conftest import traced_peak
 
 E_FULL = SpectralSet([(-1.0, 1.0)])
 SPECS = [QuasiLatticeSpec(1.0, 1.0), QuasiLatticeSpec(0.75, 1.25),
@@ -322,11 +322,6 @@ def test_streamed_energy_memory_bounded():
     e = canonical_field(lambda_grid(E_FULL, 1024, 1e-3))
     suite = atom_suite(e, SPECS[0], n_functions=10, n_atoms=12,
                        box=(2, 8, 4), seed=0x5EED)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        parseval_residual(e, SPECS[0], suite, 8, 64, 32)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: parseval_residual(e, SPECS[0], suite, 8, 64, 32))
     assert peak < 12 * 2 ** 20

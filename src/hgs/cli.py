@@ -26,8 +26,8 @@ from .errors import FieldFormatError, HgsError
 from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
                          jittered_unit_grid, orthogonality_residuals,
                          theta_delta_report)
-from .grids import (_TILE, SpectralSet, _ascii_lines, _self_table,
-                    gauss_lambda_grid, lambda_grid)
+from .grids import (_TILE, SpectralSet, _ascii_lines, _gauss_panel_width,
+                    _self_table, gauss_lambda_grid, lambda_grid)
 from .group import QuasiLatticeSpec
 from .sampling import (_MAX_BOX_SAMPLES, _fft_size, interpolation_verdict,
                        onb_gram_check, reconstruction_study)
@@ -282,6 +282,16 @@ def cmd_sinc(args):
         points.extend(_parse_triple(line, float, f"point on line {lineno}",
                                     extra_columns=True)
                       for lineno, line in lines if line.strip())
+    # the oracle's phase e^{2 pi i lam (z - y u)}, 0 <= u <= 1, turns at
+    # most once per Gauss panel while |y| + |z| <= 1 / width; there it
+    # stays within 3e-8 of criterion 7's closed forms, at twice that reach
+    # it is off by 3e-4
+    reach = 1.0 / _gauss_panel_width(E, n, 1e-8, 8)
+    for x, y, z in points:
+        if abs(y) + abs(z) > reach:
+            raise HgsError(f"point {x!r},{y!r},{z!r} lies past the oracle's "
+                           f"reach |y| + |z| <= {reach:.6g} on {n} nodes per "
+                           "spectral interval; --lambda-nodes raises it")
     if args.random:
         points.extend(seeded_strip_points(args.random, seed=cfg["seed"]))
     rep = sinc_compare(points, grid, e)

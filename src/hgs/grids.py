@@ -213,6 +213,15 @@ def gauss_lambda_grid(E: SpectralSet, n_per_interval: int,
     return _layout(E, n_per_interval, lambda_min, f"gauss{order}", gauss)
 
 
+def _gauss_panel_width(E: SpectralSet, n_per_interval: int,
+                       lambda_min: float = 0.05, order: int = 8) -> float:
+    """Width of the widest panel of gauss_lambda_grid with these
+    arguments: each piece of E.cut(lambda_min) holds count // order
+    panels of equal width, at least one."""
+    return max((hi - lo) / max(1, count // order) for lo, hi, count
+               in _allocate(E.cut(lambda_min), n_per_interval))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid for tabulated slices."""

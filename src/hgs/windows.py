@@ -29,14 +29,18 @@ the term midpoints themselves.
 
 Every term pairing in the package comes from one pair search,
 _translated_pairs, which ends in the exact overlap test min(hi) > max(lo)
-that keeps disjoint pairs out of paired_inner_sweep.  Both pair kernels,
+that keeps disjoint pairs out of paired_inner_sweep.  Its binary search
+runs only where it can prune, at finite nmax on two tables that both hold
+several terms in some segment; at nmax = inf, or when either table holds
+at most one term per segment, the candidates are the segment cross join
+_cross_join, and both give the same rows.  Both pair kernels,
 paired_inner_sweep and product_conj_terms, form the product of a pair on
 its overlap cell in one helper, _pair_product.  _segment_inner and
 _segment_norm2 are the one inner product and the one squared norm of the
 windows of a segmented table, a Window being one segment and a
-FieldSample one per node; both run in blocks of at most _PAIR_BLOCK pairs
-and add each segment's values in pair order; _segment_inner sweeps a
-block in row runs of at most _PAIR_BLOCK / 4 values.  It also takes
+FieldSample one per node; both run in blocks of at most _PAIR_BLOCK
+candidate pairs, sweep at most _PAIR_BLOCK / 4 pair values at a time and
+add each segment's values in pair order.  _segment_inner also takes
 translates and per-segment modulations, so it is the lattice table
 grids._node_table too; only fieldcheck's unfolding sum sweeps elsewhere.
 
@@ -66,9 +70,9 @@ MAX_DEGREE = 2
 
 # Candidate term pairs times translations per segment block and, over four,
 # pair values per sweep of _segment_inner; candidate cell pairs per segment
-# block, swept term pairs per block and, over 32, terms per run of
-# _segment_norm2; unless one segment, one row of a sweep or one cell pair
-# alone has more.  Bounds their scratch memory.
+# block and, over four, swept term pairs per block and, over 32, terms per
+# run of _segment_norm2; unless one segment, one row of a sweep or one cell
+# pair alone has more.  Bounds their scratch memory.
 _PAIR_BLOCK = 250_000
 
 
@@ -312,30 +316,42 @@ def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
     lo_b', hi_b') in (segment, ia, ib, n) order.
 
     Table A is terms starts_a[0] to starts_a[-1], segment s from
-    starts_a[s]; likewise B.  Each A term takes the B terms of its segment
-    with lo in (lo_a - w - nmax step, hi_a + nmax step), w the widest B
-    cell, by binary search in B sorted by (segment, lo), the reach widened
-    by a few ulps so that rounding in the moved cells drops no row.
+    starts_a[s]; likewise B.  The candidates are the segment cross join
+    (_cross_join) when nmax is infinite, where any reach covers whole
+    segments, or when A or B holds at most one term in every segment,
+    where the join is linear in the terms.  Otherwise each A term takes
+    the B terms of its segment with lo in (lo_a - w - nmax step, hi_a +
+    nmax step), w the widest B cell, by binary search in B sorted by
+    (segment, lo), the reach widened by a few ulps so that rounding in the
+    moved cells drops no row.  Both keep the same rows.
     """
     starts_a, starts_b = np.asarray(starts_a), np.asarray(starts_b)
     a0, a1, b0, b1 = starts_a[0], starts_a[-1], starts_b[0], starts_b[-1]
-    la, ha, lb, hb = lo_a[a0:a1], hi_a[a0:a1], lo_b[b0:b1], hi_b[b0:b1]
-    segs = np.arange(starts_a.size - 1)
-    seg_a = segs.repeat(starts_a[1:] - starts_a[:-1])
-    key = _seg_key(segs.repeat(starts_b[1:] - starts_b[:-1]), lb)
-    order = key.argsort(kind="stable")
-    key = key[order]
-    scale = np.abs(np.concatenate((la, ha, lb, hb))).max(initial=0.0)
-    # a reach past every cell finds what an infinite one would, and keeps
-    # the search keys finite
-    pad = min(nmax * step, 4.0 * scale)
-    slack = _ULPS * (scale + pad)
-    reach = (hb - lb).max(initial=0.0) + pad + slack
-    first = key.searchsorted(_seg_key(seg_a, la - reach), side="right")
-    stop = key.searchsorted(_seg_key(seg_a, ha + (pad + slack)),
-                            side="left")
-    rep, pos = _ranges(first, np.maximum(stop - first, 0))
-    ia, ib = a0 + rep, b0 + order[pos]
+    count_a = starts_a[1:] - starts_a[:-1]
+    count_b = starts_b[1:] - starts_b[:-1]
+    segs = np.arange(count_a.size)
+    seg_a = segs.repeat(count_a)
+    searched = (nmax != np.inf and count_a.max(initial=0) > 1
+                and count_b.max(initial=0) > 1)
+    if searched:
+        la, ha, lb, hb = lo_a[a0:a1], hi_a[a0:a1], lo_b[b0:b1], hi_b[b0:b1]
+        key = _seg_key(segs.repeat(count_b), lb)
+        order = key.argsort(kind="stable")
+        key = key[order]
+        scale = np.abs(np.concatenate((la, ha, lb, hb))).max(initial=0.0)
+        # a reach past every cell finds what an infinite one would, and
+        # keeps the search keys finite
+        pad = min(nmax * step, 4.0 * scale)
+        slack = _ULPS * (scale + pad)
+        reach = (hb - lb).max(initial=0.0) + pad + slack
+        first = key.searchsorted(_seg_key(seg_a, la - reach), side="right")
+        stop = key.searchsorted(_seg_key(seg_a, ha + (pad + slack)),
+                                side="left")
+        rep, pos = _ranges(first, np.maximum(stop - first, 0))
+        ia, ib = a0 + rep, b0 + order[pos]
+    else:
+        ia, ib, _ = _cross_join(starts_a[:-1], count_a, starts_b[:-1],
+                                count_b)
     if nmax:    # at nmax = 0 each candidate has the one row n = 0
         rep, n = _overlap_shifts(lo_a[ia], hi_a[ia], lo_b[ib], hi_b[ib],
                                  step, nmax)
@@ -346,8 +362,9 @@ def _translated_pairs(starts_a, lo_a, hi_a, starts_b, lo_b, hi_b, step,
     lo, hi = lo_b[ib] + shift, hi_b[ib] + shift
     live = np.minimum(hi_a[ia], hi) > np.maximum(lo_a[ia], lo)
     ia, ib, n, lo, hi = ia[live], ib[live], n[live], lo[live], hi[live]
-    # candidates come in lo order; restore ib order within each A term
-    if ((ia[1:] == ia[:-1]) & (ib[1:] < ib[:-1])).any():
+    # searched candidates come in lo order; restore ib order within each
+    # A term
+    if searched and ((ia[1:] == ia[:-1]) & (ib[1:] < ib[:-1])).any():
         perm = (ia * lo_b.size + ib).argsort(kind="stable")
         ia, ib, n, lo, hi = ia[perm], ib[perm], n[perm], lo[perm], hi[perm]
     return ia, ib, seg_a[ia - a0], n, lo, hi
@@ -595,12 +612,12 @@ def _segment_norm2(starts, t):
     cell pairs ca < cb are kept, and the diagonal of every class that is
     not regular.  _cross_join expands each kept class pair to its term
     pairs, those ia <= ib of a class with itself, in blocks of at most
-    _PAIR_BLOCK rows.  The diagonal adds the real part of its inner
-    product and every other pair twice it, since <a, b> + <b, a> =
-    2 Re <a, b>, in pair order; a one-term class keeps the bits of its
-    diagonal row.  It runs on whole segments of at most _PAIR_BLOCK / 32
-    terms (scratch under 2 MB), which moves no bit: a segment's norm reads
-    only its own terms.
+    _PAIR_BLOCK / 4 rows, as _segment_inner bounds a sweep.  The diagonal
+    adds the real part of its inner product and every other pair twice
+    it, since <a, b> + <b, a> = 2 Re <a, b>, in pair order; a one-term
+    class keeps the bits of its diagonal row.  It runs on whole segments
+    of at most _PAIR_BLOCK / 32 terms, which moves no bit: a segment's
+    norm reads only its own terms.
     """
     starts = np.asarray(starts)
     out = np.zeros(starts.size - 1)
@@ -619,7 +636,7 @@ def _segment_norm2(starts, t):
         ca, cb, *_ = _translated_pairs(cells, lo, hi, cells, lo, hi, 1.0, 0)
         keep = (ca < cb) | ((ca == cb) & ~regular[ca])
         ca, cb = ca[keep], cb[keep]
-        for i, j in _blocks(size[ca] * size[cb]):
+        for i, j in _blocks(4 * size[ca] * size[cb]):
             a, b = ca[i:j], cb[i:j]
             ia, ib, _ = _cross_join(first[a], size[a], first[b], size[b])
             # classes lie in term order, so this holds wherever a < b

@@ -13,6 +13,7 @@ import pytest
 import hgs
 from hgs import cli
 from hgs.cli import main
+from hgs.sinc import S0_closed, S1_closed
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -249,12 +250,50 @@ def test_sinc_points_file_non_ascii_line(capsys, tmp_path):
 
 def test_sinc_far_out_point_finite(capsys):
     # at |c y| < 1e-6 the closed forms take psi's derivatives, whose closed
-    # numerators over u^3 overflowed past |z| ~ 3e101 with a traceback
+    # numerators over u^3 overflowed past |z| ~ 3e101 with a traceback; the
+    # command now refuses that point before its oracle aliases (see below),
+    # so the forms are called directly
+    for val in (S0_closed(0.3, 0.0, 1e102), S1_closed(0.3, 0.0, 1e102)):
+        assert math.isfinite(val.real) and math.isfinite(val.imag)
+        assert abs(val) < 1e-99
     code, out, err = run(capsys, "sinc", "--point", "0.3,0,1e102",
                          "--lambda-nodes", "256", "--no-timestamp")
-    assert code == 0 and err == ""
-    row = [float(v) for v in out.splitlines()[1].split(",")]
-    assert all(map(math.isfinite, row)) and max(map(abs, row[-2:])) < 1e-99
+    assert code == 2 and out == ""
+    assert err.startswith("error: point 0.3,0.0,1e+102 lies past")
+
+
+@pytest.mark.parametrize("nodes, reach", [(256, 16.0), (4096, 256.0)])
+def test_sinc_rejects_points_past_oracle_reach(capsys, tmp_path, nodes,
+                                               reach):
+    # the Gauss oracle resolves |y| + |z| up to one turn of its phase per
+    # panel, 1 / width (16 panels per unit at 256 nodes): on that edge
+    # both derived readings stay within criterion 7's 1e-6, past it the
+    # point exits 2 with the reach named, and more nodes move the edge
+    edge = [(x, s * t * reach, (1.0 - t) * reach)
+            for x in (-0.6, 0.0, 0.3, 0.7) for t in (0.0, 0.4, 1.0)
+            for s in (1.0, -1.0)]
+    pts = tmp_path / "edge.txt"
+    pts.write_text("".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in edge))
+    csv = tmp_path / "edge.csv"
+    code, _, _ = run(capsys, "sinc", "--points-file", str(pts),
+                     "--lambda-nodes", str(nodes), "--csv", str(csv),
+                     "--no-timestamp")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in csv.read_text().splitlines()[1:]]
+    assert len(rows) == len(edge)
+    for (x, y, z), row in zip(edge, rows):
+        s0, s1 = complex(*row[5:7]), complex(*row[7:9])
+        assert (abs(S0_closed(x, y, z, reading="derived") - s0)
+                <= 1e-6 * (abs(s0) + 1e-3))
+        assert abs(S1_closed(x, y, z) - s1) <= 1e-6 * (abs(s1) + 1e-3)
+    for point in (f"0.3,0,{reach * 1.01!r}", f"0.3,{-reach / 2},"
+                  f"{reach * 0.51!r}"):
+        code, out, err = run(capsys, "sinc", "--point", point,
+                             "--lambda-nodes", str(nodes))
+        assert code == 2 and out == ""
+        assert f"|y| + |z| <= {reach:g} on {nodes} nodes" in err
+        assert "--lambda-nodes raises it" in err
 
 
 def test_sinc_random_csv_bytes_pinned(capsys):

@@ -3,6 +3,7 @@ squared norms and the shift-expanded lattice sweep against the full
 same-node cross join, on generated piecewise-linear fields with touching
 cells, repeated intervals and empty slices."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -16,10 +17,11 @@ from hgs.canonical import canonical_field
 from hgs.fieldcheck import _unfolded_sum, lattice_coefficients, translate_field
 from hgs.grids import (FieldSample, LambdaGrid, SpectralSet, _cross_join,
                        field_inner_per_node, field_load, field_save,
-                       field_sum, lambda_grid)
+                       field_sum, gauss_lambda_grid, lambda_grid)
 from hgs.group import QuasiLatticeSpec
 from hgs.sampling import (reconstruct, reconstruction_study,
                           sample_on_lattice)
+from hgs.sinc import S_quadrature
 from hgs.testfields import atom_suite, random_pl_field, two_slice_field
 from hgs.windows import (MAX_DEGREE, Window, _translated_pairs,
                          paired_inner_sweep)
@@ -36,13 +38,13 @@ def _grid(n):
 
 
 @st.composite
-def _terms(draw, n_nodes):
-    """Term table of a field on n_nodes nodes: cells on a quarter grid
-    (touching and repeated cells are common), shifted by an offset that
-    may round, linear coefficients and a few modulations.  A node may get
-    no terms at all."""
+def _terms(draw, n_nodes, counts=(0, 4)):
+    """Term table of a field on n_nodes nodes, each with counts[0] to
+    counts[1] terms: cells on a quarter grid (touching and repeated cells
+    are common), shifted by an offset that may round, linear coefficients
+    and a few modulations."""
     off = draw(st.sampled_from([0.0, 0.1, 1.0 / 3.0]))
-    counts = draw(st.lists(st.integers(0, 4), min_size=n_nodes,
+    counts = draw(st.lists(st.integers(*counts), min_size=n_nodes,
                            max_size=n_nodes))
     node = np.repeat(np.arange(n_nodes), counts)
     size = int(node.size)
@@ -61,10 +63,20 @@ def _terms(draw, n_nodes):
     return node, lo, hi, coef, freq
 
 
+# per-node term counts of the two fields of a pair, on both sides of the
+# pair search's rule: one field with at most one term per node (the
+# segment cross join serves every nmax), both with 2 to 4 (the binary
+# search serves every finite nmax), or anything from none to 4
+_LAYOUTS = [((0, 1), (0, 4)), ((0, 4), (0, 1)), ((2, 4), (2, 4)),
+            ((0, 4), (0, 4))]
+
+
 @st.composite
 def _field_pairs(draw):
     grid = _grid(draw(st.integers(1, 4)))
-    f, g = (FieldSample(grid, *draw(_terms(grid.n))) for _ in range(2))
+    layout = draw(st.sampled_from(_LAYOUTS))
+    f, g = (FieldSample(grid, *draw(_terms(grid.n, counts)))
+            for counts in layout)
     return f, g
 
 
@@ -124,20 +136,62 @@ def _reference_translated(f, g, step, nmax):
     return tuple(x[live] for x in (ia, ib, node, n, lo, hi))
 
 
-@settings(max_examples=80, deadline=None)
+def _key_calls(run):
+    """run()'s value and the number of search keys it built: the binary
+    search of _translated_pairs builds its keys with windows._seg_key."""
+    calls = []
+    seg_key = windows._seg_key
+
+    def spy(*args):
+        calls.append(1)
+        return seg_key(*args)
+
+    with mock.patch.object(windows, "_seg_key", spy):
+        out = run()
+    return out, len(calls)
+
+
+@settings(max_examples=160, deadline=None)
 @given(fields=_field_pairs(), block=_block,
        step=st.sampled_from([0.25, 1.0 / 3.0, 0.75, 1.0, 2.5]),
        nmax=st.sampled_from([0, 1, 3, math.inf]))
 def test_translated_pairs_match_full_expansion(fields, block, step, nmax):
-    # rows and their (segment, ia, ib, n) order, whatever the block size
-    # of the callers
+    # rows and their (segment, ia, ib, n) order, bit for bit and whatever
+    # the block size of the callers, from either candidate source: the
+    # search where both fields have several terms at some node and nmax is
+    # finite, else the cross join
     f, g = fields
     with mock.patch.object(windows, "_PAIR_BLOCK", block):
-        got = _translated_pairs(f._starts, f.term_lo, f.term_hi, g._starts,
-                                g.term_lo, g.term_hi, step, nmax)
+        got, keys = _key_calls(lambda: _translated_pairs(
+            f._starts, f.term_lo, f.term_hi, g._starts, g.term_lo,
+            g.term_hi, step, nmax))
+    searched = (nmax != math.inf and np.diff(f._starts).max() > 1
+                and np.diff(g._starts).max() > 1)
+    assert (keys > 0) == searched
     want = _reference_translated(f, g, step, nmax)
     for x, y in zip(got, want, strict=True):
-        assert np.array_equal(x, y)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4),
+                               st.integers(0, 3), st.integers(0, 4)),
+                     max_size=6))
+def test_cross_join_matches_itertools_product(runs):
+    # run r pairs A's indices first_a[r] .. first_a[r] + count_a[r] - 1
+    # with B's, A-major, runs in order; runs may be empty and their
+    # indices need not be contiguous across runs
+    gap_a, count_a, gap_b, count_b = np.array(
+        runs, dtype=np.int64).reshape(-1, 4).T
+    first_a = np.cumsum(gap_a + count_a) - count_a
+    first_b = np.cumsum(gap_b + count_b) - count_b
+    ia, ib, run = _cross_join(first_a, count_a, first_b, count_b)
+    want = [(i, j, r) for r in range(len(runs))
+            for i, j in itertools.product(
+                range(int(first_a[r]), int(first_a[r] + count_a[r])),
+                range(int(first_b[r]), int(first_b[r] + count_b[r])))]
+    assert list(zip(ia.tolist(), ib.tolist(), run.tolist())) == want
+    assert ia.dtype == ib.dtype == run.dtype == np.int64
 
 
 @pytest.mark.parametrize("a, b, step, n", [
@@ -212,10 +266,12 @@ def test_self_pairs_are_the_unordered_overlaps(table):
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=_one_table())
+@given(table=_one_table().filter(lambda t: np.diff(t[0]).max() > 1))
 def test_self_pairs_search_stops_before_touching_cells(table):
-    # the candidates of a term are the terms of its segment with lo in
-    # (lo_a - w - slack, hi_a + slack), w the widest cell and slack the
+    # on a table the search serves (a segment of two terms or more; with
+    # at most one term per segment the cross join takes every same-segment
+    # pair) the candidates of a term are the terms of its segment with lo
+    # in (lo_a - w - slack, hi_a + slack), w the widest cell and slack the
     # few ulps of the search reach; of them a cell that only touches it,
     # lo_b = hi_a or hi_b = lo_a, keeps no row
     starts, lo, hi = table
@@ -236,6 +292,63 @@ def test_self_pairs_search_stops_before_touching_cells(table):
     assert counts == [np.count_nonzero((lo[rb] > lo[ra] - (w + slack))
                                        & (lo[rb] < hi[ra] + slack))]
     assert np.all(lo[ib] < hi[ia]) and np.all(lo[ia] < hi[ib])
+
+
+def _pair_sources(run, module=windows):
+    """(nmax, searched) of every _translated_pairs call that run() makes
+    through module, searched when the call built search keys."""
+    log = []
+    pairs = windows._translated_pairs
+
+    def spy(*args):
+        out, keys = _key_calls(lambda: pairs(*args))
+        log.append((args[7], keys > 0))
+        return out
+
+    with mock.patch.object(module, "_translated_pairs", spy):
+        run()
+    return log
+
+
+def test_search_serves_only_tables_it_can_prune():
+    # one term per node (the canonical field, its translates, its lattice
+    # table) takes the cross join, linear in the terms there, and so does
+    # nmax = inf, where the search would find the whole join anyway
+    gauss = gauss_lambda_grid(E_FULL, 4096, lambda_min=1e-8, order=8)
+    e = canonical_field(gauss)
+    log = _pair_sources(lambda: S_quadrature(0.3, 0.2, 0.1, gauss, e))
+    assert log == [(0, False)]
+    e = canonical_field(lambda_grid(E_FULL, 64, 1e-3))
+    log = _pair_sources(lambda: grids._node_table(
+        e, e, QuasiLatticeSpec(0.75, 1.0), 3, 2))
+    assert log and not any(searched for _, searched in log)
+    # several terms per node on both sides: the unfolding sum's first join
+    # searches, its nmax = inf join does not
+    f = random_pl_field(lambda_grid(E_FULL, 4, 0.05), 3)
+    g = random_pl_field(f.grid, 4)
+    log = _pair_sources(lambda: _unfolded_sum(f, g, f.grid.nodes, 0.75, 2),
+                        fieldcheck)
+    assert log == [(2, True), (math.inf, False)]
+    # tabulated slices, 199 pieces on each of 64 nodes: the search serves
+    # them with about two candidates a term, where the cross join would
+    # take 199
+    rng = np.random.default_rng(5)
+    grid = lambda_grid(E_FULL, 64, 0.05)
+    f = FieldSample.from_windows(grid, [Window.from_samples(
+        -1.0 + 0.01 * i, 0.01, rng.normal(size=200)) for i in range(64)])
+    g = f.heisenberg_translate(0.003, 0.2, 0.1)
+    candidates = []
+    ranges = windows._ranges
+
+    def spy(first, count):
+        candidates.append(int(np.sum(count)))
+        return ranges(first, count)
+
+    with mock.patch.object(windows, "_ranges", spy):
+        log = _pair_sources(lambda: field_inner_per_node(f, g))
+    assert f.n_terms == 64 * 199 and log
+    assert all(entry == (0, True) for entry in log)
+    assert sum(candidates) <= 3 * f.n_terms
 
 
 def _brute_pairs(starts, t):
@@ -594,6 +707,31 @@ def test_dense_norm_agrees_with_direct_error():
     direct = reconstruction_study(f, e, spec, (3, 16, 8),
                                   1.0)["recon_error"] ** 2
     assert abs(dense - direct) <= 1e-12 * direct
+
+
+def test_overlapping_dense_norm_sweeps_bounded_blocks():
+    # at alpha = 0.75 the translates in the 256-node dense difference
+    # f - r overlap, so distinct cells pair up; their term pairs, about
+    # 300 bytes of scratch each, are swept in blocks of at most
+    # _PAIR_BLOCK / 4 rows (whole blocks of _PAIR_BLOCK rows peaked at
+    # 58 MB traced), which moves no bit of the norm
+    e = canonical_field(lambda_grid(E_FULL, 256, 1e-3))
+    spec = QuasiLatticeSpec(0.75, 1)
+    f = atom_suite(e, spec, n_functions=1, n_atoms=16, box=(1, 8, 4),
+                   seed=3).fields()[0]
+    d = f - reconstruct(sample_on_lattice(f, e, spec, (3, 16, 8)), e, 1.0)
+    rows = []
+
+    def spy(a, b, df):
+        rows.append(a[0].size)
+        return paired_inner_sweep(a, b, df)
+
+    with mock.patch.object(windows, "paired_inner_sweep", spy):
+        norm, peak = traced_peak(d.norm2)
+    assert d.n_terms == 63_232 and len(rows) > 1
+    assert max(rows) <= windows._PAIR_BLOCK // 4
+    assert repr(norm) == "1.219441486369181"
+    assert peak < 24e6
 
 
 def test_block_size_splits_every_pair_sweep():

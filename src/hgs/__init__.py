@@ -21,13 +21,13 @@ from .sampling import (DensityVerdict, GramCheckReport, SampleSet,
                        evaluate_phi, interpolation_verdict, isometry_ratio,
                        onb_gram_check, reconstruct, reconstruction_study,
                        sample_on_lattice)
-from .sinc import (F_xy, G_xy, S0_closed, S1_closed, S_quadrature, SincValue,
+from .sinc import (G_xy, S0_closed, S1_closed, S_quadrature, SincValue,
                    seeded_strip_points, sinc_compare)
 from .testfields import AtomSuite, atom_suite, two_slice_field
 from .windows import Window
 
 __all__ = [
-    "AtomSuite", "DensityVerdict", "F_xy", "FieldSample", "G_xy",
+    "AtomSuite", "DensityVerdict", "FieldSample", "G_xy",
     "GaborFieldReport", "GramCheckReport", "GroupPoint", "IntervalPair",
     "LambdaGrid", "LatticeIndex", "NormConditionReport", "QuasiLatticeSpec",
     "S0_closed", "S1_closed", "S_quadrature", "SampleSet", "SincIntervals",

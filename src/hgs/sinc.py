@@ -1,17 +1,18 @@
 """The explicit reconstruction kernel of the indicator field: spectral
 profiles, closed forms, and an independent quadrature oracle.
 
-The kernel value at a group point (x, y, z) is the weighted spectral
-integral of the diagonal matrix coefficient of the slice window under the
-group action.  The negative-side part s0 has an elementary closed form;
-the printed two-case expression for it carries a global sign error (its
-zero-frequency limit gives -(1-|x|)/2 where the defining integral gives
-+(1-|x|)/2), so both readings are exposed and the quadrature oracle
-arbitrates.  The positive-side overlap interval likewise has two endpoint
-readings (see canonical.sinc_intervals); all combinations are compared.
-Both closed forms are one divided difference, _psi_quotient =
-(psi(w + c y) - psi(w)) / (2 pi i y): s1 takes it at c = 1 - |x|, s0 at
-the negated c of its case.
+The kernel at (x, y, z) is a weighted spectral integral, s0 over the part
+of the spectral set E in [-1, 0) and s1 over its part in [0, 1].  Each is
+a sum over E's pieces [a, b] of one divided difference of the indicator
+transform IT(a, b, w) = windows.interval_moments(a, b, w, 0), taken by
+_divided_difference; s0 takes the pieces reflected to [-b, -a].  So the
+derived closed forms hold on every E, and S0_closed and S1_closed are the
+full band's.  The printed two-case expression for s0 is a full-band formula
+with a global sign error (its zero-frequency limit gives -(1-|x|)/2 where
+the defining integral gives +(1-|x|)/2), so both readings are exposed and,
+where E covers [-1, 0], the quadrature oracle arbitrates.  The positive-side
+overlap interval likewise has two endpoint readings (see
+canonical.sinc_intervals); all combinations are compared.
 """
 
 from __future__ import annotations
@@ -24,42 +25,12 @@ import numpy as np
 from .canonical import sinc_intervals
 from .errors import DomainError
 from .grids import FieldSample, LambdaGrid, field_inner_per_node
-from .windows import indicator_transform
+from .windows import indicator_transform, interval_moments
 
-_SMALL = 0.25 / math.pi  # |2 pi w| < 0.5 switches psi to its series
+_NEAR = 1e-6  # |c y| b below this takes the moment rows, not the quotient
+_FULL = ((0.0, 1.0),)  # pieces of the full band, each side
 _DEV_EPS = 1e-3  # deviations are |closed - quad| / (|quad| + _DEV_EPS)
 _STRIP_X, _STRIP_YZ = (-0.95, 0.95), (-0.45, 0.45)  # seeded point ranges
-
-
-def _psi(w, p=0):
-    """p-th derivative of psi(w) = (e^{2 pi i w} - 1)/(2 pi i w), p <= 2;
-    (1/(2 pi i))^p psi^(p)(w) = int_0^1 t^p e^{2 pi i w t} dt."""
-    u = 2j * math.pi * w
-    if abs(w) < _SMALL:
-        # sum_j u^j / (j! (j + p + 1))
-        acc, term = 1.0 / (p + 1) + 0.0j, 1.0 + 0.0j
-        for n in range(1, 16):
-            term *= u / n
-            acc += term / (n + p + 1)
-        return (2j * math.pi) ** p * acc
-    # I_j = int_0^1 t^j e^{u t} dt = (e^u - j I_{j-1}) / u, finite at
-    # every finite u, where the closed numerators over u^(p + 1) overflow
-    e = np.exp(u)
-    acc = (e - 1.0) / u
-    for j in range(1, p + 1):
-        acc = (e - j * acc) / u
-    return (2j * math.pi) ** p * acc
-
-
-def F_xy(lam: float, x: float, y: float) -> complex:
-    """Negative-side spectral profile: -lam * 1_[-1,0](lam) * FT(1_{J_x})(lam*y)."""
-    if not -1.0 <= lam <= 0.0:
-        return 0.0 + 0.0j
-    si = sinc_intervals(x, 0.5)  # j_x does not depend on lam
-    if si.j_x is None:
-        return 0.0 + 0.0j
-    a, b = si.j_x
-    return complex(-lam * indicator_transform(a, b, lam * y)[()])
 
 
 def G_xy(lam: float, x: float, y: float,
@@ -76,54 +47,78 @@ def G_xy(lam: float, x: float, y: float,
     return complex(lam * indicator_transform(a, b, lam * y)[()])
 
 
-def _psi_quotient(w, c, y):
-    """(psi(w + d) - psi(w)) / (2 pi i y) for d = c y, the one divided
-    difference of both closed forms; for |d| < 1e-6 it is taken from the
-    psi derivatives at w, so it stays finite as y -> 0."""
+def _band_pieces(E):
+    """Pieces of E cap [-1, 0), each [a, b] reflected to [-b, -a], and of
+    E cap [0, 1]; sorted, touching pieces merged."""
+    sides = ([(-min(b, 0.0), -max(a, -1.0)) for a, b in E.intervals],
+             [(max(a, 0.0), min(b, 1.0)) for a, b in E.intervals])
+    out = ([], [])
+    for side, pieces in zip(sides, out):
+        for lo, hi in sorted(iv for iv in side if iv[1] > iv[0]):
+            if pieces and lo <= pieces[-1][1]:
+                lo = pieces.pop()[0]
+            pieces.append((lo, hi))
+    return tuple(map(tuple, out))
+
+
+def _divided_difference(pieces, w, c, y):
+    """Sum over the pieces [a, b] of [0, 1] of (IT(a, b, w + d) -
+    IT(a, b, w)) / (2 pi i y), d = c y, elementwise over arrays w, c, y.
+    Where |d| b < 1e-6 it is c (T_1 + pi i d T_2), T_p = int_a^b t^p
+    e^{2 pi i w t} dt from the p = 1, 2 rows of interval_moments
+    recentred, finite as y -> 0.  Both the quotient's rounding, eps / |d b|
+    relative, and the terms the rows drop, (2 pi d b)^2, scale with d b."""
     d = c * y
-    if abs(d) < 1e-6:
-        return (c / (2j * math.pi)) * (_psi(w, 1) + 0.5 * d * _psi(w, 2))
-    return (1.0 / (2j * math.pi * y)) * (_psi(w + d) - _psi(w))
+    acc = np.zeros(d.shape, dtype=complex)
+    for a, b in pieces:
+        near = np.abs(d) * b < _NEAR
+        pmax = 2 if near.any() else 0
+        # row 0 has the same bits at either depth
+        m = interval_moments(a, b, np.stack((w + d, w)), pmax)
+        val = (m[0, 0] - m[0, 1]) / (2j * math.pi * np.where(near, 1.0, y))
+        if pmax:
+            mid = 0.5 * (a + b)
+            t1 = m[1, 1] + mid * m[0, 1]
+            t2 = m[2, 1] + mid * (2.0 * m[1, 1] + mid * m[0, 1])
+            val = np.where(near, c * (t1 + 1j * math.pi * d * t2), val)
+        acc += val
+    return acc
+
+
+def _closed(x, y, z, pieces, part):
+    """Part "s1", or "s0" in the printed reading, at arrays x, y, z over
+    pieces; +0 outside |x| < 1, so 0.0 - s0 is the derived reading."""
+    inside = np.abs(x) < 1.0
+    c = 1.0 - np.abs(np.where(inside, x, 0.0))
+    u = z + y * np.where(x >= 0.0, c, 1.0)
+    if part == "s0":
+        val = _divided_difference(pieces, u, -c, y)
+    else:
+        val = np.exp(2j * math.pi * y) * _divided_difference(pieces, -u, c, y)
+    return np.where(inside, val, 0.0)
 
 
 def S0_closed(x: float, y: float, z: float,
               reading: str = "printed") -> complex:
-    """Closed form of the negative-side kernel part.
+    """Closed form of the negative-side kernel part on the full band.
 
     reading="printed" evaluates the two-case expression as displayed
     (value -1/(3 pi^2) at (1/2, 1, 1)); reading="derived" is its negation,
-    which matches the defining integral and the quadrature oracle.  All
-    exceptional lines (y = 0, z = 0, vanishing case denominators) are
-    handled by the analytic limit of (e^{i theta} - 1)/(i theta).
+    which matches the defining integral and the quadrature oracle.  The
+    exceptional lines (y = 0, z = 0, vanishing denominators) need no cases.
     """
     if reading not in ("printed", "derived"):
         raise DomainError(f"unknown reading {reading!r}")
-    if abs(x) >= 1.0:
-        return 0.0 + 0.0j
-    w2, c = (z + y * (1.0 - x), 1.0 - x) if x >= 0.0 else (z + y, 1.0 + x)
-    sign = -1.0 if reading == "printed" else 1.0
-    # sign * (psi(w2) - psi(w2 - c y)) / (2 pi i y), negated before the
-    # sign so that its signed zeros are the two-case formula's
-    return sign * -_psi_quotient(w2, -c, y)
+    val = _closed(*np.array([[x], [y], [z]], dtype=float), _FULL, "s0")
+    return complex((val if reading == "printed" else 0.0 - val)[0])
 
 
 def S1_closed(x: float, y: float, z: float) -> complex:
-    """Closed form of the positive-side part with the support-consistent
-    overlap interval (derived reading).
-
-    For 0 <= x < 1 the spectral integral reduces to
-
-        (e^{2 pi i y}/(2 pi i y)) [psi(-z) - psi(-(z + y(1-x)))]
-
-    and for -1 < x < 0 to the same expression with arguments
-    psi(xy - z) - psi(-(z + y)); in both cases the arguments differ by
-    y * (1 - |x|), so the y -> 0 limit uses the psi derivatives.
-    """
-    if abs(x) >= 1.0:
-        return 0.0 + 0.0j
-    c = 1.0 - abs(x)
-    w2 = -(z + y * c) if x >= 0.0 else -(z + y)
-    return complex(np.exp(2j * math.pi * y) * _psi_quotient(w2, c, y))
+    """Positive-side part on the full band, derived overlap interval:
+    e^{2 pi i y} [IT(0, 1, -z) - IT(0, 1, -(z + y(1-x)))] / (2 pi i y) for
+    0 <= x < 1, with xy - z and -(z + y) for -1 < x < 0."""
+    return complex(_closed(*np.array([[x], [y], [z]], dtype=float), _FULL,
+                           "s1")[0])
 
 
 def S_quadrature(x: float, y: float, z: float, grid: LambdaGrid,
@@ -168,10 +163,10 @@ class SincComparison:
 @dataclass(frozen=True)
 class SincCompareReport:
     rows: tuple
+    printed_s0_applies: bool  # E covers [-1, 0], the printed formula's band
 
     def max_deviation(self, which: str) -> float:
-        return max((r.deviation(which) for r in self.rows),
-                   default=0.0)
+        return max((r.deviation(which) for r in self.rows), default=0.0)
 
     def _matching(self, part):
         if not self.rows:
@@ -182,7 +177,7 @@ class SincCompareReport:
 
     @property
     def matching_s0_reading(self):
-        return self._matching("s0")
+        return self._matching("s0") if self.printed_s0_applies else None
 
     @property
     def matching_s1_reading(self):
@@ -190,12 +185,9 @@ class SincCompareReport:
 
 
 def _s1_numeric(x, y, z, grid, reading):
-    """Positive-side value from the spectral profile on the grid nodes;
-    independent of the window machinery.
-
-    G_xy evaluated on every node in (0, 1] at once: the overlap interval of
-    canonical.sinc_intervals becomes an array, and empty overlaps contribute
-    zero through interval_moments."""
+    """Positive-side value from the spectral profile G_xy on every grid
+    node in (0, 1] at once, independent of the window machinery; empty
+    overlaps contribute zero through interval_moments."""
     if reading not in ("printed", "derived"):
         raise DomainError(f"unknown reading {reading!r}")
     keep = (grid.nodes > 0.0) & (grid.nodes <= 1.0)
@@ -211,19 +203,24 @@ def _s1_numeric(x, y, z, grid, reading):
 
 def sinc_compare(points, grid: LambdaGrid,
                  fld: FieldSample) -> SincCompareReport:
-    """Cross-validate the closed forms against the quadrature oracle at the
-    given (x, y, z) points, for both endpoint/sign readings."""
+    """Cross-validate the closed forms on the grid's spectral set against
+    the quadrature oracle at the given (x, y, z) points, for both readings,
+    each closed-form column in one array call (printed s0: the full band)."""
+    neg, pos = _band_pieces(grid.spectral_set)
+    x, y, z = np.array(points, dtype=float).reshape(-1, 3).T.copy()
+    printed = _closed(x, y, z, _FULL, "s0")
+    derived = 0.0 - (printed if neg == _FULL else _closed(x, y, z, neg, "s0"))
+    s1 = _closed(x, y, z, pos, "s1")
     rows = []
-    for (x, y, z) in points:
+    for k, (x, y, z) in enumerate(points):
         q = S_quadrature(x, y, z, grid, fld)
         rows.append(SincComparison(
-            point=(x, y, z),
-            s0_quad=q.s0, s1_quad=q.s1,
-            s0_printed=S0_closed(x, y, z, reading="printed"),
-            s0_derived=S0_closed(x, y, z, reading="derived"),
+            point=(x, y, z), s0_quad=q.s0, s1_quad=q.s1,
+            s0_printed=complex(printed[k]), s0_derived=complex(derived[k]),
             s1_printed=_s1_numeric(x, y, z, grid, "printed"),
-            s1_derived=S1_closed(x, y, z)))
-    return SincCompareReport(rows=tuple(rows))
+            s1_derived=complex(s1[k])))
+    return SincCompareReport(rows=tuple(rows),
+                             printed_s0_applies=neg == _FULL)
 
 
 def seeded_strip_points(count: int, seed: int):

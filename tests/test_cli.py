@@ -153,6 +153,28 @@ def test_sinc_report_rows_informational(capsys, tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("spectrum", ["-1,1", "0,1", "-0.5,0.5"])
+def test_sinc_s0_reading_row_by_band(capsys, tmp_path, spectrum):
+    # the printed s0 formula is the full band's: off it the row names no
+    # reading and reports the derived deviation, which stays in criterion
+    # 7's bound on every band, as the s1 row's does
+    out_path = tmp_path / "sinc.json"
+    code, out, _ = run(capsys, "sinc", f"--spectrum={spectrum}", "--point",
+                       "0.3,0.2,0.1", "--random", "4", "--no-timestamp",
+                       "--out", str(out_path))
+    assert code == 0 and "-0," not in out and not out.rstrip().endswith("-0")
+    rows = {c["name"]: c["detail"]
+            for c in json.loads(out_path.read_text())["checks"]}
+    s0, s1 = rows["s0-closed-vs-oracle"], rows["s1-closed-vs-oracle"]
+    assert s1.startswith("matching reading 'derived'")
+    assert float(s1.rsplit(" ", 1)[1]) <= 1e-6
+    assert float(s0.rsplit(" ", 1)[1]) <= 1e-6
+    if spectrum == "-1,1":
+        assert s0.startswith("matching reading 'derived'")
+    else:
+        assert "matching" not in s0 and "not applicable" in s0
+
+
 def test_verify_canonical_lattice_note_informational(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-canonical", "--alpha", "0.5",
@@ -215,6 +237,7 @@ def test_sinc_outside_strip(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert abs(float(row[3])) <= 1e-12 and abs(float(row[4])) <= 1e-12
+    assert row[9:] == ["0", "0"]  # the printed reading is +0, not -0
 
 
 def test_sinc_random_deterministic(capsys):
@@ -249,8 +272,8 @@ def test_sinc_points_file_non_ascii_line(capsys, tmp_path):
 
 
 def test_sinc_far_out_point_finite(capsys):
-    # at |c y| < 1e-6 the closed forms take psi's derivatives, whose closed
-    # numerators over u^3 overflowed past |z| ~ 3e101 with a traceback; the
+    # at |c y| < 1e-6 the closed forms take the p = 1, 2 moment rows, where
+    # closed numerators over (2 pi i w)^3 overflowed past |z| ~ 3e101; the
     # command now refuses that point before its oracle aliases (see below),
     # so the forms are called directly
     for val in (S0_closed(0.3, 0.0, 1e102), S1_closed(0.3, 0.0, 1e102)):
@@ -302,7 +325,7 @@ def test_sinc_random_csv_bytes_pinned(capsys):
                        "--lambda-nodes", "256", "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-        "308d00e3a32963efb94861e9e2eca9091fc4715ab617f10e11b8038d282a201c")
+        "46ec29b9ac102d71c6c10b43dc2b1b940e02412d6cf3807d2e5ad145659626d1")
 
 
 @pytest.mark.parametrize("command, digest", [

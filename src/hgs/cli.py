@@ -27,7 +27,8 @@ from .fieldcheck import (SPEC_UNIT, gabor_field_verdict,
                          jittered_unit_grid, orthogonality_residuals,
                          theta_delta_report)
 from .grids import (_TILE, SpectralSet, _ascii_lines, _gauss_panel_width,
-                    _self_table, gauss_lambda_grid, lambda_grid)
+                    _self_table, _write_ascii, gauss_lambda_grid,
+                    lambda_grid)
 from .group import QuasiLatticeSpec
 from .sampling import (_MAX_BOX_SAMPLES, _fft_size, interpolation_verdict,
                        onb_gram_check, reconstruction_study)
@@ -163,9 +164,15 @@ def _emit(report, args):
 
 def _write_report(report, args):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=2, default=_json_default)
-            fh.write("\n")
+        _write_ascii(args.out, json.dumps(report, indent=2,
+                                          default=_json_default) + "\n")
+
+
+def _same_file(a, b):
+    """Whether paths a and b name one file: one resolved path, or one inode
+    when both exist (a hard link)."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 def _json_default(obj):
@@ -268,6 +275,9 @@ def cmd_sinc(args):
     if args.random is not None and not 0 <= args.random <= _MAX_RANDOM_POINTS:
         raise HgsError(f"bad --random {args.random}; expected a point count "
                        f"from 0 to {_MAX_RANDOM_POINTS}")
+    if args.csv and args.out and _same_file(args.csv, args.out):
+        raise HgsError(f"--csv {args.csv!r} and --out {args.out!r} name the "
+                       "same file; the report would overwrite the table")
     n = max(cfg["lambda_nodes"], 256)
     E = _spectral_set(cfg, n)
     grid = gauss_lambda_grid(E, n, lambda_min=1e-8, order=8)
@@ -305,8 +315,7 @@ def cmd_sinc(args):
             r.s0_printed.real, r.s0_printed.imag)))
     csv_text = "\n".join(rows) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
+        _write_ascii(args.csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     report = _base_report("sinc", cfg, args)

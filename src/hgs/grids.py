@@ -13,6 +13,8 @@ are only ever used up to measure zero.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -675,8 +677,7 @@ def field_save(f: FieldSample, path):
                          f"{tg.count} {payload}")
         else:
             raise WindowStructureError(f"unknown slice kind {kind[0]!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_ascii(path, "\n".join(lines) + "\n")
 
 
 def _parse_floats(parts, n, lineno):
@@ -705,6 +706,18 @@ def _ascii_lines(path, error):
         except UnicodeDecodeError:
             raise error("not ASCII text", lineno) from None
         yield lineno, text
+
+
+def _write_ascii(path, text):
+    """Write text, encoded as ASCII before the file is touched, to path in
+    place: no O_TRUNC at open, the old tail of a regular file cut after the
+    write.  Truncating a file that holds data at open, or renaming a new
+    one over it, makes ext4 flush it at close (auto_da_alloc), tens of ms."""
+    data = text.encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def field_load(path) -> FieldSample:

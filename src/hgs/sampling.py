@@ -31,7 +31,8 @@ from .errors import DomainError, FieldFormatError
 from .fieldcheck import (_one_atom, _own_suite, _suite_coefficients,
                          _suite_norms, _suite_union, lattice_coefficients)
 from .grids import (FieldSample, SpectralSet, _ascii_lines, _phase_table,
-                    _self_table, field_inner, plancherel_measure)
+                    _self_table, _write_ascii, field_inner,
+                    plancherel_measure)
 from .group import GroupPoint, LatticeIndex, QuasiLatticeSpec, _check_bounds
 from .windows import _TWO_PI
 
@@ -93,10 +94,9 @@ class SampleSet:
         return tuple(n // 2 for n in self.array.shape)
 
     def save_csv(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("k,l,m,re,im\n")
-            for g, v in self:
-                fh.write(f"{g.k},{g.l},{g.m},{v.real:.17g},{v.imag:.17g}\n")
+        _write_ascii(path, "k,l,m,re,im\n" + "".join(
+            f"{g.k},{g.l},{g.m},{v.real:.17g},{v.imag:.17g}\n"
+            for g, v in self))
 
     @classmethod
     def load_csv(cls, path, spec: QuasiLatticeSpec):

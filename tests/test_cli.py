@@ -12,7 +12,11 @@ import pytest
 
 import hgs
 from hgs import cli
+from hgs.canonical import canonical_field
 from hgs.cli import main
+from hgs.grids import SpectralSet, field_save, lambda_grid
+from hgs.group import QuasiLatticeSpec
+from hgs.sampling import SampleSet
 from hgs.sinc import S0_closed, S1_closed
 
 try:
@@ -559,3 +563,88 @@ def test_ignored_keys_accepted_from_config(capsys, tmp_path):
     code, _, _ = run(capsys, "verify-canonical", "--no-timestamp",
                      "--config", str(cfg))
     assert code == 0
+
+
+def _cli_writer(*argv):
+    def write(capsys, path):
+        code, _, err = run(capsys, *argv, str(path), "--no-timestamp")
+        assert code == 0, err
+    return write
+
+
+def _field_writer(capsys, path):
+    field_save(canonical_field(lambda_grid(SpectralSet([(-1, 1)]), 16, 0.05)),
+               path)
+
+
+def _samples_writer(capsys, path):
+    rng = np.random.default_rng(3)
+    SampleSet(QuasiLatticeSpec(1, 1), rng.normal(size=(3, 5, 3))
+              + 1j * rng.normal(size=(3, 5, 3))).save_csv(path)
+
+
+@pytest.mark.parametrize("write", [
+    _cli_writer("verify-canonical", "--lambda-nodes", "16", "--out"),
+    _cli_writer("sinc", "--point", "0.5,1,1", "--lambda-nodes", "256",
+                "--csv"),
+    _field_writer, _samples_writer,
+], ids=["verify-canonical-out", "sinc-csv", "field_save",
+        "SampleSet.save_csv"])
+def test_overwrite_leaves_no_stale_tail(capsys, tmp_path, write):
+    # every output file is rewritten in place; a longer old file keeps no
+    # tail, and the bytes are those of a write to a fresh path
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    write(capsys, fresh)
+    used.write_bytes(b"junk\n" * 4096)
+    write(capsys, used)
+    assert 0 < len(fresh.read_bytes()) < 20480
+    assert used.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_devnull(capsys):
+    code, _, _ = run(capsys, "verify-canonical", "--lambda-nodes", "16",
+                     "--no-timestamp", "--out", os.devnull)
+    assert code == 0
+
+
+def test_out_through_symlink_writes_its_target(capsys, tmp_path):
+    target, link, fresh = (tmp_path / n for n in ("target", "link", "fresh"))
+    target.write_bytes(b"junk\n" * 4096)
+    link.symlink_to(target)
+    for path in (link, fresh):
+        code, _, _ = run(capsys, "verify-canonical", "--lambda-nodes", "16",
+                         "--no-timestamp", "--out", str(path))
+        assert code == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_directory_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "verify-canonical", "--lambda-nodes", "16",
+                       "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_sinc_csv_and_out_same_file_exit_2(capsys, tmp_path, monkeypatch):
+    # the report would overwrite the table, so the run is refused before
+    # any grid is built, whether the two paths are spelled alike, resolve
+    # alike through a symlink or are hard links of one file
+    def boom(*args, **kwargs):
+        raise AssertionError("grid built for a refused run")
+    monkeypatch.setattr(cli, "gauss_lambda_grid", boom)
+    table = tmp_path / "table.csv"
+    (tmp_path / "sym.csv").symlink_to(table)
+    for a, b in ((table, table), (table, tmp_path / "." / "table.csv"),
+                 (table, tmp_path / "sym.csv")):
+        code, out, err = run(capsys, "sinc", "--point", "0.5,1,1",
+                             "--csv", str(a), "--out", str(b))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "same file" in err
+        assert not table.exists()
+    table.write_text("")
+    os.link(table, tmp_path / "hard.csv")
+    code, _, err = run(capsys, "sinc", "--point", "0.5,1,1",
+                       "--csv", str(table), "--out",
+                       str(tmp_path / "hard.csv"))
+    assert code == 2 and "same file" in err

@@ -206,6 +206,14 @@ def test_field_save_load_roundtrip_samples(tmp_path):
     assert (f - g).norm2() == 0
 
 
+def test_write_ascii_refuses_non_ascii_before_touching_the_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("kept\n")
+    with pytest.raises(UnicodeEncodeError):
+        grids._write_ascii(path, "lambda \u03bb\n")
+    assert path.read_text() == "kept\n"
+
+
 def test_field_load_truncated_file(tmp_path):
     grid = lambda_grid(SpectralSet([(-1, 1)]), 8, 0.05)
     e = unit_indicator_field(grid)

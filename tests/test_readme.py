@@ -6,16 +6,18 @@ call `name(kw=...)` of a name the package exports must accept those
 keywords, so a renamed function or a removed parameter fails here.  Every
 name in hgs.__all__ must resolve too, or `from hgs import *` would fail.
 The pair kernels that README describes as private to hgs.windows stay
-there.
+there, and every file the package writes goes through grids._write_ascii.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import re
 from pathlib import Path
 
 import hgs
+from hgs import grids
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 SPANS = re.findall(r"`([^`\n]+)`", README)
@@ -98,3 +100,35 @@ def test_pair_kernels_stay_in_windows():
     callers = {where for where, name in _mentions(src / "windows.py",
                                                   {"paired_inner_sweep"})}
     assert callers == {"_segment_inner", "_segment_norm2"}
+
+
+def test_file_writes_stay_in_write_ascii(tmp_path, monkeypatch):
+    # open(path, "w") truncates at open, and ext4 then flushes the file at
+    # close when it held data; the one writer opens without O_TRUNC and
+    # cuts the old tail after its write
+    src = Path(hgs.__file__).resolve().parent
+    writers = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"):
+                    continue
+                mode = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = (node.args[1:2] or mode or [ast.Constant("r")])[0]
+                if not (isinstance(mode, ast.Constant)
+                        and not set(mode.value) & set("wax+")):
+                    writers.append((path.name, getattr(top, "name", None)))
+    assert writers == [("grids.py", "_write_ascii")]
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+    monkeypatch.setattr(os, "open", recording_open)
+    out = tmp_path / "out.txt"
+    grids._write_ascii(out, "a longer first text\n")
+    grids._write_ascii(out, "short\n")
+    assert out.read_text() == "short\n"
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
